@@ -26,6 +26,7 @@ from .model import (
     fit,
     loss,
     loss_hyper_gradient,
+    loss_hyper_gradient_batch,
     predict,
     predict_batch,
     theta_jacobian,

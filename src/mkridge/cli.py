@@ -297,6 +297,12 @@ def _build_series(data_cfg: dict, seed: int) -> TimeSeries:
     raise ConfigError(f"data section needs type 'synthetic' or 'csv', got {kind!r}")
 
 
+def _positive_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def _load_config(args) -> dict:
     cfg: dict = {}
     if args.config is not None:
@@ -349,8 +355,9 @@ def cmd_run(args) -> int:
         raise ConfigError("no data source (use --data or the config file's data section)")
 
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    lag_order = int(cfg.get("lag_order", 20))
-    horizon = args.horizon if args.horizon is not None else int(cfg.get("horizon", 1))
+    lag_order = _positive_int(cfg.get("lag_order", 20), "lag_order")
+    horizon = args.horizon if args.horizon is not None else cfg.get("horizon", 1)
+    horizon = _positive_int(horizon, "horizon")
 
     sched_cfg = dict(cfg.get("schedule", {}))
     if args.n is not None:

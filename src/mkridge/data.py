@@ -8,6 +8,7 @@ values. :func:`build_features` turns a series into a :class:`Dataset` of
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -200,8 +201,8 @@ def load_csv(path, timestamp_column: str = "timestamp", value_column: str = "val
     """Read a two-column time series from a headered CSV file.
 
     Timestamps may be integers or ISO-8601 instants (converted to epoch
-    seconds). Rows with missing or malformed fields are reported together by
-    row number; non-increasing timestamps name the first offending row.
+    seconds). Rows with missing, malformed or non-finite fields are reported
+    together by row number; non-increasing timestamps name the first offending row.
     """
     path = Path(path)
     timestamps: list[int] = []
@@ -229,6 +230,9 @@ def load_csv(path, timestamp_column: str = "timestamp", value_column: str = "val
                 val = float(raw_val.strip())
             except ValueError:
                 bad_rows.append(f"row {i}: not a number: {raw_val.strip()!r}")
+                continue
+            if not math.isfinite(val):
+                bad_rows.append(f"row {i}: not a finite number: {raw_val.strip()!r}")
                 continue
             timestamps.append(ts)
             values.append(val)

@@ -19,8 +19,11 @@ composite Gram matrix has ``sum(weights)`` on its diagonal.
 All scalar kernel hyperparameters are addressable through one flat index
 (component parameters in declaration order, then the mixture weights), and
 analytic derivatives of Gram matrices and cross vectors are available for
-every index. Gram matrices are assembled from their upper triangle and
-mirrored, so they are exactly symmetric.
+every index. ``cross_derivs_many`` evaluates cross vectors and all their
+derivatives for a block of queries at once, elementwise, so each query's
+numbers equal a one-query evaluation bit for bit. Gram matrices are
+assembled from their upper triangle and mirrored, so they are exactly
+symmetric.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ __all__ = [
     "cross_vector",
     "cross_matrix",
     "gram_derivative",
-    "cross_derivatives",
     "window_arrays",
 ]
 
@@ -108,6 +110,11 @@ def _abs_dt(times: np.ndarray) -> np.ndarray:
     return squareform(pdist(times[:, None], "cityblock"), checks=False)
 
 
+def _sq_dists_to(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    d = rows - x
+    return np.einsum("ij,ij->i", d, d)
+
+
 @dataclass(frozen=True)
 class PeriodicKernel:
     """Periodic kernel on the time index, ``exp(-scale * sin^2(pi*dt/period))``."""
@@ -147,26 +154,28 @@ class PeriodicKernel:
     def cross_many(self, ts, xs, times, lags) -> np.ndarray:
         return self.from_dt(np.abs(ts[:, None] - times[None, :]))
 
-    def _deriv(self, j: int, dt):
+    def _value_and_derivs(self, dt):
+        """Kernel values at ``dt`` and their scale and period derivatives."""
         u = np.pi * dt / self.period
         s = np.sin(u)
         k = np.exp(-self.scale * s**2)
-        if j == 0:  # scale
-            return -(s**2) * k
-        if j == 1:  # period
-            return self.scale * np.pi * dt / self.period**2 * np.sin(2 * u) * k
-        raise IndexError(f"periodic kernel has 2 parameters, index {j} out of range")
+        return k, -(s**2) * k, self.scale * np.pi * dt / self.period**2 * np.sin(2 * u) * k
 
     def block_deriv(self, j, times, lags) -> np.ndarray:
-        return self._deriv(j, _abs_dt(times))
+        if j not in (0, 1):
+            raise IndexError(f"periodic kernel has 2 parameters, index {j} out of range")
+        return self._value_and_derivs(_abs_dt(times))[1 + j]
 
     def iter_block_derivs(self, times, lags) -> Iterator[np.ndarray]:
-        dt = _abs_dt(times)
-        for j in range(self.n_params):
-            yield self._deriv(j, dt)
+        _, d_scale, d_period = self._value_and_derivs(_abs_dt(times))
+        yield d_scale
+        yield d_period
 
-    def cross_deriv(self, j, t, x, times, lags) -> np.ndarray:
-        return self._deriv(j, np.abs(times - t))
+    def cross_derivs_many(self, ts, xs, times, lags, out) -> np.ndarray:
+        """Cross matrix of many queries; fills ``out[:, j]`` with its derivative
+        w.r.t. parameter ``j``, row by row as :meth:`cross` would compute it."""
+        k, out[:, 0], out[:, 1] = self._value_and_derivs(np.abs(ts[:, None] - times[None, :]))
+        return k
 
 
 @dataclass(frozen=True)
@@ -197,8 +206,7 @@ class SquaredExpKernel:
         return np.exp(-self.scale * _sq_dists(lags))
 
     def cross(self, t, x, times, lags) -> np.ndarray:
-        d = lags - x
-        return np.exp(-self.scale * np.einsum("ij,ij->i", d, d))
+        return np.exp(-self.scale * _sq_dists_to(x, lags))
 
     def cross_many(self, ts, xs, times, lags) -> np.ndarray:
         return np.exp(-self.scale * cdist(xs, lags, "sqeuclidean"))
@@ -212,12 +220,13 @@ class SquaredExpKernel:
     def iter_block_derivs(self, times, lags) -> Iterator[np.ndarray]:
         yield self.block_deriv(0, times, lags)
 
-    def cross_deriv(self, j, t, x, times, lags) -> np.ndarray:
-        if j != 0:
-            raise IndexError(f"squared exponential kernel has 1 parameter, index {j} out of range")
-        d = lags - x
-        d2 = np.einsum("ij,ij->i", d, d)
-        return -d2 * np.exp(-self.scale * d2)
+    def cross_derivs_many(self, ts, xs, times, lags, out) -> np.ndarray:
+        """Cross matrix of many queries; fills ``out[:, j]`` with its derivative
+        w.r.t. parameter ``j``, row by row as :meth:`cross` would compute it."""
+        d2 = np.vstack([_sq_dists_to(x, lags) for x in xs])
+        k = np.exp(-self.scale * d2)
+        out[:, 0] = -d2 * k
+        return k
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,11 +295,16 @@ class ArdKernel:
             d = col[:, None] - col[None, :]
             yield -(d * d) * base
 
-    def cross_deriv(self, j, t, x, times, lags) -> np.ndarray:
-        if not 0 <= j < self.n_params:
-            raise IndexError(f"ARD kernel has {self.n_params} parameters, index {j} out of range")
-        d = lags[:, j] - x[j]
-        return -(d * d) * self.cross(t, x, times, lags)
+    def cross_derivs_many(self, ts, xs, times, lags, out) -> np.ndarray:
+        """Cross matrix of many queries; fills ``out[:, j]`` with its derivative
+        w.r.t. parameter ``j``, row by row as :meth:`cross` would compute it."""
+        self._check_dim(lags)
+        sq = lags[None, :, :] - xs[:, None, :]
+        sq *= sq
+        k = np.exp(-(sq @ self.scales))  # one (|W|, p) @ (p,) product per query, as in cross()
+        np.negative(sq.transpose(0, 2, 1), out=out)
+        out *= k[:, None, :]
+        return k
 
 
 KernelComponent = Union[PeriodicKernel, SquaredExpKernel, ArdKernel]
@@ -376,15 +390,18 @@ class CompositeKernel:
 
     # -- evaluation -------------------------------------------------------
 
-    def component_blocks(self, times, lags) -> list[np.ndarray]:
-        return [c.block(times, lags) for c in self.components]
-
-    def block(self, times, lags) -> np.ndarray:
-        blocks = self.component_blocks(times, lags)
+    def _mix(self, blocks: list[np.ndarray]) -> np.ndarray:
+        """Weighted sum of per-component matrices, in component order."""
         out = self.weights[0] * blocks[0]
         for w, b in zip(self.weights[1:], blocks[1:]):
             out += w * b
         return out
+
+    def component_blocks(self, times, lags) -> list[np.ndarray]:
+        return [c.block(times, lags) for c in self.components]
+
+    def block(self, times, lags) -> np.ndarray:
+        return self._mix(self.component_blocks(times, lags))
 
     def cross(self, t, x, times, lags) -> np.ndarray:
         out = self.weights[0] * self.components[0].cross(t, x, times, lags)
@@ -393,10 +410,7 @@ class CompositeKernel:
         return out
 
     def cross_many(self, ts, xs, times, lags) -> np.ndarray:
-        out = self.weights[0] * self.components[0].cross_many(ts, xs, times, lags)
-        for w, c in zip(self.weights[1:], self.components[1:]):
-            out += w * c.cross_many(ts, xs, times, lags)
-        return out
+        return self._mix([c.cross_many(ts, xs, times, lags) for c in self.components])
 
     # -- derivatives ------------------------------------------------------
 
@@ -406,12 +420,6 @@ class CompositeKernel:
             return self.components[m].block(times, lags)
         return self.weights[m] * self.components[m].block_deriv(j, times, lags)
 
-    def cross_scalar_deriv(self, which: int, t, x, times, lags) -> np.ndarray:
-        kind, m, j = self._locate(which)
-        if kind == "weight":
-            return self.components[m].cross(t, x, times, lags)
-        return self.weights[m] * self.components[m].cross_deriv(j, t, x, times, lags)
-
     def iter_block_derivs(self, times, lags) -> Iterator[np.ndarray]:
         """All Gram derivatives in flat scalar order (params first, then weights)."""
         for w, c in zip(self.weights, self.components):
@@ -420,15 +428,33 @@ class CompositeKernel:
         for c in self.components:
             yield c.block(times, lags)
 
-    def cross_derivs_all(self, t, x, times, lags) -> np.ndarray:
-        """Cross-vector derivatives, shape ``(n_scalars, len(times))``."""
-        rows = []
+    def cross_derivs_many(self, ts, xs, times, lags) -> tuple[np.ndarray, np.ndarray]:
+        """Cross vectors and all their derivatives for many queries.
+
+        Returns ``(k, dk)``: ``k[q]`` is the cross vector of query ``q``, shape
+        ``(len(ts), len(times))``, and ``dk[q, i]`` its derivative w.r.t.
+        scalar ``i`` in flat order, shape ``(len(ts), n_scalars, len(times))``.
+        Everything is elementwise per query, so row ``q`` equals the
+        one-query :meth:`cross` / :meth:`cross_derivs_all` bit for bit.
+        """
+        dk = np.empty((len(ts), self.n_scalars, len(times)))
+        ks = []
+        pos = 0
         for w, c in zip(self.weights, self.components):
-            for j in range(c.n_params):
-                rows.append(w * c.cross_deriv(j, t, x, times, lags))
-        for c in self.components:
-            rows.append(c.cross(t, x, times, lags))
-        return np.vstack(rows)
+            block = dk[:, pos : pos + c.n_params]
+            ks.append(c.cross_derivs_many(ts, xs, times, lags, block))
+            block *= w
+            pos += c.n_params
+        for k in ks:
+            dk[:, pos] = k
+            pos += 1
+        return self._mix(ks), dk
+
+    def cross_derivs_all(self, t, x, times, lags) -> np.ndarray:
+        """Cross-vector derivatives of one query, shape ``(n_scalars, len(times))``."""
+        ts = np.array([t], dtype=float)
+        xs = np.asarray(x, dtype=float)[None, :]
+        return self.cross_derivs_many(ts, xs, times, lags)[1][0]
 
 
 # -- module-level operations ----------------------------------------------
@@ -503,13 +529,3 @@ def gram_derivative(spec: CompositeKernel, window, which: int) -> np.ndarray:
     times, lags = window_arrays(window)
     return spec.block_scalar_deriv(which, times, lags)
 
-
-def cross_derivatives(spec: CompositeKernel, query: TimedPoint, window) -> np.ndarray:
-    """Derivatives of the cross vector w.r.t. every scalar kernel hyperparameter."""
-    times, lags = window_arrays(window)
-    if query.x.shape[0] != lags.shape[1]:
-        raise ValueError(
-            f"query lag vector of length {query.x.shape[0]} does not match window "
-            f"lag order {lags.shape[1]}"
-        )
-    return spec.cross_derivs_all(query.t, query.x, times, lags)

@@ -10,6 +10,10 @@ where ``dA/d lam_i`` is the analytic Gram derivative for kernel
 hyperparameters and the identity for the ridge constant. The per-step
 squared-error loss then has an exact gradient assembled from the cross
 vector, its analytic derivatives, and the cached Jacobian columns.
+
+Predictions and hyper-gradients are evaluated for a block of queries at once
+(:func:`predict_batch`, :func:`loss_hyper_gradient_batch`);
+:func:`loss_hyper_gradient` is a one-row view of the batched gradient.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
     "loss",
     "theta_jacobian",
     "loss_hyper_gradient",
+    "loss_hyper_gradient_batch",
     "training_arrays",
 ]
 
@@ -84,7 +89,6 @@ class TrainedModel:
     targets: np.ndarray
     theta: np.ndarray
     gram: np.ndarray
-    component_grams: tuple[np.ndarray, ...]
     cho: tuple
 
     @property
@@ -117,11 +121,7 @@ def fit(hypers: HyperParams, window) -> TrainedModel:
     positive ridge (a numerically indefinite system).
     """
     times, lags, y = training_arrays(window)
-    blocks = hypers.kernel.component_blocks(times, lags)
-    w = hypers.kernel.weights
-    gram = w[0] * blocks[0]
-    for wm, b in zip(w[1:], blocks[1:]):
-        gram += wm * b
+    gram = hypers.kernel.block(times, lags)
     a = gram + hypers.ridge * np.eye(y.size)
     try:
         factor = cho_factor(a, lower=True)
@@ -134,16 +134,21 @@ def fit(hypers: HyperParams, window) -> TrainedModel:
     if np.linalg.norm(residual) > 1e-10 * max(1.0, np.linalg.norm(y)):
         # a single refinement pass keeps the residual bound on ill-conditioned systems
         theta = theta + cho_solve(factor, residual)
+    # gram and theta were built here and nothing else holds them: freeze in place
+    gram.setflags(write=False)
+    theta.setflags(write=False)
     return TrainedModel(
         hypers=hypers,
         times=_readonly(times),
         lags=_readonly(lags),
         targets=_readonly(y),
-        theta=_readonly(theta),
-        gram=_readonly(gram),
-        component_grams=tuple(_readonly(b) for b in blocks),
+        theta=theta,
+        gram=gram,
         cho=factor,
     )
+
+
+_BLOCK_VALUES = 1 << 17  # float64 values per block of cross derivatives (1 MB)
 
 
 def _check_query(model: TrainedModel, x: np.ndarray) -> None:
@@ -155,14 +160,17 @@ def _check_query(model: TrainedModel, x: np.ndarray) -> None:
 
 
 def predict(model: TrainedModel, query: TimedPoint) -> float:
-    """Kernel prediction: cross vector against the window, dotted with theta."""
+    """Kernel prediction: cross vector against the window, dotted with theta.
+
+    The same arithmetic as the residual inside :func:`loss_hyper_gradient`.
+    """
     _check_query(model, query.x)
     k = model.hypers.kernel.cross(query.t, query.x, model.times, model.lags)
     return float(k @ model.theta)
 
 
 def predict_batch(model: TrainedModel, queries) -> np.ndarray:
-    """Predictions for many query points at once."""
+    """Predictions for many query points at once: cross matrix times theta."""
     qt, qx = window_arrays(queries)
     _check_query(model, qx)
     return model.hypers.kernel.cross_many(qt, qx, model.times, model.lags) @ model.theta
@@ -190,23 +198,46 @@ def theta_jacobian(model: TrainedModel) -> np.ndarray:
 def loss_hyper_gradient(
     model: TrainedModel, jac: np.ndarray, query: TimedPoint, y_true: float
 ) -> np.ndarray:
-    """Exact gradient of the squared prediction error w.r.t. all hyperparameters.
+    """Exact gradient of one squared prediction error w.r.t. all hyperparameters.
 
-    Kernel components combine the analytic cross-vector derivative with the
-    cached Jacobian column; the ridge component uses the Jacobian column
-    alone. Each scalar costs one length-n inner product against its Jacobian
-    column plus the cross-derivative term.
+    A one-row :func:`loss_hyper_gradient_batch`.
+    """
+    return loss_hyper_gradient_batch(model, jac, [query], [y_true])[0]
+
+
+def loss_hyper_gradient_batch(model: TrainedModel, jac: np.ndarray, queries, targets) -> np.ndarray:
+    """Exact squared-error hyper-gradients for many queries, shape ``(m, dim)``.
+
+    Row ``q`` is ``-2 r_q (dk_q theta + k_q J)`` with ``k_q`` the cross
+    vector, ``dk_q`` its derivatives (no ridge row: the cross vector does not
+    depend on the ridge), ``r_q = y_q - k_q theta`` the residual and ``J``
+    the cached Jacobian. The hyperparameters are fixed across the block, so
+    the kernel values and derivatives of many queries come from one batched
+    evaluation.
     """
     d = model.hypers.dim
     if jac.shape != (model.n, d):
         raise ValueError(f"Jacobian shape {jac.shape} does not match (n, dim)=({model.n}, {d})")
-    _check_query(model, query.x)
+    qt, qx = window_arrays(queries)
+    _check_query(model, qx)
+    y = np.asarray(targets, dtype=float)
+    if y.shape != qt.shape:
+        raise ValueError(f"got {y.size} targets for {qt.size} queries")
     spec = model.hypers.kernel
-    k = spec.cross(query.t, query.x, model.times, model.lags)
-    dk = spec.cross_derivs_all(query.t, query.x, model.times, model.lags)
-    residual = y_true - float(k @ model.theta)
     ns = spec.n_scalars
-    grad = np.empty(d)
-    grad[:ns] = -2.0 * residual * (dk @ model.theta + k @ jac[:, :ns])
-    grad[ns] = -2.0 * residual * float(k @ jac[:, ns])
-    return grad
+    grads = np.empty((y.size, d))
+    # queries go in blocks so the (block, ns, n) derivative tensor stays near 1 MB
+    block = max(1, _BLOCK_VALUES // (ns * model.n))
+    for lo in range(0, y.size, block):
+        hi = lo + block
+        k, dk = spec.cross_derivs_many(qt[lo:hi], qx[lo:hi], model.times, model.lags)
+        # Every product is a stack of one-query products (matmul loops over the
+        # leading axis with the BLAS call a single query makes), so each row is
+        # bit-identical to a one-query evaluation whatever the block size. One
+        # (m, n) @ (n,) product would round differently, and OHL's updates can
+        # amplify a last-digit difference until it shows in the forecasts.
+        rows = k[:, None, :]
+        scale = -2.0 * (y[lo:hi] - (rows @ model.theta)[:, 0])
+        grads[lo:hi, :ns] = scale[:, None] * (dk @ model.theta + (rows @ jac[:, :ns])[:, 0])
+        grads[lo:hi, ns] = scale * (rows @ jac[:, ns])[:, 0]
+    return grads

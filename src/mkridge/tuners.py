@@ -2,7 +2,11 @@
 
 All strategies share one deployment loop: predict one step ahead, observe
 the truth, refit the model on the latest training window every ``fit_every``
-steps. They differ in how hyperparameters evolve:
+steps. Hyperparameters and the fitted model are frozen between refits, so
+the loop evaluates each refit window (and each validation window while
+tuning) with one batched call; the per-step records are the same as a
+step-by-step loop would produce. Strategies differ in how hyperparameters
+evolve:
 
 * ``OHL``      - accumulate exact per-step hyper-gradients and apply one
                  lazy projected update per refit window (no backtesting).
@@ -33,8 +37,9 @@ from .data import Dataset
 from .model import (
     HyperParams,
     fit,
-    loss_hyper_gradient,
-    predict,
+    loss_hyper_gradient,  # unused here; bound so that perfbench/layers.py can wrap it
+    loss_hyper_gradient_batch,
+    predict,  # unused here; bound so that perfbench/layers.py can wrap it
     predict_batch,
     theta_jacobian,
 )
@@ -139,7 +144,6 @@ class TunerConfig:
 @dataclass
 class PhaseCounters:
     fits: int = 0
-    gram_builds: int = 0
     jacobian_builds: int = 0
     gradient_evals: int = 0
     wall_clock: float = 0.0
@@ -174,7 +178,6 @@ class RunTrace:
 def _fit_counted(hypers: HyperParams, window: Dataset, counters: PhaseCounters):
     trained = fit(hypers, window)
     counters.fits += 1
-    counters.gram_builds += 1
     return trained
 
 
@@ -244,13 +247,9 @@ def tune_offline_gradient(
         trained = _fit_counted(hypers, fit_window, counters)
         jac = theta_jacobian(trained)
         counters.jacobian_builds += 1
-        grad = np.zeros(hypers.dim)
-        for i in range(len(val_window)):
-            grad += loss_hyper_gradient(
-                trained, jac, val_window.query(i), float(val_window.targets[i])
-            )
-            counters.gradient_evals += 1
-        grad /= len(val_window)
+        grads = loss_hyper_gradient_batch(trained, jac, val_window, val_window.targets)
+        counters.gradient_evals += len(val_window)
+        grad = grads.sum(axis=0) / len(val_window)
         pg = projected_gradient(lam, grad, config.eta, config.feasible)
         if float(np.linalg.norm(pg)) <= config.tol:
             break
@@ -285,7 +284,9 @@ def run_ohl(config: TunerConfig, schedule: Schedule, stream: Dataset, steps: int
     accumulated gradients (skipped at the first step and when ``eta`` is 0),
     refit on the latest training window, rebuild the Jacobian, and clear the
     accumulator. Every step: predict, observe, and accumulate the exact
-    hyper-gradient of the incurred loss.
+    hyper-gradient of the incurred loss. A window's predictions and
+    gradients come from one batched call each, since nothing they depend on
+    changes inside the window.
     """
     if config.strategy is not Strategy.OHL:
         raise ValueError(f"run_ohl requires the OHL strategy, got {config.strategy}")
@@ -298,8 +299,6 @@ def run_ohl(config: TunerConfig, schedule: Schedule, stream: Dataset, steps: int
     lam = config.init.to_vector()
     hypers = config.init
     acc = GradAccumulator(d)
-    trained = None
-    jac = None
 
     yhat = np.empty(horizon)
     lambdas = np.empty((horizon, d))
@@ -310,28 +309,28 @@ def run_ohl(config: TunerConfig, schedule: Schedule, stream: Dataset, steps: int
     tuning = PhaseCounters()
 
     clock = time.perf_counter()
-    for step in range(horizon):
-        i = start + step
-        if step % m == 0:
-            if step > 0 and config.eta > 0:
-                lam = lazy_step(lam, acc, config.eta, m, feasible)
-                hypers = config.init.from_vector(lam)
-            trained = _fit_counted(hypers, stream.slice(i - schedule.train_window, i), prediction)
-            jac = theta_jacobian(trained)
-            prediction.jacobian_builds += 1
-            acc.reset()
-        query = stream.query(i)
-        y_t = float(stream.targets[i])
-        yhat[step] = predict(trained, query)
-        g = loss_hyper_gradient(trained, jac, query, y_t)
-        prediction.gradient_evals += 1
-        acc.add(g)
-        lambdas[step] = lam
-        gradients[step] = g
-        grad_norms[step] = np.linalg.norm(g)
-        if config.eta > 0:
-            p = projected_gradient(lam, g, config.eta, feasible)
-            proj_sq[step] = float(p @ p)
+    for s in range(0, horizon, m):
+        e = min(s + m, horizon)
+        i = start + s
+        if s > 0 and config.eta > 0:
+            lam = lazy_step(lam, acc, config.eta, m, feasible)
+            hypers = config.init.from_vector(lam)
+        trained = _fit_counted(hypers, stream.slice(i - schedule.train_window, i), prediction)
+        jac = theta_jacobian(trained)
+        prediction.jacobian_builds += 1
+        acc.reset()
+        window = stream.slice(i, start + e)
+        yhat[s:e] = predict_batch(trained, window)
+        grads = loss_hyper_gradient_batch(trained, jac, window, window.targets)
+        prediction.gradient_evals += e - s
+        gradients[s:e] = grads
+        grad_norms[s:e] = np.linalg.norm(grads, axis=1)
+        lambdas[s:e] = lam
+        for step, g in enumerate(grads, start=s):
+            acc.add(g)
+            if config.eta > 0:
+                p = projected_gradient(lam, g, config.eta, feasible)
+                proj_sq[step] = float(p @ p)
     prediction.wall_clock = time.perf_counter() - clock
 
     return RunTrace(
@@ -356,7 +355,8 @@ def run_rolling(config: TunerConfig, schedule: Schedule, stream: Dataset, steps:
 
     Every ``tune_every`` steps the strategy's tune operation runs on the
     held-out validation window (FIXED skips this entirely); every
-    ``fit_every`` steps the model refits on the latest training window.
+    ``fit_every`` steps the model refits on the latest training window. The
+    steps between two such events are predicted with one batched call.
     """
     if config.strategy not in ROLLING_STRATEGIES:
         raise ValueError(f"run_rolling does not handle strategy {config.strategy}")
@@ -367,16 +367,23 @@ def run_rolling(config: TunerConfig, schedule: Schedule, stream: Dataset, steps:
     rng = np.random.default_rng(config.seed)
 
     hypers = config.init
-    trained = None
     yhat = np.empty(horizon)
     lambdas = np.empty((horizon, config.init.dim))
     prediction = PhaseCounters()
     tuning = PhaseCounters()
 
+    # segments run between consecutive refit or re-tune steps; a re-tune
+    # that falls inside a refit window changes the recorded hyperparameters
+    # at once but the model only at the next refit
+    starts = set(range(0, horizon, schedule.fit_every))
+    if tunes:
+        starts.update(range(0, horizon, schedule.tune_every))
+    starts = sorted(starts)
+
     clock = time.perf_counter()
-    for step in range(horizon):
-        i = start + step
-        if tunes and step % schedule.tune_every == 0:
+    for s, e in zip(starts, starts[1:] + [horizon]):
+        i = start + s
+        if tunes and s % schedule.tune_every == 0:
             t0 = time.perf_counter()
             val_window = stream.slice(i - vw, i)
             fit_window = stream.slice(i - vw - tw, i - vw)
@@ -387,10 +394,10 @@ def run_rolling(config: TunerConfig, schedule: Schedule, stream: Dataset, steps:
             else:
                 hypers = tune_offline_gradient(config, hypers, fit_window, val_window, tuning)
             tuning.wall_clock += time.perf_counter() - t0
-        if step % schedule.fit_every == 0:
+        if s % schedule.fit_every == 0:
             trained = _fit_counted(hypers, stream.slice(i - tw, i), prediction)
-        yhat[step] = predict(trained, stream.query(i))
-        lambdas[step] = hypers.to_vector()
+        yhat[s:e] = predict_batch(trained, stream.slice(i, start + e))
+        lambdas[s:e] = hypers.to_vector()
     prediction.wall_clock = time.perf_counter() - clock - tuning.wall_clock
 
     return RunTrace(
@@ -423,7 +430,6 @@ def fit_count_report(trace: RunTrace) -> dict:
     def phase(c: PhaseCounters) -> dict:
         return {
             "fits": c.fits,
-            "gram_builds": c.gram_builds,
             "jacobian_builds": c.jacobian_builds,
             "gradient_evals": c.gradient_evals,
             "wall_clock_s": c.wall_clock,

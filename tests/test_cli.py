@@ -166,6 +166,42 @@ class TestRun:
         assert (out_dir / "trace_FIXED.csv").exists()
 
 
+def finite_csv(tmp_path, bad_value):
+    rows = [f"{t},{1.0 + 0.01 * t}" for t in range(300)]
+    rows[1] = f"1,{bad_value}"  # data row 2 sits on file row 3
+    path = tmp_path / "series.csv"
+    path.write_text("timestamp,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    return {"data": {"type": "csv", "path": str(path)}}
+
+
+@pytest.mark.parametrize(
+    "overrides, flags, code, needle",
+    [
+        pytest.param("nan", [], 3, "row 3", id="csv-nan"),
+        pytest.param("inf", [], 3, "row 3", id="csv-inf"),
+        pytest.param("-inf", [], 3, "row 3", id="csv-minus-inf"),
+        pytest.param({"lag_order": 0}, [], 2, "lag_order", id="lag-zero"),
+        pytest.param({"lag_order": -2}, [], 2, "lag_order", id="lag-negative"),
+        pytest.param({"lag_order": 2.5}, [], 2, "lag_order", id="lag-fraction"),
+        pytest.param({"lag_order": "five"}, [], 2, "lag_order", id="lag-string"),
+        pytest.param({"lag_order": None}, [], 2, "lag_order", id="lag-null"),
+        pytest.param({"horizon": 0}, [], 2, "horizon", id="horizon-zero"),
+        pytest.param({"horizon": 1.5}, [], 2, "horizon", id="horizon-fraction"),
+        pytest.param({"horizon": "1"}, [], 2, "horizon", id="horizon-string"),
+        pytest.param({}, ["--horizon", "0"], 2, "horizon", id="horizon-flag-zero"),
+    ],
+)
+def test_bad_input_exit_codes(tmp_path, capsys, overrides, flags, code, needle):
+    """Bad inputs end with their documented exit code and a one-line message."""
+    if isinstance(overrides, str):
+        overrides = finite_csv(tmp_path, overrides)
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r"), *flags]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert needle in err
+
+
 class TestRegret:
     def run_and_regret(self, tmp_path, eta):
         cfg = write_config(tmp_path, strategies={"OHL": {"eta": eta}})

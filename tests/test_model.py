@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mkridge.data import Dataset
 from mkridge.errors import NumericalError
@@ -9,12 +10,19 @@ from mkridge.model import (
     fit,
     loss,
     loss_hyper_gradient,
+    loss_hyper_gradient_batch,
     predict,
     predict_batch,
     theta_jacobian,
 )
 
-from helpers import fd_loss_gradient, fd_theta_column, random_instance, rel_errors
+from helpers import (
+    fd_loss_gradient,
+    fd_theta_column,
+    random_instance,
+    random_window,
+    rel_errors,
+)
 
 
 def se_hypers(scale=1.0, ridge=1.0):
@@ -211,6 +219,51 @@ class TestLossHyperGradient:
         model, _ = single_point_model()
         with pytest.raises(ValueError):
             loss_hyper_gradient(model, np.zeros((1, 99)), TimedPoint(0.0, [0.0]), 0.0)
+
+
+def one_query_gradient(model, jac, query, y_true):
+    """The per-query gradient formula with one-query products throughout."""
+    spec = model.hypers.kernel
+    k = spec.cross(query.t, query.x, model.times, model.lags)
+    dk = spec.cross_derivs_all(query.t, query.x, model.times, model.lags)
+    residual = y_true - float(k @ model.theta)
+    ns = spec.n_scalars
+    grad = np.empty(model.hypers.dim)
+    grad[:ns] = -2.0 * residual * (dk @ model.theta + k @ jac[:, :ns])
+    grad[ns] = -2.0 * residual * float(k @ jac[:, ns])
+    return grad
+
+
+class TestBatchedEvaluator:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 30))
+    def test_matches_stacked_single_queries(self, seed, m):
+        rng = np.random.default_rng(seed)
+        hypers, window = random_instance(rng)
+        model = fit(hypers, window)
+        jac = theta_jacobian(model)
+        queries = random_window(rng, m, window.lag_order)
+        singles = [queries.query(i) for i in range(m)]
+        targets = queries.targets
+
+        yhat = predict_batch(model, queries)
+        yhat_ref = np.array([predict(model, q) for q in singles])
+        floor = 1e-9 * (1.0 + float(np.abs(yhat_ref).max()))
+        assert rel_errors(yhat, yhat_ref, floor).max() <= 1e-9
+
+        # gradient rows use the same elementwise kernel arithmetic and the same
+        # one-query products as a single call, so they agree bit for bit
+        grads = loss_hyper_gradient_batch(model, jac, queries, targets)
+        assert grads.shape == (m, hypers.dim)
+        stacked = [loss_hyper_gradient(model, jac, q, y) for q, y in zip(singles, targets)]
+        assert np.array_equal(grads, np.array(stacked))
+        formula = [one_query_gradient(model, jac, q, y) for q, y in zip(singles, targets)]
+        assert np.array_equal(grads, np.array(formula))
+
+    def test_target_count_checked(self):
+        model, window = single_point_model()
+        with pytest.raises(ValueError, match="targets"):
+            loss_hyper_gradient_batch(model, theta_jacobian(model), window, [0.0, 1.0])
 
 
 class TestInterpolationLimit:

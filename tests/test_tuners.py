@@ -3,8 +3,15 @@ import pytest
 
 from mkridge.data import BURN_IN, SyntheticConfig, build_features, generate_synthetic
 from mkridge.kernels import CompositeKernel, PeriodicKernel, SquaredExpKernel
-from mkridge.model import HyperParams, fit, predict_batch
-from mkridge.optim import FeasibleSet
+from mkridge.model import (
+    HyperParams,
+    fit,
+    loss_hyper_gradient,
+    predict,
+    predict_batch,
+    theta_jacobian,
+)
+from mkridge.optim import FeasibleSet, GradAccumulator, lazy_step
 from mkridge.tuners import (
     PhaseCounters,
     Schedule,
@@ -53,6 +60,41 @@ def backtest_oracle(hypers, fit_window, val_window):
     return float(np.sqrt(np.mean(err * err)))
 
 
+def per_step_reference(config, schedule, stream, steps):
+    """Step-by-step loop with one-query calls: ``(yhat, lambdas, gradients)``.
+
+    Covers OHL, OFFLINE_GRAD and FIXED: re-tune every ``tune_every`` steps,
+    refit every ``fit_every`` steps (OHL applies its lazy update first), then
+    predict, record the hyperparameters and (OHL) the gradient of each step.
+    """
+    start = len(stream) - steps
+    tw, vw = schedule.train_window, schedule.validation_window
+    ohl = config.strategy is Strategy.OHL
+    hypers = config.init
+    acc = GradAccumulator(hypers.dim)
+    yhat, lambdas, grads = [], [], []
+    for step in range(steps):
+        i = start + step
+        if config.strategy is Strategy.OFFLINE_GRAD and step % schedule.tune_every == 0:
+            hypers = tune_offline_gradient(
+                config, hypers, stream.slice(i - vw - tw, i - vw), stream.slice(i - vw, i)
+            )
+        if step % schedule.fit_every == 0:
+            if ohl and step > 0:
+                lam = lazy_step(hypers.to_vector(), acc, config.eta, schedule.fit_every, config.feasible)
+                hypers = config.init.from_vector(lam)
+            model = fit(hypers, stream.slice(i - tw, i))
+            jac = theta_jacobian(model)
+            acc.reset()
+        query = stream.query(i)
+        yhat.append(predict(model, query))
+        lambdas.append(hypers.to_vector())
+        if ohl:
+            grads.append(loss_hyper_gradient(model, jac, query, float(stream.targets[i])))
+            acc.add(grads[-1])
+    return np.array(yhat), np.array(lambdas), np.array(grads)
+
+
 class TestSchedule:
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -82,10 +124,11 @@ class TestRunOhl:
     def test_zero_eta_matches_fixed_bitwise(self):
         stream = make_stream()
         schedule = Schedule(tune_every=50, fit_every=10, train_window=60, validation_window=40)
-        ohl = run_ohl(se_config("OHL", eta=0.0), schedule, stream, steps=120)
-        fixed = run_rolling(se_config("FIXED"), schedule, stream, steps=120)
-        assert np.array_equal(ohl.yhat, fixed.yhat)
-        assert np.array_equal(ohl.y, fixed.y)
+        for steps in (120, 125):  # 125 ends in a partial refit window
+            ohl = run_ohl(se_config("OHL", eta=0.0), schedule, stream, steps=steps)
+            fixed = run_rolling(se_config("FIXED"), schedule, stream, steps=steps)
+            assert np.array_equal(ohl.yhat, fixed.yhat)
+            assert np.array_equal(ohl.y, fixed.y)
 
     def test_single_kernel_weight_stays_one(self):
         stream = make_stream()
@@ -120,6 +163,20 @@ class TestRunOhl:
         for step in range(1, 40):
             if step % 10 != 0:
                 assert np.array_equal(trace.lambdas[step], trace.lambdas[step - 1])
+
+    @pytest.mark.parametrize("strategy", ["OHL", "FIXED"])
+    def test_partial_last_window_matches_per_step_loop(self, strategy):
+        stream = make_stream()
+        schedule = Schedule(tune_every=50, fit_every=10, train_window=60)
+        config = mixed_config(strategy, eta=1e-3)
+        trace = run(config, schedule, stream, steps=25)
+        yhat, lambdas, grads = per_step_reference(config, schedule, stream, 25)
+        assert trace.prediction.fits == 3
+        np.testing.assert_allclose(trace.yhat, yhat, rtol=1e-12, atol=1e-14)
+        assert np.array_equal(trace.lambdas, lambdas)
+        if strategy == "OHL":
+            assert trace.prediction.gradient_evals == 25
+            assert np.array_equal(trace.gradients, grads)
 
     def test_stream_too_short(self):
         stream = make_stream(n_points=30)
@@ -177,6 +234,18 @@ class TestRunRolling:
         trace = run_rolling(config, schedule, stream, steps=90)
         for lam in trace.lambdas:
             assert config.feasible.contains(lam)
+
+    def test_retune_inside_refit_window(self):
+        # re-tunes at steps 0, 15, 30; refits at 0, 10, 20, 30, 40
+        stream = make_stream()
+        schedule = Schedule(tune_every=15, fit_every=10, train_window=60, validation_window=40)
+        config = se_config("OFFLINE_GRAD", eta=0.01, tol=1e-12, max_iters=2)
+        trace = run_rolling(config, schedule, stream, steps=45)
+        yhat, lambdas, _ = per_step_reference(config, schedule, stream, 45)
+        assert not np.array_equal(trace.lambdas[14], trace.lambdas[15])
+        assert np.array_equal(trace.lambdas, lambdas)
+        np.testing.assert_allclose(trace.yhat, yhat, rtol=1e-12, atol=1e-14)
+        assert trace.prediction.fits == 5 and trace.tuning.fits == 3 * 2
 
     def test_validation_window_required(self):
         stream = make_stream()
