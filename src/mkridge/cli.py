@@ -287,12 +287,16 @@ def _build_series(data_cfg: dict, seed: int) -> TimeSeries:
             value_column=data_cfg.get("value_column", "value"),
         )
         if "bin_width" in data_cfg:
-            series = bin_series(
-                series,
-                int(data_cfg["bin_width"]),
-                aggregator=data_cfg.get("aggregator", "mean"),
-                mode=data_cfg.get("bin_mode", "strict"),
-            )
+            bin_width = _positive_int(data_cfg["bin_width"], "bin_width")
+            try:
+                series = bin_series(
+                    series,
+                    bin_width,
+                    aggregator=data_cfg.get("aggregator", "mean"),
+                    mode=data_cfg.get("bin_mode", "strict"),
+                )
+            except ValueError as e:
+                raise ConfigError(f"bad binning settings: {e}") from None
         return series
     raise ConfigError(f"data section needs type 'synthetic' or 'csv', got {kind!r}")
 
@@ -358,6 +362,9 @@ def cmd_run(args) -> int:
     lag_order = _positive_int(cfg.get("lag_order", 20), "lag_order")
     horizon = args.horizon if args.horizon is not None else cfg.get("horizon", 1)
     horizon = _positive_int(horizon, "horizon")
+    steps = cfg.get("predict_steps")
+    if steps is not None:
+        steps = _positive_int(steps, "predict_steps")
 
     sched_cfg = dict(cfg.get("schedule", {}))
     if args.n is not None:
@@ -391,10 +398,6 @@ def cmd_run(args) -> int:
         stream = build_features(series, lag_order, horizon)
     except ValueError as e:
         raise DataError(str(e)) from None
-
-    steps = cfg.get("predict_steps")
-    if steps is not None:
-        steps = int(steps)
 
     out_dir = Path(args.out if args.out is not None else cfg.get("out", "results"))
     out_dir.mkdir(parents=True, exist_ok=True)

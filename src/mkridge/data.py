@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 from scipy.signal import lfilter
@@ -104,10 +103,6 @@ class Dataset:
 
     def query(self, i: int) -> TimedPoint:
         return TimedPoint(self.times[i], self.lags[i])
-
-    def points(self) -> Iterator[tuple[TimedPoint, float]]:
-        for i in range(len(self)):
-            yield self.query(i), float(self.targets[i])
 
 
 @dataclass(frozen=True)

@@ -17,19 +17,28 @@ with convex weights; every base kernel equals 1 on identical inputs, so a
 composite Gram matrix has ``sum(weights)`` on its diagonal.
 
 All scalar kernel hyperparameters are addressable through one flat index
-(component parameters in declaration order, then the mixture weights), and
-analytic derivatives of Gram matrices and cross vectors are available for
-every index. ``cross_derivs_many`` evaluates cross vectors and all their
-derivatives for a block of queries at once, elementwise, so each query's
-numbers equal a one-query evaluation bit for bit. Gram matrices are
-assembled from their upper triangle and mirrored, so they are exactly
-symmetric.
+(component parameters in declaration order, then the mixture weights).
+Every base kernel has exactly four evaluators, and the composite mixes
+the same four:
+
+* ``block(times, lags)``: the Gram matrix of a window;
+* ``iter_block_derivs(times, lags)``: its derivatives, in flat order;
+* ``cross_many(ts, xs, times, lags)``: cross values of a block of queries;
+* ``cross_derivs_many(ts, xs, times, lags, ...)``: cross values of a block
+  of queries together with all their derivatives.
+
+Single-query calls (``CompositeKernel.cross``, ``cross_derivs_all``,
+:func:`cross_vector`) are one-row views of ``cross_derivs_many``, and
+:func:`gram_derivative` picks one item of ``iter_block_derivs``. Gram
+matrices are assembled from their upper triangle and mirrored, so they are
+exactly symmetric.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from typing import Iterator, Sequence, Union
+from itertools import islice
+from typing import Iterator, Union
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
@@ -148,9 +157,6 @@ class PeriodicKernel:
     def block(self, times, lags) -> np.ndarray:
         return self.from_dt(_abs_dt(times))
 
-    def cross(self, t, x, times, lags) -> np.ndarray:
-        return self.from_dt(np.abs(times - t))
-
     def cross_many(self, ts, xs, times, lags) -> np.ndarray:
         return self.from_dt(np.abs(ts[:, None] - times[None, :]))
 
@@ -161,11 +167,6 @@ class PeriodicKernel:
         k = np.exp(-self.scale * s**2)
         return k, -(s**2) * k, self.scale * np.pi * dt / self.period**2 * np.sin(2 * u) * k
 
-    def block_deriv(self, j, times, lags) -> np.ndarray:
-        if j not in (0, 1):
-            raise IndexError(f"periodic kernel has 2 parameters, index {j} out of range")
-        return self._value_and_derivs(_abs_dt(times))[1 + j]
-
     def iter_block_derivs(self, times, lags) -> Iterator[np.ndarray]:
         _, d_scale, d_period = self._value_and_derivs(_abs_dt(times))
         yield d_scale
@@ -173,7 +174,7 @@ class PeriodicKernel:
 
     def cross_derivs_many(self, ts, xs, times, lags, out) -> np.ndarray:
         """Cross matrix of many queries; fills ``out[:, j]`` with its derivative
-        w.r.t. parameter ``j``, row by row as :meth:`cross` would compute it."""
+        w.r.t. parameter ``j``."""
         k, out[:, 0], out[:, 1] = self._value_and_derivs(np.abs(ts[:, None] - times[None, :]))
         return k
 
@@ -205,24 +206,16 @@ class SquaredExpKernel:
     def block(self, times, lags) -> np.ndarray:
         return np.exp(-self.scale * _sq_dists(lags))
 
-    def cross(self, t, x, times, lags) -> np.ndarray:
-        return np.exp(-self.scale * _sq_dists_to(x, lags))
-
     def cross_many(self, ts, xs, times, lags) -> np.ndarray:
         return np.exp(-self.scale * cdist(xs, lags, "sqeuclidean"))
 
-    def block_deriv(self, j, times, lags) -> np.ndarray:
-        if j != 0:
-            raise IndexError(f"squared exponential kernel has 1 parameter, index {j} out of range")
-        d2 = _sq_dists(lags)
-        return -d2 * np.exp(-self.scale * d2)
-
     def iter_block_derivs(self, times, lags) -> Iterator[np.ndarray]:
-        yield self.block_deriv(0, times, lags)
+        d2 = _sq_dists(lags)
+        yield -d2 * np.exp(-self.scale * d2)
 
     def cross_derivs_many(self, ts, xs, times, lags, out) -> np.ndarray:
         """Cross matrix of many queries; fills ``out[:, j]`` with its derivative
-        w.r.t. parameter ``j``, row by row as :meth:`cross` would compute it."""
+        w.r.t. parameter ``j``."""
         d2 = np.vstack([_sq_dists_to(x, lags) for x in xs])
         k = np.exp(-self.scale * d2)
         out[:, 0] = -d2 * k
@@ -271,22 +264,10 @@ class ArdKernel:
         self._check_dim(lags)
         return np.exp(-_sq_dists(lags * np.sqrt(self.scales)))
 
-    def cross(self, t, x, times, lags) -> np.ndarray:
-        self._check_dim(lags)
-        d = lags - x
-        return np.exp(-(d * d) @ self.scales)
-
     def cross_many(self, ts, xs, times, lags) -> np.ndarray:
         self._check_dim(lags)
         root = np.sqrt(self.scales)
         return np.exp(-cdist(xs * root, lags * root, "sqeuclidean"))
-
-    def block_deriv(self, j, times, lags) -> np.ndarray:
-        if not 0 <= j < self.n_params:
-            raise IndexError(f"ARD kernel has {self.n_params} parameters, index {j} out of range")
-        col = lags[:, j]
-        d = col[:, None] - col[None, :]
-        return -(d * d) * self.block(None, lags)
 
     def iter_block_derivs(self, times, lags) -> Iterator[np.ndarray]:
         base = self.block(None, lags)
@@ -297,11 +278,11 @@ class ArdKernel:
 
     def cross_derivs_many(self, ts, xs, times, lags, out) -> np.ndarray:
         """Cross matrix of many queries; fills ``out[:, j]`` with its derivative
-        w.r.t. parameter ``j``, row by row as :meth:`cross` would compute it."""
+        w.r.t. parameter ``j``."""
         self._check_dim(lags)
         sq = lags[None, :, :] - xs[:, None, :]
         sq *= sq
-        k = np.exp(-(sq @ self.scales))  # one (|W|, p) @ (p,) product per query, as in cross()
+        k = np.exp(-(sq @ self.scales))  # one (|W|, p) @ (p,) product per query
         np.negative(sq.transpose(0, 2, 1), out=out)
         out *= k[:, None, :]
         return k
@@ -374,20 +355,6 @@ class CompositeKernel:
         w = values[pos:]
         return CompositeKernel(tuple(comps), w, require_simplex=require_simplex)
 
-    def _locate(self, which: int) -> tuple[str, int, int]:
-        """Map a flat scalar index to ('param', m, j) or ('weight', m, 0)."""
-        if not 0 <= which < self.n_scalars:
-            raise ValueError(
-                f"index {which} addresses the ridge term or is out of range "
-                f"(kernel has {self.n_scalars} scalar hyperparameters)"
-            )
-        pos = 0
-        for m, c in enumerate(self.components):
-            if which < pos + c.n_params:
-                return "param", m, which - pos
-            pos += c.n_params
-        return "weight", which - pos, 0
-
     # -- evaluation -------------------------------------------------------
 
     def _mix(self, blocks: list[np.ndarray]) -> np.ndarray:
@@ -403,22 +370,18 @@ class CompositeKernel:
     def block(self, times, lags) -> np.ndarray:
         return self._mix(self.component_blocks(times, lags))
 
-    def cross(self, t, x, times, lags) -> np.ndarray:
-        out = self.weights[0] * self.components[0].cross(t, x, times, lags)
-        for w, c in zip(self.weights[1:], self.components[1:]):
-            out += w * c.cross(t, x, times, lags)
-        return out
-
     def cross_many(self, ts, xs, times, lags) -> np.ndarray:
+        # Two cross paths stay. cross_many (cdist) is the predictor: routing
+        # predictions through cross_derivs_many would build the ARD
+        # component's (queries, n, p) squared-difference tensor, about 72 MB
+        # for a 336-query validation window against 1344 training steps with
+        # 20 lags, plus the derivative tensor. cross_derivs_many is the
+        # gradient's path: its stacked one-query products keep every gradient
+        # bit-identical to a one-query evaluation, and OHL's updates can
+        # amplify a last-digit change until it shows in the forecasts.
         return self._mix([c.cross_many(ts, xs, times, lags) for c in self.components])
 
     # -- derivatives ------------------------------------------------------
-
-    def block_scalar_deriv(self, which: int, times, lags) -> np.ndarray:
-        kind, m, j = self._locate(which)
-        if kind == "weight":
-            return self.components[m].block(times, lags)
-        return self.weights[m] * self.components[m].block_deriv(j, times, lags)
 
     def iter_block_derivs(self, times, lags) -> Iterator[np.ndarray]:
         """All Gram derivatives in flat scalar order (params first, then weights)."""
@@ -434,8 +397,8 @@ class CompositeKernel:
         Returns ``(k, dk)``: ``k[q]`` is the cross vector of query ``q``, shape
         ``(len(ts), len(times))``, and ``dk[q, i]`` its derivative w.r.t.
         scalar ``i`` in flat order, shape ``(len(ts), n_scalars, len(times))``.
-        Everything is elementwise per query, so row ``q`` equals the
-        one-query :meth:`cross` / :meth:`cross_derivs_all` bit for bit.
+        Everything is elementwise per query, so row ``q`` does not depend on
+        the other queries of the block.
         """
         dk = np.empty((len(ts), self.n_scalars, len(times)))
         ks = []
@@ -450,11 +413,19 @@ class CompositeKernel:
             pos += 1
         return self._mix(ks), dk
 
-    def cross_derivs_all(self, t, x, times, lags) -> np.ndarray:
-        """Cross-vector derivatives of one query, shape ``(n_scalars, len(times))``."""
+    def _one_query(self, t, x, times, lags) -> tuple[np.ndarray, np.ndarray]:
         ts = np.array([t], dtype=float)
         xs = np.asarray(x, dtype=float)[None, :]
-        return self.cross_derivs_many(ts, xs, times, lags)[1][0]
+        k, dk = self.cross_derivs_many(ts, xs, times, lags)
+        return k[0], dk[0]
+
+    def cross(self, t, x, times, lags) -> np.ndarray:
+        """Cross vector of one query, shape ``(len(times),)``."""
+        return self._one_query(t, x, times, lags)[0]
+
+    def cross_derivs_all(self, t, x, times, lags) -> np.ndarray:
+        """Cross-vector derivatives of one query, shape ``(n_scalars, len(times))``."""
+        return self._one_query(t, x, times, lags)[1]
 
 
 # -- module-level operations ----------------------------------------------
@@ -526,6 +497,11 @@ def gram_derivative(spec: CompositeKernel, window, which: int) -> np.ndarray:
     parameters, then mixture weights). The ridge constant is not a kernel
     hyperparameter and is rejected.
     """
+    if not 0 <= which < spec.n_scalars:
+        raise ValueError(
+            f"index {which} addresses the ridge term or is out of range "
+            f"(kernel has {spec.n_scalars} scalar hyperparameters)"
+        )
     times, lags = window_arrays(window)
-    return spec.block_scalar_deriv(which, times, lags)
+    return next(islice(spec.iter_block_derivs(times, lags), which, None))
 

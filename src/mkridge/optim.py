@@ -12,6 +12,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .kernels import SIMPLEX_TOL
+
 __all__ = [
     "FeasibleSet",
     "GradAccumulator",
@@ -24,8 +26,6 @@ __all__ = [
     "regret_update",
     "variation_m",
 ]
-
-SIMPLEX_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,12 +74,6 @@ class FeasibleSet:
     @property
     def dim(self) -> int:
         return self.lower.size
-
-    @property
-    def box_mask(self) -> np.ndarray:
-        mask = np.ones(self.dim, dtype=bool)
-        mask[self.simplex] = False
-        return mask
 
     def contains(self, v, tol: float = 1e-9) -> bool:
         v = np.asarray(v, dtype=float)

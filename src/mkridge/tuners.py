@@ -27,7 +27,7 @@ hardware-independent cost proxy, wall-clock is recorded but incidental.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 

@@ -166,12 +166,12 @@ class TestRun:
         assert (out_dir / "trace_FIXED.csv").exists()
 
 
-def finite_csv(tmp_path, bad_value):
+def finite_csv(tmp_path, bad_value="1.01", **binning):
     rows = [f"{t},{1.0 + 0.01 * t}" for t in range(300)]
     rows[1] = f"1,{bad_value}"  # data row 2 sits on file row 3
     path = tmp_path / "series.csv"
     path.write_text("timestamp,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
-    return {"data": {"type": "csv", "path": str(path)}}
+    return {"data": {"type": "csv", "path": str(path), **binning}}
 
 
 @pytest.mark.parametrize(
@@ -189,12 +189,23 @@ def finite_csv(tmp_path, bad_value):
         pytest.param({"horizon": 1.5}, [], 2, "horizon", id="horizon-fraction"),
         pytest.param({"horizon": "1"}, [], 2, "horizon", id="horizon-string"),
         pytest.param({}, ["--horizon", "0"], 2, "horizon", id="horizon-flag-zero"),
+        pytest.param({"binning": {"bin_width": 2, "aggregator": "median"}}, [], 2, "median",
+                     id="bin-aggregator-unknown"),
+        pytest.param({"binning": {"bin_width": "wide"}}, [], 2, "bin_width", id="bin-width-string"),
+        pytest.param({"binning": {"bin_width": 0}}, [], 2, "bin_width", id="bin-width-zero"),
+        pytest.param({"binning": {"bin_width": 2, "bin_mode": "loose"}}, [], 2, "loose",
+                     id="bin-mode-unknown"),
+        pytest.param({"predict_steps": "x"}, [], 2, "predict_steps", id="steps-string"),
+        pytest.param({"predict_steps": 0}, [], 2, "predict_steps", id="steps-zero"),
+        pytest.param({"predict_steps": 2.5}, [], 2, "predict_steps", id="steps-fraction"),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, capsys, overrides, flags, code, needle):
     """Bad inputs end with their documented exit code and a one-line message."""
     if isinstance(overrides, str):
         overrides = finite_csv(tmp_path, overrides)
+    elif "binning" in overrides:
+        overrides = finite_csv(tmp_path, **overrides["binning"])
     cfg = write_config(tmp_path, **overrides)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r"), *flags]) == code
     err = capsys.readouterr().err

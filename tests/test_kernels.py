@@ -28,6 +28,20 @@ def make_points(rng, n, p):
     return [TimedPoint(t, rng.normal(size=p)) for t in times]
 
 
+def pairwise_cross(spec, query, point):
+    """One composite kernel value, summed from the scalar evaluators."""
+    total = 0.0
+    for w, comp in zip(spec.weights, spec.components):
+        if isinstance(comp, PeriodicKernel):
+            value = eval_periodic(abs(query.t - point.t), comp)
+        elif isinstance(comp, SquaredExpKernel):
+            value = eval_se(query.x, point.x, comp)
+        else:
+            value = eval_ard(query.x, point.x, comp)
+        total += w * value
+    return total
+
+
 class TestEvalPeriodic:
     def test_zero_dt_is_one(self):
         assert eval_periodic(0.0, PeriodicKernel(3.7, 11.0)) == 1.0
@@ -248,6 +262,19 @@ class TestCrossVector:
         M = cross_matrix(spec, queries, pts)
         for j, q in enumerate(queries):
             assert np.allclose(M[j], cross_vector(spec, q, pts), rtol=0, atol=1e-14)
+
+    def test_matches_pairwise_scalar_oracle(self):
+        rng = np.random.default_rng(19)
+        for _ in range(100):
+            p = int(rng.integers(1, 6))
+            spec = random_spec(rng, p)
+            pts = make_points(rng, int(rng.integers(1, 12)), p)
+            queries = make_points(rng, int(rng.integers(1, 5)), p)
+            M = cross_matrix(spec, queries, pts)
+            for j, q in enumerate(queries):
+                oracle = np.array([pairwise_cross(spec, q, pt) for pt in pts])
+                assert np.allclose(cross_vector(spec, q, pts), oracle, rtol=0, atol=1e-14)
+                assert np.allclose(M[j], oracle, rtol=0, atol=1e-14)
 
 
 class TestGramDerivative:
