@@ -18,11 +18,17 @@ composite Gram matrix has ``sum(weights)`` on its diagonal.
 
 All scalar kernel hyperparameters are addressable through one flat index
 (component parameters in declaration order, then the mixture weights).
-Every base kernel has exactly four evaluators, and the composite mixes
-the same four:
+Every base kernel has exactly five evaluators, and the composite mixes
+the same five:
 
 * ``block(times, lags)``: the Gram matrix of a window;
-* ``iter_block_derivs(times, lags)``: its derivatives, in flat order;
+* ``block_contract(times, lags, v, ...)``: every Gram derivative applied to
+  a vector, ``(dA/d lam_i) v``, without building the derivative matrices
+  (the ARD columns come from one matrix product, see
+  :meth:`ArdKernel.block_contract`);
+* ``iter_block_derivs(times, lags)``: the Gram derivatives themselves, in
+  flat order; the materialized path, kept as the oracle behind
+  :func:`gram_derivative` and the finite-difference tests;
 * ``cross_many(ts, xs, times, lags)``: cross values of a block of queries;
 * ``cross_derivs_many(ts, xs, times, lags, ...)``: cross values of a block
   of queries together with all their derivatives.
@@ -172,6 +178,13 @@ class PeriodicKernel:
         yield d_scale
         yield d_period
 
+    def block_contract(self, times, lags, v, w, out) -> np.ndarray:
+        """Fills ``out[:, j]`` with ``(w * dB/d p_j) @ v`` and returns ``B @ v``."""
+        k, d_scale, d_period = self._value_and_derivs(_abs_dt(times))
+        out[:, 0] = (w * d_scale) @ v
+        out[:, 1] = (w * d_period) @ v
+        return k @ v
+
     def cross_derivs_many(self, ts, xs, times, lags, out) -> np.ndarray:
         """Cross matrix of many queries; fills ``out[:, j]`` with its derivative
         w.r.t. parameter ``j``."""
@@ -212,6 +225,13 @@ class SquaredExpKernel:
     def iter_block_derivs(self, times, lags) -> Iterator[np.ndarray]:
         d2 = _sq_dists(lags)
         yield -d2 * np.exp(-self.scale * d2)
+
+    def block_contract(self, times, lags, v, w, out) -> np.ndarray:
+        """Fills ``out[:, 0]`` with ``(w * dB/d scale) @ v`` and returns ``B @ v``."""
+        d2 = _sq_dists(lags)
+        k = np.exp(-self.scale * d2)
+        out[:, 0] = (w * (-d2 * k)) @ v
+        return k @ v
 
     def cross_derivs_many(self, ts, xs, times, lags, out) -> np.ndarray:
         """Cross matrix of many queries; fills ``out[:, j]`` with its derivative
@@ -275,6 +295,26 @@ class ArdKernel:
             col = lags[:, j]
             d = col[:, None] - col[None, :]
             yield -(d * d) * base
+
+    def block_contract(self, times, lags, v, w, out) -> np.ndarray:
+        """Fills ``out[:, j]`` with ``(w * dB/d s_j) @ v`` and returns ``B @ v``.
+
+        ``dB/d s_j = -(x_j - x_j')^2 * B`` expands to
+        ``-(X_j^2 * (B v) - 2 X_j * (B (v * X_j)) + B (v * X_j^2))``, so every
+        column comes from one ``(n, n) @ (n, 2p + 1)`` product. Two things
+        keep the three terms small where they cancel: the product uses ``B``
+        without its diagonal, which ``dB/d s_j`` does not have either, and the
+        lag columns are centred, which leaves every difference unchanged.
+        """
+        base = self.block(times, lags)
+        bv = base @ v
+        np.fill_diagonal(base, 0.0)
+        x = lags - lags.mean(axis=0)
+        x2 = x * x
+        bx = base @ (v[:, None] * np.hstack([np.ones((len(v), 1)), x, x2]))
+        p = self.n_params
+        out[:] = w * -(x2 * bx[:, :1] - 2.0 * x * bx[:, 1 : p + 1] + bx[:, p + 1 :])
+        return bv
 
     def cross_derivs_many(self, ts, xs, times, lags, out) -> np.ndarray:
         """Cross matrix of many queries; fills ``out[:, j]`` with its derivative
@@ -390,6 +430,23 @@ class CompositeKernel:
                 yield w * d
         for c in self.components:
             yield c.block(times, lags)
+
+    def block_contract(self, times, lags, v) -> np.ndarray:
+        """Every Gram derivative applied to ``v``, shape ``(len(times), n_scalars)``.
+
+        Column ``i`` is ``(dA/d lam_i) v`` in flat scalar order. The periodic
+        and SE columns are the matrix-vector products of the matrices
+        :meth:`iter_block_derivs` yields, and each weight column is
+        ``block @ v``, so all of these are bit-identical to the materialized
+        path; only the ARD columns are contracted differently.
+        """
+        out = np.empty((len(times), self.n_scalars))
+        pos = 0
+        for i, (w, c) in enumerate(zip(self.weights, self.components)):
+            value = c.block_contract(times, lags, v, w, out[:, pos : pos + c.n_params])
+            out[:, self.n_scalars - self.n_components + i] = value
+            pos += c.n_params
+        return out
 
     def cross_derivs_many(self, ts, xs, times, lags) -> tuple[np.ndarray, np.ndarray]:
         """Cross vectors and all their derivatives for many queries.

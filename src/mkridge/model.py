@@ -7,9 +7,13 @@ coefficients with respect to every hyperparameter,
     d theta / d lam_i = -(K + ridge*I)^{-1} (dA/d lam_i) theta,
 
 where ``dA/d lam_i`` is the analytic Gram derivative for kernel
-hyperparameters and the identity for the ridge constant. The per-step
-squared-error loss then has an exact gradient assembled from the cross
-vector, its analytic derivatives, and the cached Jacobian columns.
+hyperparameters and the identity for the ridge constant. The Jacobian
+columns are contracted, not materialized: the products
+``(dA/d lam_i) theta`` come from the kernel directly
+(``CompositeKernel.block_contract``), and no ``n x n`` derivative matrix is
+built. The per-step squared-error loss then has an exact gradient assembled
+from the cross vector, its analytic derivatives, and the cached Jacobian
+columns.
 
 Predictions and hyper-gradients are evaluated for a block of queries at once
 (:func:`predict_batch`, :func:`loss_hyper_gradient_batch`);
@@ -185,12 +189,15 @@ def theta_jacobian(model: TrainedModel) -> np.ndarray:
     """Jacobian of the dual coefficients, shape ``(n, dim)``.
 
     Column ``i`` solves the cached system against ``-(dA/d lam_i) theta``;
-    the final column is the ridge direction with ``dA/d ridge = I``.
+    the final column is the ridge direction with ``dA/d ridge = I``. The
+    right-hand sides come from one kernel contraction, so no derivative
+    matrix is built.
     """
-    cols = [
-        model.solve(-(da @ model.theta))
-        for da in model.hypers.kernel.iter_block_derivs(model.times, model.lags)
-    ]
+    contracted = model.hypers.kernel.block_contract(model.times, model.lags, model.theta)
+    # One solve per column: a single multi-right-hand-side solve rounds
+    # differently for some window sizes, and OHL's updates can amplify a
+    # last-digit difference until it shows in the forecasts.
+    cols = [model.solve(-c) for c in contracted.T]
     cols.append(model.solve(-model.theta))
     return np.column_stack(cols)
 

@@ -3,6 +3,11 @@
 The feasible set is a product of per-coordinate boxes and one probability
 simplex (the mixture-weight block), so the Euclidean projection decomposes
 into a componentwise clamp plus a sort-and-threshold simplex projection.
+
+The projections and the projected-gradient map take one vector or an
+``(m, d)`` block of rows; every operation is row by row, so each row of a
+block equals the projection of that row alone, bit for bit. A non-finite
+input raises :class:`NumericalError`.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .errors import NumericalError
 from .kernels import SIMPLEX_TOL
 
 __all__ = [
@@ -134,47 +140,59 @@ class FeasibleSet:
         return v
 
 
+def _check_finite(v: np.ndarray) -> None:
+    if not np.isfinite(v).all():
+        raise NumericalError("cannot project a vector with non-finite entries")
+
+
 def project_box(v, feasible: FeasibleSet) -> np.ndarray:
     """Clamp box coordinates to their bounds; the simplex block passes through."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (feasible.dim,):
-        raise ValueError(f"expected vector of length {feasible.dim}, got {v.shape}")
+    if v.ndim not in (1, 2) or v.shape[-1] != feasible.dim:
+        raise ValueError(f"expected vectors of length {feasible.dim}, got shape {v.shape}")
+    _check_finite(v)
     return np.clip(v, feasible.lower, feasible.upper)
 
 
 def project_simplex(v) -> np.ndarray:
-    """Euclidean projection onto ``{w : sum(w) = 1, w >= 0}``.
+    """Euclidean projection onto ``{w : sum(w) = 1, w >= 0}``, row by row.
 
-    Sort-and-threshold method, O(M log M).
+    Sort-and-threshold method, O(M log M) per row.
     """
     v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError("expected a non-empty 1-d vector")
-    if v.size == 1:
-        return np.array([1.0])
-    # already feasible: return as-is so the projection is exactly idempotent
-    if v.min() >= 0.0 and abs(float(v.sum()) - 1.0) <= SIMPLEX_TOL:
-        return v.copy()
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, v.size + 1)
-    rho = j[u + (1.0 - css) / j > 0][-1]
-    tau = (css[rho - 1] - 1.0) / rho
-    return np.maximum(v - tau, 0.0)
+    if v.ndim not in (1, 2) or v.shape[-1] < 1:
+        raise ValueError("expected a non-empty 1-d vector or a 2-d block of rows")
+    if v.ndim == 1:
+        return project_simplex(v[None, :])[0]
+    _check_finite(v)
+    if v.shape[1] == 1:
+        return np.ones_like(v)
+    u = np.sort(v, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1)
+    j = np.arange(1, v.shape[1] + 1)
+    # rho is the last j that passes the test; j = 1 always passes
+    rho = v.shape[1] - np.argmax((u + (1.0 - css) / j > 0)[:, ::-1], axis=1)
+    tau = (css[np.arange(len(v)), rho - 1] - 1.0) / rho
+    out = np.maximum(v - tau[:, None], 0.0)
+    # already feasible rows stay as they are, so the projection is exactly idempotent
+    keep = (v.min(axis=1) >= 0.0) & (np.abs(v.sum(axis=1) - 1.0) <= SIMPLEX_TOL)
+    out[keep] = v[keep]
+    return out
 
 
 def project_C(v, feasible: FeasibleSet) -> np.ndarray:
     """Projection onto the full feasible set (box clamp + simplex block)."""
     out = project_box(v, feasible)
-    out[feasible.simplex] = project_simplex(out[feasible.simplex])
+    out[..., feasible.simplex] = project_simplex(out[..., feasible.simplex])
     return out
 
 
 def projected_gradient(z, g, eta: float, feasible: FeasibleSet) -> np.ndarray:
     """The projected-gradient map ``(z - proj(z - eta*g)) / eta``.
 
-    Vanishes exactly at constrained stationary points and reduces to ``g``
-    whenever the step stays interior.
+    ``g`` may be an ``(m, d)`` block of gradients at the same point ``z``;
+    row ``i`` is then the map of ``g[i]``. Vanishes exactly at constrained
+    stationary points and reduces to ``g`` whenever the step stays interior.
     """
     if not eta > 0:
         raise ValueError(f"step size must be positive, got {eta}")

@@ -284,9 +284,9 @@ def run_ohl(config: TunerConfig, schedule: Schedule, stream: Dataset, steps: int
     accumulated gradients (skipped at the first step and when ``eta`` is 0),
     refit on the latest training window, rebuild the Jacobian, and clear the
     accumulator. Every step: predict, observe, and accumulate the exact
-    hyper-gradient of the incurred loss. A window's predictions and
-    gradients come from one batched call each, since nothing they depend on
-    changes inside the window.
+    hyper-gradient of the incurred loss. A window's predictions, gradients
+    and projected-gradient norms come from one batched call each, since
+    nothing they depend on changes inside the window.
     """
     if config.strategy is not Strategy.OHL:
         raise ValueError(f"run_ohl requires the OHL strategy, got {config.strategy}")
@@ -326,11 +326,12 @@ def run_ohl(config: TunerConfig, schedule: Schedule, stream: Dataset, steps: int
         gradients[s:e] = grads
         grad_norms[s:e] = np.linalg.norm(grads, axis=1)
         lambdas[s:e] = lam
-        for step, g in enumerate(grads, start=s):
+        for g in grads:
             acc.add(g)
-            if config.eta > 0:
-                p = projected_gradient(lam, g, config.eta, feasible)
-                proj_sq[step] = float(p @ p)
+        if config.eta > 0:
+            p = projected_gradient(lam, grads, config.eta, feasible)
+            # stacked one-row products: each equals the one-step p @ p bit for bit
+            proj_sq[s:e] = (p[:, None, :] @ p[:, :, None])[:, 0, 0]
     prediction.wall_clock = time.perf_counter() - clock
 
     return RunTrace(

@@ -4,7 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 from mkridge.data import Dataset
 from mkridge.errors import NumericalError
-from mkridge.kernels import CompositeKernel, SquaredExpKernel, TimedPoint
+from mkridge.kernels import (
+    ArdKernel,
+    CompositeKernel,
+    PeriodicKernel,
+    SquaredExpKernel,
+    TimedPoint,
+    gram_derivative,
+)
 from mkridge.model import (
     HyperParams,
     fit,
@@ -169,6 +176,85 @@ class TestThetaJacobian:
                 worst = max(worst, err / scale)
                 checked += 1
         assert worst <= 1e-5, f"worst column relative error {worst:.3e}"
+
+
+def materialized_column(model, window, which):
+    """Jacobian column ``which`` from the materialized Gram derivative."""
+    return model.solve(-(gram_derivative(model.hypers.kernel, window, which) @ model.theta))
+
+
+def scalar_owners(spec):
+    """The component (or ``"weight"``) each flat kernel scalar belongs to."""
+    owners = [c for c in spec.components for _ in range(c.n_params)]
+    return owners + ["weight"] * spec.n_components
+
+
+def contracted_instance(rng, case):
+    """Random (model, window): a random composite, an all-ARD composite with
+    some zero scales, or either with every lag offset by 1e3."""
+    hypers, window = random_instance(rng, n_max=40, p_max=20)
+    if case in ("all_ard", "all_ard_offset"):
+        p = window.lag_order
+        comps = []
+        for _ in range(int(rng.integers(1, 4))):
+            scales = rng.uniform(0.01, 1.0, p)
+            scales[rng.random(p) < 0.3] = 0.0
+            comps.append(ArdKernel(scales))
+        spec = CompositeKernel(tuple(comps), rng.dirichlet(np.full(len(comps), 2.0)))
+        hypers = HyperParams(spec, hypers.ridge)
+    if case.endswith("offset"):
+        window = Dataset(window.times, window.lags + 1e3, window.targets)
+    return fit(hypers, window), window
+
+
+CONTRACTED_CASES = ("random", "random_offset", "all_ard", "all_ard_offset")
+
+
+class TestContractedJacobian:
+    """theta_jacobian contracts the Gram derivatives instead of building them."""
+
+    @pytest.mark.parametrize("case", CONTRACTED_CASES)
+    def test_ard_columns_match_materialized(self, case):
+        rng = np.random.default_rng(CONTRACTED_CASES.index(case))
+        checked = 0
+        worst = 0.0
+        while checked < 200:
+            model, window = contracted_instance(rng, case)
+            jac = theta_jacobian(model)
+            for i, owner in enumerate(scalar_owners(model.hypers.kernel)):
+                if not isinstance(owner, ArdKernel):
+                    continue
+                ref = materialized_column(model, window, i)
+                worst = max(worst, np.linalg.norm(jac[:, i] - ref) / np.linalg.norm(ref))
+                checked += 1
+        assert worst <= 1e-10, f"worst ARD column relative error {worst:.3e}"
+
+    def test_other_columns_match_materialized_bitwise(self):
+        # periodic, SE and weight columns are matrix-vector products of the
+        # same matrices the materialized path builds
+        rng = np.random.default_rng(11)
+        for case in ("random", "random_offset") * 25:
+            model, window = contracted_instance(rng, case)
+            jac = theta_jacobian(model)
+            for i, owner in enumerate(scalar_owners(model.hypers.kernel)):
+                if not isinstance(owner, ArdKernel):
+                    assert np.array_equal(jac[:, i], materialized_column(model, window, i))
+            ridge = model.hypers.ridge_index
+            assert np.array_equal(jac[:, ridge], model.solve(-model.theta))
+
+    def test_builds_no_ard_derivative_matrix(self, monkeypatch):
+        def refuse(self, times, lags):
+            raise AssertionError("ARD derivative matrices must not be materialized")
+
+        monkeypatch.setattr(ArdKernel, "iter_block_derivs", refuse)
+        rng = np.random.default_rng(12)
+        window = random_window(rng, 30, 5)
+        spec = CompositeKernel(
+            (PeriodicKernel(0.5, 7.0), ArdKernel(rng.uniform(0.0, 1.0, 5))), np.array([0.5, 0.5])
+        )
+        jac = theta_jacobian(fit(HyperParams(spec, 0.3), window))
+        assert jac.shape == (30, spec.n_scalars + 1)
+        assert np.all(np.isfinite(jac))
 
 
 class TestLossHyperGradient:

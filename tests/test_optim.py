@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mkridge.errors import NumericalError
 from mkridge.optim import (
     FeasibleSet,
     GradAccumulator,
@@ -99,6 +101,16 @@ class TestProjectSimplex:
             w = project_simplex(rng.normal(0, 3, 4))
             assert np.array_equal(project_simplex(w), w)
 
+    @pytest.mark.parametrize(
+        "v", [[np.nan, 0.5], [np.inf, 0.2], [-np.inf, 0.5], [0.1, 0.2, np.nan], [np.nan]]
+    )
+    def test_non_finite_raises_numerical_error(self, v):
+        with pytest.raises(NumericalError, match="non-finite"):
+            project_simplex(v)
+        good = np.full(len(v), 1.0 / len(v))
+        with pytest.raises(NumericalError, match="non-finite"):
+            project_simplex(np.vstack([good, v]))
+
 
 class TestProjectC:
     def test_composes_box_and_simplex(self):
@@ -124,6 +136,71 @@ class TestProjectC:
             proj = project_C(v, fs)
             c = random_feasible(rng, fs)
             assert np.linalg.norm(v - proj) <= np.linalg.norm(v - c) + 1e-12
+
+    def test_non_finite_raises_numerical_error(self):
+        fs = standard_set()
+        v = np.array([1.0, 10.0, 0.4, 0.6, 1.0])
+        for i in range(fs.dim):
+            for bad_value in (np.nan, np.inf, -np.inf):
+                bad = v.copy()
+                bad[i] = bad_value
+                with pytest.raises(NumericalError):
+                    project_C(bad, fs)
+                with pytest.raises(NumericalError):
+                    project_C(np.vstack([v, bad]), fs)
+        g = np.array([0.0, np.inf, 0.0, 0.0, 0.0])
+        with pytest.raises(NumericalError):
+            projected_gradient(v, np.vstack([np.zeros(fs.dim), g]), 0.1, fs)
+
+
+def random_box_simplex(rng, before, m, after):
+    """Random feasible set: boxes (some of zero width) around one simplex block."""
+    d = before + m + after
+    lower = rng.normal(0.0, 5.0, d)
+    upper = lower + rng.exponential(5.0, d) * (rng.random(d) > 0.1)
+    return FeasibleSet(lower, upper, slice(before, before + m))
+
+
+class TestBlockProjection:
+    """A block of rows projects row by row, exactly as each row alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 12),
+        before=st.integers(0, 3),
+        m=st.integers(1, 6),
+        after=st.integers(0, 3),
+        spread=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    def test_rows_equal_single_projections(self, seed, rows, before, m, after, spread):
+        rng = np.random.default_rng(seed)
+        fs = random_box_simplex(rng, before, m, after)
+        block = rng.normal(0.0, spread, (rows, fs.dim))
+        block[::3] = [project_C(row, fs) for row in block[::3]]  # some rows already feasible
+        simplex = block[:, fs.simplex]
+        assert np.array_equal(project_simplex(simplex), [project_simplex(r) for r in simplex])
+        assert np.array_equal(project_C(block, fs), [project_C(r, fs) for r in block])
+        z = project_C(rng.normal(0.0, spread, fs.dim), fs)
+        eta = float(10.0 ** rng.uniform(-4, 0))
+        pg = projected_gradient(z, block, eta, fs)
+        assert np.array_equal(pg, [projected_gradient(z, g, eta, fs) for g in block])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 12),
+        before=st.integers(0, 3),
+        m=st.integers(1, 6),
+        after=st.integers(0, 3),
+        spread=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    def test_project_C_idempotent_and_feasible(self, seed, rows, before, m, after, spread):
+        rng = np.random.default_rng(seed)
+        fs = random_box_simplex(rng, before, m, after)
+        once = project_C(rng.normal(0.0, spread, (rows, fs.dim)), fs)
+        assert all(fs.contains(row) for row in once)
+        assert np.array_equal(project_C(once, fs), once)
 
 
 class TestProjectedGradient:

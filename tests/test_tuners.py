@@ -11,7 +11,7 @@ from mkridge.model import (
     predict_batch,
     theta_jacobian,
 )
-from mkridge.optim import FeasibleSet, GradAccumulator, lazy_step
+from mkridge.optim import FeasibleSet, GradAccumulator, lazy_step, projected_gradient
 from mkridge.tuners import (
     PhaseCounters,
     Schedule,
@@ -177,6 +177,12 @@ class TestRunOhl:
         if strategy == "OHL":
             assert trace.prediction.gradient_evals == 25
             assert np.array_equal(trace.gradients, grads)
+            # the window's projected-gradient norms equal the one-step ones
+            one_step = []
+            for lam, g in zip(lambdas, grads):
+                p = projected_gradient(lam, g, config.eta, config.feasible)
+                one_step.append(float(p @ p))
+            assert np.array_equal(trace.proj_grad_sq, one_step)
 
     def test_stream_too_short(self):
         stream = make_stream(n_points=30)
