@@ -36,8 +36,13 @@ the same five:
 Single-query calls (``CompositeKernel.cross``, ``cross_derivs_all``,
 :func:`cross_vector`) are one-row views of ``cross_derivs_many``, and
 :func:`gram_derivative` picks one item of ``iter_block_derivs``. Gram
-matrices are assembled from their upper triangle and mirrored, so they are
-exactly symmetric.
+matrices are exactly symmetric: the lag kernels are assembled from their
+upper triangle and mirrored, and the periodic kernel depends on ``|dt|``.
+
+On a uniform integer time grid (a synthetic stream, a binned CSV) the
+periodic kernel's matrices are Toeplitz, and every periodic evaluator but
+``iter_block_derivs`` runs ``sin`` and ``exp`` on the distinct differences
+only (:func:`_eval_dt`), with the same bits as the dense evaluation.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from itertools import islice
 from typing import Iterator, Union
 
 import numpy as np
+from scipy.linalg import toeplitz
 from scipy.spatial.distance import cdist, pdist, squareform
 
 __all__ = [
@@ -121,8 +127,44 @@ def _sq_dists(rows: np.ndarray) -> np.ndarray:
     return squareform(pdist(rows, "sqeuclidean"), checks=False)
 
 
-def _abs_dt(times: np.ndarray) -> np.ndarray:
-    return squareform(pdist(times[:, None], "cityblock"), checks=False)
+def _abs_dt(ts: np.ndarray, times: np.ndarray) -> np.ndarray:
+    return np.abs(ts[:, None] - times[None, :])
+
+
+_EXACT_TIME = 2.0**52  # integers below this differ by exactly representable amounts
+
+
+def _on_one_grid(ts: np.ndarray, times: np.ndarray) -> bool:
+    """True if all times are integers below 2**52 and every consecutive
+    difference within ``ts`` and within ``times`` equals one common step.
+
+    Then ``|ts[q] - times[j]|`` is computed exactly and depends only on
+    ``q - j``.
+    """
+    if ts.size == 0 or times.size == 0:
+        return False
+    both = np.concatenate([ts, times])
+    if not (np.all(np.abs(both) < _EXACT_TIME) and np.array_equal(both, np.trunc(both))):
+        return False
+    steps = np.concatenate([np.diff(ts), np.diff(times)])
+    return steps.size == 0 or bool(np.all(steps == steps[0]))
+
+
+def _eval_dt(f, ts: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``f(|ts[:, None] - times[None, :]|)`` for an elementwise ``f`` that
+    returns a tuple of arrays.
+
+    On one grid (:func:`_on_one_grid`) the matrices are Toeplitz: ``f`` runs
+    on the ``len(ts) + len(times)`` differences of their first column and
+    row, and the results are gathered. Each element passes the same
+    difference through the same contiguous float64 operations as in the
+    dense evaluation, so both give the same bits.
+    """
+    if not _on_one_grid(ts, times):
+        return f(_abs_dt(ts, times))
+    first_col = f(np.abs(ts - times[0]))
+    first_row = f(np.abs(ts[0] - times))
+    return tuple(toeplitz(c, r) for c, r in zip(first_col, first_row))
 
 
 def _sq_dists_to(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -138,10 +180,10 @@ class PeriodicKernel:
     period: float
 
     def __post_init__(self) -> None:
-        if not self.scale > 0:
-            raise ValueError(f"periodic scale must be positive, got {self.scale}")
-        if not self.period > 0:
-            raise ValueError(f"period must be positive, got {self.period}")
+        if not 0 < self.scale < np.inf:
+            raise ValueError(f"periodic scale must be positive and finite, got {self.scale}")
+        if not 0 < self.period < np.inf:
+            raise ValueError(f"period must be positive and finite, got {self.period}")
 
     @property
     def n_params(self) -> int:
@@ -160,11 +202,14 @@ class PeriodicKernel:
     def from_dt(self, dt):
         return np.exp(-self.scale * np.sin(np.pi * dt / self.period) ** 2)
 
+    def _values(self, dt):
+        return (self.from_dt(dt),)
+
     def block(self, times, lags) -> np.ndarray:
-        return self.from_dt(_abs_dt(times))
+        return _eval_dt(self._values, times, times)[0]
 
     def cross_many(self, ts, xs, times, lags) -> np.ndarray:
-        return self.from_dt(np.abs(ts[:, None] - times[None, :]))
+        return _eval_dt(self._values, ts, times)[0]
 
     def _value_and_derivs(self, dt):
         """Kernel values at ``dt`` and their scale and period derivatives."""
@@ -174,13 +219,13 @@ class PeriodicKernel:
         return k, -(s**2) * k, self.scale * np.pi * dt / self.period**2 * np.sin(2 * u) * k
 
     def iter_block_derivs(self, times, lags) -> Iterator[np.ndarray]:
-        _, d_scale, d_period = self._value_and_derivs(_abs_dt(times))
+        _, d_scale, d_period = self._value_and_derivs(_abs_dt(times, times))
         yield d_scale
         yield d_period
 
     def block_contract(self, times, lags, v, w, out) -> np.ndarray:
         """Fills ``out[:, j]`` with ``(w * dB/d p_j) @ v`` and returns ``B @ v``."""
-        k, d_scale, d_period = self._value_and_derivs(_abs_dt(times))
+        k, d_scale, d_period = _eval_dt(self._value_and_derivs, times, times)
         out[:, 0] = (w * d_scale) @ v
         out[:, 1] = (w * d_period) @ v
         return k @ v
@@ -188,7 +233,7 @@ class PeriodicKernel:
     def cross_derivs_many(self, ts, xs, times, lags, out) -> np.ndarray:
         """Cross matrix of many queries; fills ``out[:, j]`` with its derivative
         w.r.t. parameter ``j``."""
-        k, out[:, 0], out[:, 1] = self._value_and_derivs(np.abs(ts[:, None] - times[None, :]))
+        k, out[:, 0], out[:, 1] = _eval_dt(self._value_and_derivs, ts, times)
         return k
 
 
@@ -199,8 +244,8 @@ class SquaredExpKernel:
     scale: float
 
     def __post_init__(self) -> None:
-        if not self.scale >= 0:
-            raise ValueError(f"scale must be nonnegative, got {self.scale}")
+        if not 0 <= self.scale < np.inf:
+            raise ValueError(f"scale must be nonnegative and finite, got {self.scale}")
 
     @property
     def n_params(self) -> int:
@@ -256,8 +301,8 @@ class ArdKernel:
         s = np.atleast_1d(np.asarray(self.scales, dtype=float))
         if s.ndim != 1 or s.size < 1:
             raise ValueError("ARD scales must be a non-empty 1-d array")
-        if np.any(s < 0):
-            raise ValueError("ARD scales must be nonnegative")
+        if not np.all((0 <= s) & (s < np.inf)):
+            raise ValueError("ARD scales must be nonnegative and finite")
         object.__setattr__(self, "scales", _readonly(s))
 
     @property
@@ -354,7 +399,7 @@ class CompositeKernel:
                 f"got {w.size} weights for {len(comps)} components"
             )
         if require_simplex:
-            if abs(float(w.sum()) - 1.0) > SIMPLEX_TOL:
+            if not abs(float(w.sum()) - 1.0) <= SIMPLEX_TOL:  # a NaN weight fails too
                 raise ValueError(f"mixture weights must sum to 1, got {w.sum()!r}")
             if np.any(w < 0):
                 raise ValueError("mixture weights must be nonnegative")

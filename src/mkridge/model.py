@@ -1,8 +1,11 @@
 """Closed-form kernel ridge regression with exact hyperparameter gradients.
 
 Fitting solves ``(K + ridge*I) theta = y`` through a cached Cholesky
-factorization. The same factorization backs the Jacobian of the dual
-coefficients with respect to every hyperparameter,
+factorization. The factorization and the solves skip scipy's O(n^2)
+finiteness scans: ``fit`` checks the targets and the factor's diagonal,
+which every non-finite entry of the system reaches, in O(n). The same
+factorization backs the Jacobian of the dual coefficients with respect to
+every hyperparameter,
 
     d theta / d lam_i = -(K + ridge*I)^{-1} (dA/d lam_i) theta,
 
@@ -56,8 +59,8 @@ class HyperParams:
     ridge: float
 
     def __post_init__(self) -> None:
-        if not self.ridge > 0:
-            raise ValueError(f"ridge constant must be positive, got {self.ridge}")
+        if not 0 < self.ridge < np.inf:
+            raise ValueError(f"ridge constant must be positive and finite, got {self.ridge}")
         object.__setattr__(self, "ridge", float(self.ridge))
 
     @property
@@ -101,7 +104,7 @@ class TrainedModel:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Apply the cached factorization: solve ``(K + ridge*I) x = b``."""
-        return cho_solve(self.cho, b)
+        return cho_solve(self.cho, b, check_finite=False)
 
 
 def training_arrays(window) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -122,22 +125,31 @@ def fit(hypers: HyperParams, window) -> TrainedModel:
     """Solve the regularized kernel system in closed form.
 
     Raises :class:`NumericalError` if the factorization fails despite the
-    positive ridge (a numerically indefinite system).
+    positive ridge (a numerically indefinite or non-finite system), and
+    ``ValueError`` if a target is not finite.
     """
     times, lags, y = training_arrays(window)
+    if not np.isfinite(y).all():
+        raise ValueError("training targets must be finite")
     gram = hypers.kernel.block(times, lags)
     a = gram + hypers.ridge * np.eye(y.size)
     try:
-        factor = cho_factor(a, lower=True)
+        factor = cho_factor(a, lower=True, check_finite=False)
+        # Nothing scans the n x n system for NaN or inf, and the Cholesky
+        # routine may carry a NaN through instead of failing. A non-finite
+        # entry of the lower triangle ends on the diagonal of its row (or
+        # fails the factorization), so this O(n) test catches it.
+        if not np.isfinite(np.diagonal(factor[0])).all():
+            raise LinAlgError("non-finite Cholesky factor")
     except LinAlgError as exc:
         raise NumericalError(
             f"kernel system factorization failed at ridge={hypers.ridge!r} (n={y.size})"
         ) from exc
-    theta = cho_solve(factor, y)
+    theta = cho_solve(factor, y, check_finite=False)
     residual = y - a @ theta
     if np.linalg.norm(residual) > 1e-10 * max(1.0, np.linalg.norm(y)):
         # a single refinement pass keeps the residual bound on ill-conditioned systems
-        theta = theta + cho_solve(factor, residual)
+        theta = theta + cho_solve(factor, residual, check_finite=False)
     # gram and theta were built here and nothing else holds them: freeze in place
     gram.setflags(write=False)
     theta.setflags(write=False)

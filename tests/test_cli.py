@@ -198,6 +198,13 @@ def finite_csv(tmp_path, bad_value="1.01", **binning):
         pytest.param({"predict_steps": "x"}, [], 2, "predict_steps", id="steps-string"),
         pytest.param({"predict_steps": 0}, [], 2, "predict_steps", id="steps-zero"),
         pytest.param({"predict_steps": 2.5}, [], 2, "predict_steps", id="steps-fraction"),
+        pytest.param({"model": {"kernel": [{"type": "se", "scale": 1e999}], "ridge": 1.0}},
+                     [], 2, "scale must be nonnegative and finite", id="scale-inf"),
+        pytest.param({"model": {"kernel": [{"type": "se", "scale": 0.05}], "ridge": 1e999}},
+                     [], 2, "ridge constant must be positive and finite", id="ridge-inf"),
+        pytest.param({"model": {"kernel": [{"type": "periodic", "scale": 1.0, "period": 1e999}],
+                                "ridge": 1.0}},
+                     [], 2, "period must be positive and finite", id="period-inf"),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, capsys, overrides, flags, code, needle):

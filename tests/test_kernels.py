@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mkridge.kernels import (
     ArdKernel,
@@ -9,6 +10,7 @@ from mkridge.kernels import (
     PeriodicKernel,
     SquaredExpKernel,
     TimedPoint,
+    _on_one_grid,
     cross_matrix,
     cross_vector,
     eval_ard,
@@ -17,6 +19,7 @@ from mkridge.kernels import (
     gram,
     gram_derivative,
 )
+from mkridge.model import HyperParams
 
 from helpers import fd_gram_derivative, random_spec, random_window
 
@@ -114,6 +117,34 @@ class TestEvalArd:
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError):
             ArdKernel([0.5, -0.1])
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PeriodicKernel(INF, 5.0),
+        lambda: PeriodicKernel(NAN, 5.0),
+        lambda: PeriodicKernel(1.0, INF),
+        lambda: PeriodicKernel(1.0, NAN),
+        lambda: SquaredExpKernel(INF),
+        lambda: SquaredExpKernel(NAN),
+        lambda: ArdKernel([0.5, INF]),
+        lambda: ArdKernel([NAN, 0.5]),
+        lambda: CompositeKernel((SquaredExpKernel(1.0), SquaredExpKernel(2.0)), [NAN, 1.0]),
+        lambda: HyperParams(CompositeKernel((SquaredExpKernel(1.0),), [1.0]), INF),
+        lambda: HyperParams(CompositeKernel((SquaredExpKernel(1.0),), [1.0]), NAN),
+    ],
+    ids=[
+        "periodic-scale-inf", "periodic-scale-nan", "period-inf", "period-nan", "se-scale-inf",
+        "se-scale-nan", "ard-scale-inf", "ard-scale-nan", "weight-nan", "ridge-inf", "ridge-nan",
+    ],
+)
+def test_non_finite_hyperparameter_rejected(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 class TestCompositeSpec:
@@ -329,3 +360,69 @@ class TestGramDerivative:
             worst = max(worst, rel)
             checked += 1
         assert worst <= 1e-5, f"worst relative error {worst:.3e}"
+
+
+def dense_periodic(kernel, ts, times):
+    """The periodic kernel's values and derivatives on every time difference."""
+    return kernel._value_and_derivs(np.abs(ts[:, None] - times[None, :]))
+
+
+# per case: the step and origin of the window's times, and whether the query
+# and window times lie on one integer grid
+GRID_CASES = {
+    "step-1": (1.0, 0.0, True),
+    "step-300-unix": (300.0, 1.7e9, True),
+    "gap": (1.0, 0.0, False),
+    "fractional": (1.0, 0.5, False),
+    "beyond-2**52": (1.0, 2.0**52, False),
+    "query-step-2": (1.0, 0.0, False),
+}
+
+
+@st.composite
+def periodic_case(draw):
+    case = draw(st.sampled_from(sorted(GRID_CASES)))
+    step, origin, on_grid = GRID_CASES[case]
+    n = draw(st.integers(3 if case == "gap" else 2 if case == "query-step-2" else 1, 40))
+    m = draw(st.integers(2 if case == "query-step-2" else 1, 12))
+    origin += step * draw(st.integers(0 if case == "beyond-2**52" else -1000, 1000))
+    times = origin + step * np.arange(n)
+    # the query block starts before, inside (overlapping) or after the window
+    ts = origin + step * (draw(st.integers(-m - 2, n + 5)) + np.arange(m))
+    if case == "gap":
+        times[draw(st.integers(1, n - 1)):] += step * draw(st.integers(1, 50))
+    if case == "query-step-2":
+        ts = ts[0] + 2 * step * np.arange(m)
+    kernel = PeriodicKernel(
+        draw(st.floats(1e-3, 10.0)), draw(st.floats(2.0, 700.0)) if draw(st.booleans()) else 96.0
+    )
+    return kernel, ts, times, on_grid
+
+
+class TestPeriodicGrid:
+    """On one integer grid the periodic evaluators gather the values of the
+    distinct time differences; everywhere they equal the dense evaluation bit
+    for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=periodic_case(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_bitwise(self, case, seed):
+        kernel, ts, times, on_grid = case
+        assert _on_one_grid(ts, times) == on_grid
+        n, m = len(times), len(ts)
+        k, d_scale, d_period = dense_periodic(kernel, times, times)
+        assert np.array_equal(kernel.block(times, None), k)
+
+        rng = np.random.default_rng(seed)
+        v, w = rng.normal(size=n), float(rng.uniform(0.0, 1.0))
+        out = np.empty((n, 2))
+        assert np.array_equal(kernel.block_contract(times, None, v, w, out), k @ v)
+        assert np.array_equal(out[:, 0], (w * d_scale) @ v)
+        assert np.array_equal(out[:, 1], (w * d_period) @ v)
+
+        k, d_scale, d_period = dense_periodic(kernel, ts, times)
+        assert np.array_equal(kernel.cross_many(ts, None, times, None), k)
+        out = np.empty((m, 2, n))
+        assert np.array_equal(kernel.cross_derivs_many(ts, None, times, None, out), k)
+        assert np.array_equal(out[:, 0], d_scale)
+        assert np.array_equal(out[:, 1], d_period)

@@ -78,6 +78,19 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(se_hypers(), [])
 
+    def test_non_finite_gram_raises_numerical_error(self):
+        # a NaN lag leaves NaN in the Gram's off-diagonal entries
+        lags = np.array([[0.0], [np.nan], [2.0], [3.0]])
+        window = Dataset(np.arange(4.0), lags, np.ones(4))
+        with pytest.raises(NumericalError, match=r"ridge=1\.0 \(n=4\)"):
+            fit(se_hypers(), window)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_raises_value_error(self, bad):
+        window = Dataset(np.arange(3.0), np.array([[0.0], [1.0], [2.0]]), np.array([1.0, bad, 2.0]))
+        with pytest.raises(ValueError):
+            fit(se_hypers(), window)
+
     def test_accepts_point_pairs(self):
         pairs = [(TimedPoint(0.0, [0.0]), 2.0)]
         model = fit(se_hypers(), pairs)

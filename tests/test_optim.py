@@ -286,6 +286,25 @@ class TestLazyStep:
         assert out[0] == 0.0
         assert out[1] == 1.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 100),
+        eta=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+        before=st.integers(0, 3),
+        k=st.integers(1, 6),
+        after=st.integers(0, 3),
+        spread=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    def test_stays_feasible(self, seed, m, eta, before, k, after, spread):
+        rng = np.random.default_rng(seed)
+        fs = random_box_simplex(rng, before, k, after)
+        z = project_C(rng.normal(0.0, spread, fs.dim), fs)
+        acc = GradAccumulator(fs.dim)
+        for g in rng.normal(0.0, spread, (m, fs.dim)):
+            acc.add(g)
+        assert fs.contains(lazy_step(z, acc, eta, m, fs))
+
     def test_count_mismatch_rejected(self):
         fs = standard_set()
         acc = GradAccumulator(fs.dim)
