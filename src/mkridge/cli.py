@@ -199,6 +199,8 @@ def _parse_component(entry: dict, lag_order: int):
         if kind == "ard":
             scale = entry["scale"]
             scales = np.full(lag_order, float(scale)) if np.isscalar(scale) else np.asarray(scale, dtype=float)
+            if scales.shape != (lag_order,):
+                raise ValueError(f"needs one scale per lag ({lag_order}), got shape {scales.shape}")
             return ArdKernel(scales)
     except (KeyError, ValueError, TypeError) as e:
         raise ConfigError(f"bad kernel component {entry!r}: {e}") from None
@@ -211,14 +213,16 @@ def _parse_model(entry: dict, lag_order: int) -> HyperParams:
         ridge = float(entry["ridge"])
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"model section needs 'kernel' and 'ridge': {e}") from None
-    components = tuple(_parse_component(c, lag_order) for c in raw)
+    components = tuple(_parse_component(c, lag_order) for c in _list(raw, "kernel"))
     weights = entry.get("weights")
     if weights is None:
         weights = np.full(len(components), 1.0 / len(components))
+    else:
+        _list(weights, "weights")
     try:
         spec = CompositeKernel(components, np.asarray(weights, dtype=float))
         return HyperParams(spec, ridge)
-    except ValueError as e:
+    except (ValueError, TypeError) as e:
         raise ConfigError(str(e)) from None
 
 
@@ -230,27 +234,24 @@ def _parse_bounds(entry: dict, hypers: HyperParams) -> FeasibleSet:
         raise ConfigError(f"bad bounds section: {e}") from None
 
 
-_STRATEGY_KEYS = {"eta", "draws", "tol", "max_iters", "seed"}
-
-
 def _parse_strategies(cfg: dict, hypers: HyperParams, feasible: FeasibleSet,
                       lag_order: int, args) -> dict[str, TunerConfig]:
-    section = dict(cfg.get("strategies", {}))
+    section = _object(cfg.get("strategies", {}), "strategies")
     names = list(args.strategy) if args.strategy else list(section)
     if not names:
         raise ConfigError("no strategies configured (use --strategy or the config file)")
     out: dict[str, TunerConfig] = {}
     for name in names:
-        params = dict(section.get(name, {}))
-        unknown = set(params) - _STRATEGY_KEYS - {"grid"}
+        params = _object(section.get(name, {}), f"strategy {name}")
+        unknown = params.keys() - _STRATEGY_KEYS.keys() - {"grid"}
         if unknown:
             raise ConfigError(f"unknown keys for strategy {name}: {sorted(unknown)}")
-        kwargs = {k: params[k] for k in _STRATEGY_KEYS if k in params}
+        kwargs = {k: parse(params[k], k) for k, parse in _STRATEGY_KEYS.items() if k in params}
         if args.eta is not None and name in (Strategy.OHL.value, Strategy.OFFLINE_GRAD.value):
             kwargs["eta"] = args.eta
         if args.seed is not None:
             kwargs["seed"] = args.seed
-        grid = tuple(_parse_model(g, lag_order) for g in params.get("grid", ()))
+        grid = tuple(_parse_model(g, lag_order) for g in _list(params.get("grid", []), "grid"))
         try:
             out[name] = TunerConfig(
                 strategy=Strategy(name), init=hypers, feasible=feasible, grid=grid, **kwargs
@@ -277,17 +278,16 @@ def _build_series(data_cfg: dict, seed: int) -> TimeSeries:
             raise ConfigError(f"bad synthetic data section: {e}") from None
         return generate_synthetic(config)
     if kind == "csv":
-        try:
-            path = data_cfg["path"]
-        except KeyError:
-            raise ConfigError("csv data section needs a 'path'") from None
+        path = data_cfg.get("path")
+        if not isinstance(path, str):
+            raise ConfigError(f"csv data section needs a 'path' string, got {path!r}")
         series = load_csv(
             path,
             timestamp_column=data_cfg.get("timestamp_column", "timestamp"),
             value_column=data_cfg.get("value_column", "value"),
         )
         if "bin_width" in data_cfg:
-            bin_width = _positive_int(data_cfg["bin_width"], "bin_width")
+            bin_width = _integer(data_cfg["bin_width"], "bin_width")
             try:
                 series = bin_series(
                     series,
@@ -301,10 +301,38 @@ def _build_series(data_cfg: dict, seed: int) -> TimeSeries:
     raise ConfigError(f"data section needs type 'synthetic' or 'csv', got {kind!r}")
 
 
-def _positive_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+def _integer(value, name: str, least: int = 1) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
     return value
+
+
+def _number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
+def _list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a JSON list, got {value!r}")
+    return value
+
+
+# strategy keys and their parsers; TunerConfig checks the ranges of eta and tol
+_STRATEGY_KEYS = {
+    "eta": _number,
+    "tol": _number,
+    "draws": _integer,
+    "max_iters": lambda value, name: _integer(value, name, 0),
+    "seed": lambda value, name: _integer(value, name, 0),
+}
 
 
 def _load_config(args) -> dict:
@@ -349,6 +377,8 @@ def cmd_run(args) -> int:
     cfg = _load_config(args)
 
     data_cfg = cfg.get("data")
+    if data_cfg is not None:
+        _object(data_cfg, "data")
     if args.data is not None:
         if args.data == "synthetic":
             data_cfg = {"type": "synthetic", **(data_cfg if data_cfg and data_cfg.get("type") == "synthetic" else {})}
@@ -358,15 +388,15 @@ def cmd_run(args) -> int:
     if data_cfg is None:
         raise ConfigError("no data source (use --data or the config file's data section)")
 
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    lag_order = _positive_int(cfg.get("lag_order", 20), "lag_order")
+    seed = _integer(args.seed if args.seed is not None else cfg.get("seed", 0), "seed", 0)
+    lag_order = _integer(cfg.get("lag_order", 20), "lag_order")
     horizon = args.horizon if args.horizon is not None else cfg.get("horizon", 1)
-    horizon = _positive_int(horizon, "horizon")
+    horizon = _integer(horizon, "horizon")
     steps = cfg.get("predict_steps")
     if steps is not None:
-        steps = _positive_int(steps, "predict_steps")
+        steps = _integer(steps, "predict_steps")
 
-    sched_cfg = dict(cfg.get("schedule", {}))
+    sched_cfg = dict(_object(cfg.get("schedule", {}), "schedule"))
     if args.n is not None:
         sched_cfg["n"] = args.n
     if args.m is not None:
@@ -375,12 +405,14 @@ def cmd_run(args) -> int:
         sched_cfg["train_window"] = args.train_window
     try:
         schedule = Schedule(
-            tune_every=int(sched_cfg.get("n", 672)),
-            fit_every=int(sched_cfg.get("m", 96)),
-            train_window=int(sched_cfg.get("train_window", 96)),
-            validation_window=int(sched_cfg.get("validation_window", 336)),
+            tune_every=_integer(sched_cfg.get("n", 672), "schedule n"),
+            fit_every=_integer(sched_cfg.get("m", 96), "schedule m"),
+            train_window=_integer(sched_cfg.get("train_window", 96), "train_window"),
+            validation_window=_integer(
+                sched_cfg.get("validation_window", 336), "validation_window", 0
+            ),
         )
-    except (ValueError, TypeError) as e:
+    except ValueError as e:
         raise ConfigError(f"bad schedule: {e}") from None
 
     model_cfg = cfg.get("model")
@@ -390,7 +422,7 @@ def cmd_run(args) -> int:
     bounds_cfg = cfg.get("bounds")
     if bounds_cfg is None:
         raise ConfigError("config file must provide a 'bounds' section")
-    feasible = _parse_bounds(bounds_cfg, hypers)
+    feasible = _parse_bounds(_object(bounds_cfg, "bounds"), hypers)
     strategies = _parse_strategies(cfg, hypers, feasible, lag_order, args)
 
     series = _build_series(data_cfg, seed)

@@ -22,8 +22,9 @@ Every base kernel has exactly five evaluators, and the composite mixes
 the same five:
 
 * ``block(times, lags)``: the Gram matrix of a window;
-* ``block_contract(times, lags, v, ...)``: every Gram derivative applied to
-  a vector, ``(dA/d lam_i) v``, without building the derivative matrices
+* ``block_contract(times, lags, gram, v, ...)``: every Gram derivative
+  applied to a vector, ``(dA/d lam_i) v``, from the Gram ``block`` already
+  built for the same window and without building the derivative matrices
   (the ARD columns come from one matrix product, see
   :meth:`ArdKernel.block_contract`);
 * ``iter_block_derivs(times, lags)``: the Gram derivatives themselves, in
@@ -218,17 +219,21 @@ class PeriodicKernel:
         k = np.exp(-self.scale * s**2)
         return k, -(s**2) * k, self.scale * np.pi * dt / self.period**2 * np.sin(2 * u) * k
 
+    def _derivs(self, dt):
+        return self._value_and_derivs(dt)[1:]
+
     def iter_block_derivs(self, times, lags) -> Iterator[np.ndarray]:
         _, d_scale, d_period = self._value_and_derivs(_abs_dt(times, times))
         yield d_scale
         yield d_period
 
-    def block_contract(self, times, lags, v, w, out) -> np.ndarray:
-        """Fills ``out[:, j]`` with ``(w * dB/d p_j) @ v`` and returns ``B @ v``."""
-        k, d_scale, d_period = _eval_dt(self._value_and_derivs, times, times)
+    def block_contract(self, times, lags, gram, v, w, out) -> np.ndarray:
+        """Fills ``out[:, j]`` with ``(w * dB/d p_j) @ v`` and returns ``B @ v``,
+        given ``gram = block(times, lags)``."""
+        d_scale, d_period = _eval_dt(self._derivs, times, times)
         out[:, 0] = (w * d_scale) @ v
         out[:, 1] = (w * d_period) @ v
-        return k @ v
+        return gram @ v
 
     def cross_derivs_many(self, ts, xs, times, lags, out) -> np.ndarray:
         """Cross matrix of many queries; fills ``out[:, j]`` with its derivative
@@ -271,12 +276,11 @@ class SquaredExpKernel:
         d2 = _sq_dists(lags)
         yield -d2 * np.exp(-self.scale * d2)
 
-    def block_contract(self, times, lags, v, w, out) -> np.ndarray:
-        """Fills ``out[:, 0]`` with ``(w * dB/d scale) @ v`` and returns ``B @ v``."""
-        d2 = _sq_dists(lags)
-        k = np.exp(-self.scale * d2)
-        out[:, 0] = (w * (-d2 * k)) @ v
-        return k @ v
+    def block_contract(self, times, lags, gram, v, w, out) -> np.ndarray:
+        """Fills ``out[:, 0]`` with ``(w * dB/d scale) @ v`` and returns ``B @ v``,
+        given ``gram = block(times, lags)``."""
+        out[:, 0] = (w * (-_sq_dists(lags) * gram)) @ v
+        return gram @ v
 
     def cross_derivs_many(self, ts, xs, times, lags, out) -> np.ndarray:
         """Cross matrix of many queries; fills ``out[:, j]`` with its derivative
@@ -327,7 +331,9 @@ class ArdKernel:
 
     def block(self, times, lags) -> np.ndarray:
         self._check_dim(lags)
-        return np.exp(-_sq_dists(lags * np.sqrt(self.scales)))
+        b = _sq_dists(lags * np.sqrt(self.scales))
+        np.negative(b, out=b)
+        return np.exp(b, out=b)
 
     def cross_many(self, ts, xs, times, lags) -> np.ndarray:
         self._check_dim(lags)
@@ -341,8 +347,9 @@ class ArdKernel:
             d = col[:, None] - col[None, :]
             yield -(d * d) * base
 
-    def block_contract(self, times, lags, v, w, out) -> np.ndarray:
-        """Fills ``out[:, j]`` with ``(w * dB/d s_j) @ v`` and returns ``B @ v``.
+    def block_contract(self, times, lags, gram, v, w, out) -> np.ndarray:
+        """Fills ``out[:, j]`` with ``(w * dB/d s_j) @ v`` and returns ``B @ v``,
+        given ``gram = block(times, lags)``.
 
         ``dB/d s_j = -(x_j - x_j')^2 * B`` expands to
         ``-(X_j^2 * (B v) - 2 X_j * (B (v * X_j)) + B (v * X_j^2))``, so every
@@ -351,8 +358,8 @@ class ArdKernel:
         without its diagonal, which ``dB/d s_j`` does not have either, and the
         lag columns are centred, which leaves every difference unchanged.
         """
-        base = self.block(times, lags)
-        bv = base @ v
+        bv = gram @ v
+        base = gram.copy()  # the caller keeps gram, diagonal included
         np.fill_diagonal(base, 0.0)
         x = lags - lags.mean(axis=0)
         x2 = x * x
@@ -442,8 +449,9 @@ class CompositeKernel:
 
     # -- evaluation -------------------------------------------------------
 
-    def _mix(self, blocks: list[np.ndarray]) -> np.ndarray:
-        """Weighted sum of per-component matrices, in component order."""
+    def mix(self, blocks) -> np.ndarray:
+        """Weighted sum of per-component matrices, in component order, as a
+        new array."""
         out = self.weights[0] * blocks[0]
         for w, b in zip(self.weights[1:], blocks[1:]):
             out += w * b
@@ -453,7 +461,7 @@ class CompositeKernel:
         return [c.block(times, lags) for c in self.components]
 
     def block(self, times, lags) -> np.ndarray:
-        return self._mix(self.component_blocks(times, lags))
+        return self.mix(self.component_blocks(times, lags))
 
     def cross_many(self, ts, xs, times, lags) -> np.ndarray:
         # Two cross paths stay. cross_many (cdist) is the predictor: routing
@@ -464,7 +472,7 @@ class CompositeKernel:
         # gradient's path: its stacked one-query products keep every gradient
         # bit-identical to a one-query evaluation, and OHL's updates can
         # amplify a last-digit change until it shows in the forecasts.
-        return self._mix([c.cross_many(ts, xs, times, lags) for c in self.components])
+        return self.mix([c.cross_many(ts, xs, times, lags) for c in self.components])
 
     # -- derivatives ------------------------------------------------------
 
@@ -476,10 +484,12 @@ class CompositeKernel:
         for c in self.components:
             yield c.block(times, lags)
 
-    def block_contract(self, times, lags, v) -> np.ndarray:
+    def block_contract(self, times, lags, blocks, v) -> np.ndarray:
         """Every Gram derivative applied to ``v``, shape ``(len(times), n_scalars)``.
 
-        Column ``i`` is ``(dA/d lam_i) v`` in flat scalar order. The periodic
+        ``blocks`` are the component Grams of the window,
+        ``component_blocks(times, lags)``; no Gram is built here. Column ``i``
+        is ``(dA/d lam_i) v`` in flat scalar order. The periodic
         and SE columns are the matrix-vector products of the matrices
         :meth:`iter_block_derivs` yields, and each weight column is
         ``block @ v``, so all of these are bit-identical to the materialized
@@ -487,8 +497,8 @@ class CompositeKernel:
         """
         out = np.empty((len(times), self.n_scalars))
         pos = 0
-        for i, (w, c) in enumerate(zip(self.weights, self.components)):
-            value = c.block_contract(times, lags, v, w, out[:, pos : pos + c.n_params])
+        for i, (w, c, b) in enumerate(zip(self.weights, self.components, blocks)):
+            value = c.block_contract(times, lags, b, v, w, out[:, pos : pos + c.n_params])
             out[:, self.n_scalars - self.n_components + i] = value
             pos += c.n_params
         return out
@@ -513,7 +523,7 @@ class CompositeKernel:
         for k in ks:
             dk[:, pos] = k
             pos += 1
-        return self._mix(ks), dk
+        return self.mix(ks), dk
 
     def _one_query(self, t, x, times, lags) -> tuple[np.ndarray, np.ndarray]:
         ts = np.array([t], dtype=float)

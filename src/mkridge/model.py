@@ -14,9 +14,11 @@ hyperparameters and the identity for the ridge constant. The Jacobian
 columns are contracted, not materialized: the products
 ``(dA/d lam_i) theta`` come from the kernel directly
 (``CompositeKernel.block_contract``), and no ``n x n`` derivative matrix is
-built. The per-step squared-error loss then has an exact gradient assembled
-from the cross vector, its analytic derivatives, and the cached Jacobian
-columns.
+built. A :class:`TrainedModel` keeps the Gram of each kernel component that
+``fit`` built, and ``block_contract`` works from those, so each component
+Gram is built once per fit. The per-step squared-error loss then has an
+exact gradient assembled from the cross vector, its analytic derivatives,
+and the cached Jacobian columns.
 
 Predictions and hyper-gradients are evaluated for a block of queries at once
 (:func:`predict_batch`, :func:`loss_hyper_gradient_batch`);
@@ -88,19 +90,29 @@ class HyperParams:
 
 @dataclass(frozen=True, eq=False)
 class TrainedModel:
-    """Dual coefficients plus the cached factorization and training window."""
+    """Dual coefficients plus the cached factorization and training window.
+
+    ``blocks`` holds the read-only Gram of each kernel component, in
+    component order; with the factor that is one ``n x n`` matrix per
+    component plus one.
+    """
 
     hypers: HyperParams
     times: np.ndarray
     lags: np.ndarray
     targets: np.ndarray
     theta: np.ndarray
-    gram: np.ndarray
+    blocks: tuple[np.ndarray, ...]
     cho: tuple
 
     @property
     def n(self) -> int:
         return self.theta.size
+
+    @property
+    def gram(self) -> np.ndarray:
+        """The composite Gram matrix, mixed afresh from ``blocks``."""
+        return self.hypers.kernel.mix(self.blocks)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Apply the cached factorization: solve ``(K + ridge*I) x = b``."""
@@ -131,8 +143,9 @@ def fit(hypers: HyperParams, window) -> TrainedModel:
     times, lags, y = training_arrays(window)
     if not np.isfinite(y).all():
         raise ValueError("training targets must be finite")
-    gram = hypers.kernel.block(times, lags)
-    a = gram + hypers.ridge * np.eye(y.size)
+    blocks = hypers.kernel.component_blocks(times, lags)
+    a = hypers.kernel.mix(blocks)
+    a.flat[:: y.size + 1] += hypers.ridge
     try:
         factor = cho_factor(a, lower=True, check_finite=False)
         # Nothing scans the n x n system for NaN or inf, and the Cholesky
@@ -150,8 +163,9 @@ def fit(hypers: HyperParams, window) -> TrainedModel:
     if np.linalg.norm(residual) > 1e-10 * max(1.0, np.linalg.norm(y)):
         # a single refinement pass keeps the residual bound on ill-conditioned systems
         theta = theta + cho_solve(factor, residual, check_finite=False)
-    # gram and theta were built here and nothing else holds them: freeze in place
-    gram.setflags(write=False)
+    # the blocks and theta were built here and nothing else holds them: freeze in place
+    for b in blocks:
+        b.setflags(write=False)
     theta.setflags(write=False)
     return TrainedModel(
         hypers=hypers,
@@ -159,7 +173,7 @@ def fit(hypers: HyperParams, window) -> TrainedModel:
         lags=_readonly(lags),
         targets=_readonly(y),
         theta=theta,
-        gram=gram,
+        blocks=tuple(blocks),
         cho=factor,
     )
 
@@ -202,10 +216,12 @@ def theta_jacobian(model: TrainedModel) -> np.ndarray:
 
     Column ``i`` solves the cached system against ``-(dA/d lam_i) theta``;
     the final column is the ridge direction with ``dA/d ridge = I``. The
-    right-hand sides come from one kernel contraction, so no derivative
-    matrix is built.
+    right-hand sides come from one kernel contraction of the model's
+    component Grams, so neither a Gram nor a derivative matrix is built.
     """
-    contracted = model.hypers.kernel.block_contract(model.times, model.lags, model.theta)
+    contracted = model.hypers.kernel.block_contract(
+        model.times, model.lags, model.blocks, model.theta
+    )
     # One solve per column: a single multi-right-hand-side solve rounds
     # differently for some window sizes, and OHL's updates can amplify a
     # last-digit difference until it shows in the forecasts.

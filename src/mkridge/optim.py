@@ -60,8 +60,10 @@ class FeasibleSet:
             raise ValueError("simplex block must be a contiguous slice of length >= 1")
         lower[self.simplex] = -np.inf
         upper[self.simplex] = np.inf
-        if np.any(lower > upper):
-            raise ValueError("every lower bound must not exceed its upper bound")
+        if not np.all(lower <= upper):  # a NaN bound fails too
+            raise ValueError(
+                "every bound must be a number, and no lower bound may exceed its upper bound"
+            )
         log_sample = self.log_sample
         if log_sample is None:
             log_sample = np.zeros(d, dtype=bool)

@@ -121,8 +121,8 @@ class TunerConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "strategy", Strategy(self.strategy))
         object.__setattr__(self, "grid", tuple(self.grid))
-        if self.eta < 0:
-            raise ValueError("learning rate must be nonnegative")
+        if not 0 <= self.eta < np.inf:  # a NaN rate fails too
+            raise ValueError(f"learning rate must be nonnegative and finite, got {self.eta!r}")
         if self.draws < 1:
             raise ValueError("draws must be >= 1")
         if not self.tol > 0:
@@ -255,6 +255,7 @@ def tune_offline_gradient(
             break
         lam = project_C(lam - config.eta * grad, config.feasible)
         hypers = incumbent.from_vector(lam)
+        del trained, jac  # free this model's n x n matrices before the next fit
     return hypers
 
 
@@ -332,6 +333,7 @@ def run_ohl(config: TunerConfig, schedule: Schedule, stream: Dataset, steps: int
             p = projected_gradient(lam, grads, config.eta, feasible)
             # stacked one-row products: each equals the one-step p @ p bit for bit
             proj_sq[s:e] = (p[:, None, :] @ p[:, :, None])[:, 0, 0]
+        del trained, jac  # free this window's n x n matrices before the next fit
     prediction.wall_clock = time.perf_counter() - clock
 
     return RunTrace(
@@ -384,6 +386,9 @@ def run_rolling(config: TunerConfig, schedule: Schedule, stream: Dataset, steps:
     clock = time.perf_counter()
     for s, e in zip(starts, starts[1:] + [horizon]):
         i = start + s
+        refit = s % schedule.fit_every == 0
+        if refit:
+            trained = None  # free the last window's model before this step's fits
         if tunes and s % schedule.tune_every == 0:
             t0 = time.perf_counter()
             val_window = stream.slice(i - vw, i)
@@ -395,7 +400,7 @@ def run_rolling(config: TunerConfig, schedule: Schedule, stream: Dataset, steps:
             else:
                 hypers = tune_offline_gradient(config, hypers, fit_window, val_window, tuning)
             tuning.wall_clock += time.perf_counter() - t0
-        if s % schedule.fit_every == 0:
+        if refit:
             trained = _fit_counted(hypers, stream.slice(i - tw, i), prediction)
         yhat[s:e] = predict_batch(trained, stream.slice(i, start + e))
         lambdas[s:e] = hypers.to_vector()

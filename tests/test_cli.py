@@ -205,6 +205,52 @@ def finite_csv(tmp_path, bad_value="1.01", **binning):
         pytest.param({"model": {"kernel": [{"type": "periodic", "scale": 1.0, "period": 1e999}],
                                 "ridge": 1.0}},
                      [], 2, "period must be positive and finite", id="period-inf"),
+        pytest.param({"seed": "x"}, [], 2, "seed", id="seed-string"),
+        pytest.param({"seed": -1}, [], 2, "seed", id="seed-negative"),
+        pytest.param({}, ["--seed", "-1"], 2, "seed", id="seed-flag-negative"),
+        pytest.param({"data": [1]}, [], 2, "data must be a JSON object", id="data-not-object"),
+        pytest.param({"schedule": [1, 2]}, [], 2, "schedule must be a JSON object",
+                     id="schedule-not-object"),
+        pytest.param({"bounds": [1]}, [], 2, "bounds must be a JSON object", id="bounds-not-object"),
+        pytest.param({"strategies": ["FIXED"]}, [], 2, "strategies must be a JSON object",
+                     id="strategies-not-object"),
+        pytest.param({"strategies": {"FIXED": [1]}}, [], 2, "strategy FIXED must be a JSON object",
+                     id="strategy-entry-not-object"),
+        pytest.param({"model": {"kernel": 5, "ridge": 1.0}}, [], 2, "kernel must be a JSON list",
+                     id="kernel-not-list"),
+        pytest.param({"model": {"kernel": [{"type": "se", "scale": 0.05}], "weights": {"a": 1},
+                                "ridge": 1.0}},
+                     [], 2, "weights must be a JSON list", id="weights-not-list"),
+        pytest.param({"data": {"type": "csv", "path": 5}}, [], 2, "path", id="path-not-string"),
+        pytest.param({"strategies": {"OHL": {"eta": "x"}}}, [], 2, "eta", id="eta-string"),
+        pytest.param({"strategies": {"OHL": {"eta": float("nan")}}}, [], 2, "learning rate",
+                     id="eta-nan"),
+        pytest.param({"strategies": {"OHL": {"eta": float("inf")}}}, [], 2, "learning rate",
+                     id="eta-inf"),
+        pytest.param({"strategies": {"RANDOM": {"draws": "x"}}}, [], 2, "draws", id="draws-string"),
+        pytest.param({"strategies": {"RANDOM": {"draws": 2.5}}}, [], 2, "draws",
+                     id="draws-fraction"),
+        pytest.param({"strategies": {"RANDOM": {"seed": "x"}}}, [], 2, "seed",
+                     id="strategy-seed-string"),
+        pytest.param({"strategies": {"OFFLINE_GRAD": {"max_iters": 2.5}}}, [], 2, "max_iters",
+                     id="max-iters-fraction"),
+        pytest.param({"strategies": {"OFFLINE_GRAD": {"tol": "x"}}}, [], 2, "tol", id="tol-string"),
+        pytest.param({"strategies": {"GRID": {"grid": 5}}}, [], 2, "grid must be a JSON list",
+                     id="grid-not-list"),
+        pytest.param({"bounds": {"scale": [float("nan"), 10.0], "ridge": [1e-3, 3.0]},
+                      "strategies": {"OHL": {"eta": 1e-4}}},
+                     [], 2, "bounds", id="bound-nan"),
+        pytest.param({"model": {"kernel": [{"type": "ard", "scale": [0.1, 0.2]}], "ridge": 1.0}},
+                     [], 2, "one scale per lag", id="ard-scale-length"),
+        pytest.param({"schedule": {"n": 25.5, "m": 10, "train_window": 50,
+                                   "validation_window": 30}},
+                     [], 2, "schedule n", id="schedule-n-fraction"),
+        pytest.param({"schedule": {"n": 40, "m": "10", "train_window": 50,
+                                   "validation_window": 30}},
+                     [], 2, "schedule m", id="schedule-m-string"),
+        pytest.param({"schedule": {"n": 40, "m": 10, "train_window": 50,
+                                   "validation_window": 30.5}},
+                     [], 2, "validation_window", id="validation-window-fraction"),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, capsys, overrides, flags, code, needle):

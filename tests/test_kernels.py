@@ -416,7 +416,8 @@ class TestPeriodicGrid:
         rng = np.random.default_rng(seed)
         v, w = rng.normal(size=n), float(rng.uniform(0.0, 1.0))
         out = np.empty((n, 2))
-        assert np.array_equal(kernel.block_contract(times, None, v, w, out), k @ v)
+        gram = kernel.block(times, None)
+        assert np.array_equal(kernel.block_contract(times, None, gram, v, w, out), k @ v)
         assert np.array_equal(out[:, 0], (w * d_scale) @ v)
         assert np.array_equal(out[:, 1], (w * d_period) @ v)
 

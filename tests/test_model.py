@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from mkridge.data import Dataset
 from mkridge.errors import NumericalError
@@ -30,6 +31,11 @@ from helpers import (
     random_window,
     rel_errors,
 )
+
+
+def on_grid(window, origin=0.0):
+    """The same window on the unit time grid starting at ``origin``."""
+    return Dataset(origin + np.arange(len(window), dtype=float), window.lags, window.targets)
 
 
 def se_hypers(scale=1.0, ridge=1.0):
@@ -90,6 +96,26 @@ class TestFit:
         window = Dataset(np.arange(3.0), np.array([[0.0], [1.0], [2.0]]), np.array([1.0, bad, 2.0]))
         with pytest.raises(ValueError):
             fit(se_hypers(), window)
+
+    def test_gram_and_theta_match_unmixed_build(self):
+        # the model mixes its stored component Grams and adds the ridge to the
+        # diagonal in place; both give the bits of one composite Gram build
+        # and the solve of gram + ridge * I
+        rng = np.random.default_rng(13)
+        for case in range(60):
+            hypers, window = random_instance(rng, n_max=40, p_max=8)
+            if case % 2:
+                window = on_grid(window, origin=float(rng.integers(-50, 50)))
+            model = fit(hypers, window)
+            gram = hypers.kernel.block(window.times, window.lags)
+            assert np.array_equal(model.gram, gram)
+            a = gram + hypers.ridge * np.eye(len(window))
+            factor = cho_factor(a, lower=True)
+            theta = cho_solve(factor, window.targets)
+            residual = window.targets - a @ theta
+            if np.linalg.norm(residual) > 1e-10 * max(1.0, np.linalg.norm(window.targets)):
+                theta = theta + cho_solve(factor, residual)
+            assert np.array_equal(model.theta, theta)
 
     def test_accepts_point_pairs(self):
         pairs = [(TimedPoint(0.0, [0.0]), 2.0)]
@@ -268,6 +294,32 @@ class TestContractedJacobian:
         jac = theta_jacobian(fit(HyperParams(spec, 0.3), window))
         assert jac.shape == (30, spec.n_scalars + 1)
         assert np.all(np.isfinite(jac))
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["off-grid", "on-grid"])
+    @pytest.mark.parametrize(
+        "lag_kernel",
+        [lambda rng: SquaredExpKernel(0.3), lambda rng: ArdKernel(rng.uniform(0.0, 1.0, 5))],
+        ids=["se", "ard"],
+    )
+    def test_builds_no_gram(self, monkeypatch, lag_kernel, grid):
+        # the Jacobian contracts the component Grams fit already built
+        rng = np.random.default_rng(14)
+        window = random_window(rng, 40, 5)
+        if grid:
+            window = on_grid(window, origin=300.0)
+        spec = CompositeKernel(
+            (PeriodicKernel(0.5, 7.0), lag_kernel(rng)), np.array([0.4, 0.6])
+        )
+        model = fit(HyperParams(spec, 0.3), window)
+        expected = theta_jacobian(model)
+
+        def refuse(*args):
+            raise AssertionError("theta_jacobian must not build a Gram")
+
+        for owner in (PeriodicKernel, SquaredExpKernel, ArdKernel):
+            monkeypatch.setattr(owner, "block", refuse)
+        monkeypatch.setattr(CompositeKernel, "component_blocks", refuse)
+        assert np.array_equal(theta_jacobian(model), expected)
 
 
 class TestLossHyperGradient:

@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from mkridge import tuners
 from mkridge.data import BURN_IN, SyntheticConfig, build_features, generate_synthetic
 from mkridge.kernels import CompositeKernel, PeriodicKernel, SquaredExpKernel
 from mkridge.model import (
@@ -412,3 +415,34 @@ class TestFitCountReport:
         report = fit_count_report(trace)
         assert report["tuning"]["fits"] == 2 * 6
         assert report["total_fits"] == 2 * 6 + 10
+
+
+class TestModelRelease:
+    """Each fit starts after every earlier model is gone, so a run holds one
+    model's n x n matrices at a time (re-tunes fall on refit steps here)."""
+
+    @pytest.mark.parametrize(
+        "strategy, kw",
+        [
+            ("OHL", {"eta": 1e-3}),
+            ("FIXED", {}),
+            ("RANDOM", {"draws": 2}),
+            ("OFFLINE_GRAD", {"eta": 0.01, "tol": 1e-12, "max_iters": 3}),
+        ],
+    )
+    def test_previous_model_dead_when_next_fit_starts(self, monkeypatch, strategy, kw):
+        models = []
+        alive_at_fit = []
+        real_fit = tuners.fit
+
+        def tracked_fit(hypers, window):
+            alive_at_fit.append(sum(ref() is not None for ref in models))
+            model = real_fit(hypers, window)
+            models.append(weakref.ref(model))
+            return model
+
+        monkeypatch.setattr(tuners, "fit", tracked_fit)
+        schedule = Schedule(tune_every=20, fit_every=10, train_window=50, validation_window=30)
+        run(mixed_config(strategy, **kw), schedule, make_stream(), steps=40)
+        assert len(models) >= 4
+        assert alive_at_fit == [0] * len(models)
