@@ -33,7 +33,6 @@ from .model import (
 )
 from .optim import (
     FeasibleSet,
-    GradAccumulator,
     RegretTrace,
     lazy_step,
     project_C,

@@ -266,25 +266,22 @@ def _build_series(data_cfg: dict, seed: int) -> TimeSeries:
     if kind == "synthetic":
         try:
             config = SyntheticConfig(
-                c1=float(data_cfg.get("c1", 0.5)),
-                c2=float(data_cfg.get("c2", 0.5)),
-                omega=float(data_cfg.get("omega", 5.0)),
-                ar_order=int(data_cfg.get("ar_order", 20)),
-                length=int(data_cfg.get("length", 1500)),
-                seed=int(data_cfg.get("seed", seed)),
-                noise_sd=float(data_cfg.get("noise_sd", 0.0)),
+                c1=_number(data_cfg.get("c1", 0.5), "c1"),
+                c2=_number(data_cfg.get("c2", 0.5), "c2"),
+                omega=_number(data_cfg.get("omega", 5.0), "omega"),
+                ar_order=_integer(data_cfg.get("ar_order", 20), "ar_order"),
+                length=_integer(data_cfg.get("length", 1500), "length"),
+                seed=_integer(data_cfg.get("seed", seed), "data seed", 0),
+                noise_sd=_number(data_cfg.get("noise_sd", 0.0), "noise_sd"),
             )
-        except (ValueError, TypeError) as e:
+            return generate_synthetic(config)  # raises on a series that overflows
+        except ValueError as e:
             raise ConfigError(f"bad synthetic data section: {e}") from None
-        return generate_synthetic(config)
     if kind == "csv":
-        path = data_cfg.get("path")
-        if not isinstance(path, str):
-            raise ConfigError(f"csv data section needs a 'path' string, got {path!r}")
         series = load_csv(
-            path,
-            timestamp_column=data_cfg.get("timestamp_column", "timestamp"),
-            value_column=data_cfg.get("value_column", "value"),
+            _string(data_cfg.get("path"), "csv data path"),
+            timestamp_column=_string(data_cfg.get("timestamp_column", "timestamp"), "timestamp_column"),
+            value_column=_string(data_cfg.get("value_column", "value"), "value_column"),
         )
         if "bin_width" in data_cfg:
             bin_width = _integer(data_cfg["bin_width"], "bin_width")
@@ -311,6 +308,12 @@ def _number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def _string(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
 
 
 def _object(value, name: str) -> dict:
@@ -359,9 +362,9 @@ def cmd_generate(args) -> int:
             ar_order=args.ar_order, length=args.length,
             seed=args.seed, noise_sd=args.noise_sd,
         )
+        series = generate_synthetic(config)
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    series = generate_synthetic(config)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="", encoding="utf-8") as fh:
@@ -431,7 +434,8 @@ def cmd_run(args) -> int:
     except ValueError as e:
         raise DataError(str(e)) from None
 
-    out_dir = Path(args.out if args.out is not None else cfg.get("out", "results"))
+    out = _string(cfg.get("out", "results"), "out")  # checked even when --out overrides it
+    out_dir = Path(args.out if args.out is not None else out)
     out_dir.mkdir(parents=True, exist_ok=True)
     fmt = args.format if args.format is not None else cfg.get("format", "json")
     if fmt not in ("csv", "json"):

@@ -130,7 +130,7 @@ class SyntheticConfig:
             raise ValueError("length must exceed ar_order")
         if self.length <= BURN_IN:
             raise ValueError(f"length must exceed the {BURN_IN}-step burn-in")
-        if self.noise_sd < 0:
+        if not self.noise_sd >= 0:  # a NaN fails too
             raise ValueError("noise_sd must be nonnegative")
         if not self.omega > 0:
             raise ValueError("omega must be positive")

@@ -22,7 +22,6 @@ from .kernels import SIMPLEX_TOL
 
 __all__ = [
     "FeasibleSet",
-    "GradAccumulator",
     "RegretTrace",
     "project_box",
     "project_simplex",
@@ -203,40 +202,22 @@ def projected_gradient(z, g, eta: float, feasible: FeasibleSet) -> np.ndarray:
     return (z - project_C(z - eta * g, feasible)) / eta
 
 
-@dataclass
-class GradAccumulator:
-    """Running sum of per-step gradients within one update window."""
+def lazy_step(z, grads, eta: float, feasible: FeasibleSet) -> np.ndarray:
+    """One lazy projected update ``proj(z - (eta/m) * sum(grads))`` from the
+    ``(m, d)`` block of one update window's gradients.
 
-    dim: int
-    sum: np.ndarray = field(default=None)  # type: ignore[assignment]
-    count: int = 0
-
-    def __post_init__(self) -> None:
-        if self.sum is None:
-            self.sum = np.zeros(self.dim)
-
-    def add(self, g) -> None:
-        g = np.asarray(g, dtype=float)
-        if g.shape != (self.dim,):
-            raise ValueError(f"expected gradient of length {self.dim}, got {g.shape}")
-        self.sum = self.sum + g
-        self.count += 1
-
-    def reset(self) -> None:
-        self.sum = np.zeros(self.dim)
-        self.count = 0
-
-
-def lazy_step(z, acc: GradAccumulator, eta: float, m: int, feasible: FeasibleSet) -> np.ndarray:
-    """One lazy projected update: ``proj(z - (eta/m) * acc.sum)``.
-
-    The accumulator must hold exactly ``m`` gradients; clearing it afterwards
-    is the caller's responsibility.
+    The sum runs row by row from zero, whatever the block's memory layout,
+    so the step equals the one a per-step running sum gives, bit for bit.
     """
-    if acc.count != m:
-        raise ValueError(f"accumulator holds {acc.count} gradients, expected window size {m}")
+    grads = np.asarray(grads, dtype=float)
+    if grads.ndim != 2 or grads.shape[0] < 1 or grads.shape[1] != feasible.dim:
+        raise ValueError(
+            f"expected a non-empty (m, {feasible.dim}) block of gradients, got shape {grads.shape}"
+        )
+    # accumulate is sequential (a sum may be pairwise); + 0.0 turns an all -0.0 column into +0.0
+    total = np.add.accumulate(grads, axis=0)[-1] + 0.0
     z = np.asarray(z, dtype=float)
-    return project_C(z - (eta / m) * acc.sum, feasible)
+    return project_C(z - (eta / len(grads)) * total, feasible)
 
 
 @dataclass

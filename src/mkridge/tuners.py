@@ -1,15 +1,16 @@
 """Rolling prediction with pluggable hyperparameter tuning strategies.
 
-All strategies share one deployment loop: predict one step ahead, observe
-the truth, refit the model on the latest training window every ``fit_every``
-steps. Hyperparameters and the fitted model are frozen between refits, so
-the loop evaluates each refit window (and each validation window while
-tuning) with one batched call; the per-step records are the same as a
-step-by-step loop would produce. Strategies differ in how hyperparameters
-evolve:
+Every strategy runs in one deployment loop, :func:`run`: predict one step
+ahead, observe the truth, refit the model on the latest training window
+every ``fit_every`` steps. Hyperparameters and the fitted model are frozen
+between refit and re-tune steps, so the loop evaluates each segment between
+two of them with one batched call; the per-step records are the same as a
+step-by-step loop would produce. Strategies differ only in how
+hyperparameters evolve:
 
-* ``OHL``      - accumulate exact per-step hyper-gradients and apply one
-                 lazy projected update per refit window (no backtesting).
+* ``OHL``      - at each refit step, one lazy projected update with the
+                 exact per-step hyper-gradients of the previous refit
+                 window (no backtesting).
 * ``GRID``     - every ``tune_every`` steps, backtest a fixed candidate list
                  on held-out history and keep the best.
 * ``RANDOM``   - like GRID but with fresh random candidates plus the
@@ -45,7 +46,6 @@ from .model import (
 )
 from .optim import (
     FeasibleSet,
-    GradAccumulator,
     lazy_step,
     project_C,
     projected_gradient,
@@ -73,9 +73,6 @@ class Strategy(str, Enum):
     RANDOM = "RANDOM"
     OFFLINE_GRAD = "OFFLINE_GRAD"
     FIXED = "FIXED"
-
-
-ROLLING_STRATEGIES = (Strategy.GRID, Strategy.RANDOM, Strategy.OFFLINE_GRAD, Strategy.FIXED)
 
 
 @dataclass(frozen=True)
@@ -134,6 +131,10 @@ class TunerConfig:
                 f"feasible set dimension {self.feasible.dim} does not match "
                 f"hyperparameter dimension {self.init.dim}"
             )
+        if self.strategy is Strategy.RANDOM:
+            bounds = np.stack([self.feasible.lower, self.feasible.upper])
+            if not np.isfinite(np.delete(bounds, self.feasible.simplex, axis=1)).all():
+                raise ValueError("random search needs finite bounds on every box coordinate")
         if not self.feasible.contains(self.init.to_vector()):
             raise ValueError("initial hyperparameters lie outside the feasible set")
         for g in self.grid:
@@ -278,63 +279,82 @@ def _resolve_start(stream: Dataset, schedule: Schedule, needs_validation: bool, 
     return start
 
 
-def run_ohl(config: TunerConfig, schedule: Schedule, stream: Dataset, steps: int | None = None) -> RunTrace:
-    """Online hyperparameter learning over a stream.
+def run(config: TunerConfig, schedule: Schedule, stream: Dataset, steps: int | None = None) -> RunTrace:
+    """The rolling protocol, for every strategy.
 
-    Every ``fit_every`` steps: apply the lazy projected update built from the
-    accumulated gradients (skipped at the first step and when ``eta`` is 0),
-    refit on the latest training window, rebuild the Jacobian, and clear the
-    accumulator. Every step: predict, observe, and accumulate the exact
-    hyper-gradient of the incurred loss. A window's predictions, gradients
-    and projected-gradient norms come from one batched call each, since
-    nothing they depend on changes inside the window.
+    The stream is cut into segments at refit steps (every ``fit_every``)
+    and, for GRID, RANDOM and OFFLINE_GRAD, at re-tune steps (every
+    ``tune_every``), where the strategy's tune operation runs on the
+    held-out validation window. At a refit step OHL first applies its lazy
+    update, built from the previous refit window's gradients (skipped at the
+    first step and when ``eta`` is 0), and builds the new model's Jacobian
+    after the fit. A segment's predictions, and OHL's gradients and
+    projected-gradient norms, come from one batched call each. A re-tune
+    inside a refit window changes the recorded hyperparameters at once but
+    the model only at the next refit.
     """
-    if config.strategy is not Strategy.OHL:
-        raise ValueError(f"run_ohl requires the OHL strategy, got {config.strategy}")
-    start = _resolve_start(stream, schedule, needs_validation=False, steps=steps)
-    horizon = len(stream) - start
-    m = schedule.fit_every
+    ohl = config.strategy is Strategy.OHL
+    tunes = config.strategy not in (Strategy.OHL, Strategy.FIXED)
+    start = _resolve_start(stream, schedule, needs_validation=tunes, steps=steps)
+    n_steps = len(stream) - start
+    m, tw, vw = schedule.fit_every, schedule.train_window, schedule.validation_window
     d = config.init.dim
-    feasible = config.feasible
+    rng = np.random.default_rng(config.seed)
 
-    lam = config.init.to_vector()
     hypers = config.init
-    acc = GradAccumulator(d)
-
-    yhat = np.empty(horizon)
-    lambdas = np.empty((horizon, d))
-    grad_norms = np.empty(horizon)
-    proj_sq = np.full(horizon, np.nan)
-    gradients = np.empty((horizon, d))
+    yhat = np.empty(n_steps)
+    lambdas = np.empty((n_steps, d))
+    grad_norms = np.full(n_steps, np.nan)
+    proj_sq = np.full(n_steps, np.nan)
+    gradients = np.empty((n_steps, d)) if ohl else None
     prediction = PhaseCounters()
     tuning = PhaseCounters()
 
+    starts = set(range(0, n_steps, m))
+    if tunes:
+        starts.update(range(0, n_steps, schedule.tune_every))
+    starts = sorted(starts)
+
     clock = time.perf_counter()
-    for s in range(0, horizon, m):
-        e = min(s + m, horizon)
+    for s, e in zip(starts, starts[1:] + [n_steps]):
         i = start + s
-        if s > 0 and config.eta > 0:
-            lam = lazy_step(lam, acc, config.eta, m, feasible)
-            hypers = config.init.from_vector(lam)
-        trained = _fit_counted(hypers, stream.slice(i - schedule.train_window, i), prediction)
-        jac = theta_jacobian(trained)
-        prediction.jacobian_builds += 1
-        acc.reset()
+        refit = s % m == 0
+        if refit:
+            trained = jac = None  # free the last window's n x n matrices before this step's fits
+            if ohl and s > 0 and config.eta > 0:
+                hypers = config.init.from_vector(
+                    lazy_step(lam, gradients[s - m : s], config.eta, config.feasible)
+                )
+        if tunes and s % schedule.tune_every == 0:
+            t0 = time.perf_counter()
+            val_window = stream.slice(i - vw, i)
+            fit_window = stream.slice(i - vw - tw, i - vw)
+            if config.strategy is Strategy.GRID:
+                hypers = tune_grid(config.grid, fit_window, val_window, tuning)
+            elif config.strategy is Strategy.RANDOM:
+                hypers = tune_random(config, hypers, fit_window, val_window, rng, tuning)
+            else:
+                hypers = tune_offline_gradient(config, hypers, fit_window, val_window, tuning)
+            tuning.wall_clock += time.perf_counter() - t0
+        if refit:
+            trained = _fit_counted(hypers, stream.slice(i - tw, i), prediction)
+            if ohl:
+                jac = theta_jacobian(trained)
+                prediction.jacobian_builds += 1
         window = stream.slice(i, start + e)
         yhat[s:e] = predict_batch(trained, window)
-        grads = loss_hyper_gradient_batch(trained, jac, window, window.targets)
-        prediction.gradient_evals += e - s
-        gradients[s:e] = grads
-        grad_norms[s:e] = np.linalg.norm(grads, axis=1)
+        lam = hypers.to_vector()
         lambdas[s:e] = lam
-        for g in grads:
-            acc.add(g)
-        if config.eta > 0:
-            p = projected_gradient(lam, grads, config.eta, feasible)
-            # stacked one-row products: each equals the one-step p @ p bit for bit
-            proj_sq[s:e] = (p[:, None, :] @ p[:, :, None])[:, 0, 0]
-        del trained, jac  # free this window's n x n matrices before the next fit
-    prediction.wall_clock = time.perf_counter() - clock
+        if ohl:
+            grads = loss_hyper_gradient_batch(trained, jac, window, window.targets)
+            prediction.gradient_evals += e - s
+            gradients[s:e] = grads
+            grad_norms[s:e] = np.linalg.norm(grads, axis=1)
+            if config.eta > 0:
+                p = projected_gradient(lam, grads, config.eta, config.feasible)
+                # stacked one-row products: each equals the one-step p @ p bit for bit
+                proj_sq[s:e] = (p[:, None, :] @ p[:, :, None])[:, 0, 0]
+    prediction.wall_clock = time.perf_counter() - clock - tuning.wall_clock
 
     return RunTrace(
         strategy=config.strategy.value,
@@ -353,81 +373,18 @@ def run_ohl(config: TunerConfig, schedule: Schedule, stream: Dataset, steps: int
     )
 
 
+def run_ohl(config: TunerConfig, schedule: Schedule, stream: Dataset, steps: int | None = None) -> RunTrace:
+    """:func:`run` for the OHL strategy only."""
+    if config.strategy is not Strategy.OHL:
+        raise ValueError(f"run_ohl requires the OHL strategy, got {config.strategy}")
+    return run(config, schedule, stream, steps)
+
+
 def run_rolling(config: TunerConfig, schedule: Schedule, stream: Dataset, steps: int | None = None) -> RunTrace:
-    """Rolling protocol with periodic re-tuning for the non-online strategies.
-
-    Every ``tune_every`` steps the strategy's tune operation runs on the
-    held-out validation window (FIXED skips this entirely); every
-    ``fit_every`` steps the model refits on the latest training window. The
-    steps between two such events are predicted with one batched call.
-    """
-    if config.strategy not in ROLLING_STRATEGIES:
-        raise ValueError(f"run_rolling does not handle strategy {config.strategy}")
-    tunes = config.strategy is not Strategy.FIXED
-    start = _resolve_start(stream, schedule, needs_validation=tunes, steps=steps)
-    horizon = len(stream) - start
-    tw, vw = schedule.train_window, schedule.validation_window
-    rng = np.random.default_rng(config.seed)
-
-    hypers = config.init
-    yhat = np.empty(horizon)
-    lambdas = np.empty((horizon, config.init.dim))
-    prediction = PhaseCounters()
-    tuning = PhaseCounters()
-
-    # segments run between consecutive refit or re-tune steps; a re-tune
-    # that falls inside a refit window changes the recorded hyperparameters
-    # at once but the model only at the next refit
-    starts = set(range(0, horizon, schedule.fit_every))
-    if tunes:
-        starts.update(range(0, horizon, schedule.tune_every))
-    starts = sorted(starts)
-
-    clock = time.perf_counter()
-    for s, e in zip(starts, starts[1:] + [horizon]):
-        i = start + s
-        refit = s % schedule.fit_every == 0
-        if refit:
-            trained = None  # free the last window's model before this step's fits
-        if tunes and s % schedule.tune_every == 0:
-            t0 = time.perf_counter()
-            val_window = stream.slice(i - vw, i)
-            fit_window = stream.slice(i - vw - tw, i - vw)
-            if config.strategy is Strategy.GRID:
-                hypers = tune_grid(config.grid, fit_window, val_window, tuning)
-            elif config.strategy is Strategy.RANDOM:
-                hypers = tune_random(config, hypers, fit_window, val_window, rng, tuning)
-            else:
-                hypers = tune_offline_gradient(config, hypers, fit_window, val_window, tuning)
-            tuning.wall_clock += time.perf_counter() - t0
-        if refit:
-            trained = _fit_counted(hypers, stream.slice(i - tw, i), prediction)
-        yhat[s:e] = predict_batch(trained, stream.slice(i, start + e))
-        lambdas[s:e] = hypers.to_vector()
-    prediction.wall_clock = time.perf_counter() - clock - tuning.wall_clock
-
-    return RunTrace(
-        strategy=config.strategy.value,
-        start_index=start,
-        eta=config.eta,
-        times=stream.times[start:].copy(),
-        y=stream.targets[start:].copy(),
-        yhat=yhat,
-        lambdas=lambdas,
-        grad_norms=np.full(horizon, np.nan),
-        proj_grad_sq=np.full(horizon, np.nan),
-        gradients=None,
-        tuning=tuning,
-        prediction=prediction,
-        final_hypers=hypers,
-    )
-
-
-def run(config: TunerConfig, schedule: Schedule, stream: Dataset, steps: int | None = None) -> RunTrace:
-    """Dispatch to :func:`run_ohl` or :func:`run_rolling` by strategy."""
+    """:func:`run` for every strategy but OHL."""
     if config.strategy is Strategy.OHL:
-        return run_ohl(config, schedule, stream, steps)
-    return run_rolling(config, schedule, stream, steps)
+        raise ValueError(f"run_rolling does not handle strategy {config.strategy}")
+    return run(config, schedule, stream, steps)
 
 
 def fit_count_report(trace: RunTrace) -> dict:

@@ -73,6 +73,12 @@ class TestGenerate:
     def test_bad_length_is_config_error(self, tmp_path):
         assert main(["generate", "--out", str(tmp_path / "x.csv"), "--length", "50"]) == 2
 
+    @pytest.mark.parametrize("flags", [["--c1", "inf"], ["--noise-sd", "nan"]])
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, flags):
+        assert main(["generate", "--out", str(tmp_path / "x.csv"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestRun:
     def test_fixed_only_reports_zero_self_improvement(self, tmp_path, capsys):
@@ -251,6 +257,35 @@ def finite_csv(tmp_path, bad_value="1.01", **binning):
         pytest.param({"schedule": {"n": 40, "m": 10, "train_window": 50,
                                    "validation_window": 30.5}},
                      [], 2, "validation_window", id="validation-window-fraction"),
+        pytest.param({"data": {"type": "synthetic", "length": 400.7, "seed": 1}}, [], 2, "length",
+                     id="synthetic-length-fraction"),
+        pytest.param({"data": {"type": "synthetic", "length": 300, "ar_order": 2.9, "seed": 1}},
+                     [], 2, "ar_order", id="synthetic-ar-order-fraction"),
+        pytest.param({"data": {"type": "synthetic", "length": 300, "seed": 1.5}}, [], 2,
+                     "data seed", id="synthetic-seed-fraction"),
+        pytest.param({"data": {"type": "synthetic", "length": 300, "c1": "0.5", "seed": 1}},
+                     [], 2, "c1", id="synthetic-c1-string"),
+        pytest.param({"data": {"type": "synthetic", "length": 300, "c2": None, "seed": 1}},
+                     [], 2, "c2", id="synthetic-c2-null"),
+        pytest.param({"data": {"type": "synthetic", "length": 300, "omega": [5.0], "seed": 1}},
+                     [], 2, "omega", id="synthetic-omega-list"),
+        pytest.param({"data": {"type": "synthetic", "length": 300, "noise_sd": True, "seed": 1}},
+                     [], 2, "noise_sd", id="synthetic-noise-bool"),
+        pytest.param({"data": {"type": "synthetic", "length": 300, "noise_sd": float("nan"),
+                               "seed": 1}},
+                     [], 2, "noise_sd", id="synthetic-noise-nan"),
+        pytest.param({"data": {"type": "synthetic", "length": 300, "c1": float("inf"), "seed": 1}},
+                     [], 2, "finite", id="synthetic-c1-inf"),
+        pytest.param({"data": {"type": "synthetic", "length": 300, "c1": 1e308, "seed": 1}},
+                     [], 2, "finite", id="synthetic-overflow"),
+        pytest.param({"bounds": {"scale": [1e-4, float("inf")], "ridge": [1e-3, 3.0]},
+                      "strategies": {"RANDOM": {"draws": 2}}},
+                     [], 2, "finite bounds", id="random-bound-inf"),
+        pytest.param({"out": 5}, [], 2, "out must be a string", id="out-not-string"),
+        pytest.param({"binning": {"timestamp_column": 5}}, [], 2, "timestamp_column",
+                     id="timestamp-column-not-string"),
+        pytest.param({"binning": {"value_column": ["value"]}}, [], 2, "value_column",
+                     id="value-column-not-string"),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, capsys, overrides, flags, code, needle):

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from mkridge.errors import NumericalError
 from mkridge.optim import (
     FeasibleSet,
-    GradAccumulator,
     RegretTrace,
     lazy_step,
     project_box,
@@ -261,28 +260,20 @@ class TestLazyStep:
     def test_zero_sum_keeps_iterate(self):
         fs = standard_set()
         z = np.array([5.0, 20.0, 0.25, 0.75, 1.0])
-        acc = GradAccumulator(fs.dim)
-        for _ in range(3):
-            acc.add(np.zeros(fs.dim))
-        assert np.array_equal(lazy_step(z, acc, 0.5, 3, fs), z)
+        assert np.array_equal(lazy_step(z, np.zeros((3, fs.dim)), 0.5, fs), z)
 
     def test_zero_eta_keeps_iterate(self):
         fs = standard_set()
         z = np.array([5.0, 20.0, 0.25, 0.75, 1.0])
-        acc = GradAccumulator(fs.dim)
-        for _ in range(4):
-            acc.add(np.ones(fs.dim))
-        assert np.array_equal(lazy_step(z, acc, 0.0, 4, fs), z)
+        assert np.array_equal(lazy_step(z, np.ones((4, fs.dim)), 0.0, fs), z)
 
     def test_projected_update_hits_bound(self):
         # box [0,1] coordinate driven to its lower bound by the averaged step
         kinds = ["ridge", "mixture"]
         fs = FeasibleSet.for_kinds(kinds, {"ridge": (0.0, 1.0)})
         m = 5
-        acc = GradAccumulator(2)
-        for _ in range(m):
-            acc.add(np.array([2.0, 0.0]))
-        out = lazy_step(np.array([0.5, 1.0]), acc, 0.5, m, fs)
+        grads = np.tile([2.0, 0.0], (m, 1))
+        out = lazy_step(np.array([0.5, 1.0]), grads, 0.5, fs)
         assert out[0] == 0.0
         assert out[1] == 1.0
 
@@ -300,17 +291,52 @@ class TestLazyStep:
         rng = np.random.default_rng(seed)
         fs = random_box_simplex(rng, before, k, after)
         z = project_C(rng.normal(0.0, spread, fs.dim), fs)
-        acc = GradAccumulator(fs.dim)
-        for g in rng.normal(0.0, spread, (m, fs.dim)):
-            acc.add(g)
-        assert fs.contains(lazy_step(z, acc, eta, m, fs))
+        grads = rng.normal(0.0, spread, (m, fs.dim))
+        assert fs.contains(lazy_step(z, grads, eta, fs))
 
-    def test_count_mismatch_rejected(self):
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 200),
+        eta=st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+        before=st.integers(0, 3),
+        k=st.integers(1, 6),
+        after=st.integers(0, 3),
+        fortran=st.booleans(),
+    )
+    def test_block_equals_running_sum_bitwise(self, seed, m, eta, before, k, after, fortran):
+        """The block step equals the step from a per-row running sum that
+        starts at zero (the order OHL's bit identity rests on), for any
+        block layout and with signed-zero columns. The boxes are open, so no
+        clamp can hide a difference in the sum."""
+        rng = np.random.default_rng(seed)
+        d = before + k + after
+        fs = FeasibleSet(np.full(d, -np.inf), np.full(d, np.inf), slice(before, before + k))
+        grads = rng.normal(0.0, 1.0, (m, d)) * 10.0 ** rng.uniform(-3, 3, (m, 1))
+        grads[:, rng.random(d) < 0.2] = -0.0
+        grads[:, rng.random(d) < 0.1] = 0.0
+        if fortran:
+            grads = np.asfortranarray(grads)
+        z = rng.normal(0.0, 1e-3, d)
+        z[rng.random(d) < 0.2] = -0.0
+        total = np.zeros(d)
+        for g in grads:
+            total = total + g
+        want = project_C(z - (eta / m) * total, fs)
+        got = lazy_step(z, grads, eta, fs)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_malformed_block_rejected(self):
         fs = standard_set()
-        acc = GradAccumulator(fs.dim)
-        acc.add(np.ones(fs.dim))
+        z = np.zeros(fs.dim)
         with pytest.raises(ValueError):
-            lazy_step(np.zeros(fs.dim), acc, 0.1, 2, fs)
+            lazy_step(z, np.ones((0, fs.dim)), 0.1, fs)  # empty
+        with pytest.raises(ValueError):
+            lazy_step(z, np.ones((2, fs.dim + 1)), 0.1, fs)  # wrong width
+        with pytest.raises(ValueError):
+            lazy_step(z, np.ones((2, 1)), 0.1, fs)  # would broadcast
+        with pytest.raises(ValueError):
+            lazy_step(z, np.ones(fs.dim), 0.1, fs)  # 1-d
 
 
 class TestRegret:

@@ -14,7 +14,7 @@ from mkridge.model import (
     predict_batch,
     theta_jacobian,
 )
-from mkridge.optim import FeasibleSet, GradAccumulator, lazy_step, projected_gradient
+from mkridge.optim import FeasibleSet, lazy_step, projected_gradient
 from mkridge.tuners import (
     PhaseCounters,
     Schedule,
@@ -47,13 +47,33 @@ def se_config(strategy, scale=0.05, ridge=1.0, **kw):
     return TunerConfig(strategy=Strategy(strategy), init=hypers, feasible=feasible, **kw)
 
 
-def mixed_config(strategy, **kw):
-    hypers = HyperParams(
-        CompositeKernel((PeriodicKernel(1.0, 30.0), SquaredExpKernel(0.05)), [0.5, 0.5]),
-        1.0,
+def mixed_hypers(periodic_scale, period, se_scale, weights, ridge):
+    return HyperParams(
+        CompositeKernel(
+            (PeriodicKernel(periodic_scale, period), SquaredExpKernel(se_scale)), weights
+        ),
+        ridge,
     )
+
+
+def mixed_config(strategy, **kw):
+    hypers = mixed_hypers(1.0, 30.0, 0.05, [0.5, 0.5], 1.0)
     feasible = FeasibleSet.for_kinds(hypers.scalar_kinds(), BOUNDS)
     return TunerConfig(strategy=Strategy(strategy), init=hypers, feasible=feasible, **kw)
+
+
+# strategy settings of the per-step comparison in TestRunOhl
+PER_STEP_KW = {
+    "OHL": {"eta": 1e-3},
+    "FIXED": {},
+    "GRID": {"grid": (
+        mixed_hypers(1.0, 30.0, 0.05, [0.5, 0.5], 1.0),
+        mixed_hypers(1.0, 30.0, 0.05, [0.5, 0.5], 0.01),
+        mixed_hypers(1.0, 6.0, 0.05, [0.5, 0.5], 0.01),
+    )},
+    "RANDOM": {"draws": 3, "seed": 5},
+    "OFFLINE_GRAD": {"eta": 1e-3, "tol": 1e-12, "max_iters": 2},
+}
 
 
 def backtest_oracle(hypers, fit_window, val_window):
@@ -66,35 +86,43 @@ def backtest_oracle(hypers, fit_window, val_window):
 def per_step_reference(config, schedule, stream, steps):
     """Step-by-step loop with one-query calls: ``(yhat, lambdas, gradients)``.
 
-    Covers OHL, OFFLINE_GRAD and FIXED: re-tune every ``tune_every`` steps,
-    refit every ``fit_every`` steps (OHL applies its lazy update first), then
-    predict, record the hyperparameters and (OHL) the gradient of each step.
+    Covers every strategy: re-tune every ``tune_every`` steps (GRID, RANDOM
+    and OFFLINE_GRAD, with the run's seeded generator), refit every
+    ``fit_every`` steps (OHL applies its lazy update first, from the last
+    window's gradients), then predict, record the hyperparameters and (OHL)
+    the gradient of each step.
     """
     start = len(stream) - steps
     tw, vw = schedule.train_window, schedule.validation_window
     ohl = config.strategy is Strategy.OHL
+    tunes = config.strategy not in (Strategy.OHL, Strategy.FIXED)
+    rng = np.random.default_rng(config.seed)
     hypers = config.init
-    acc = GradAccumulator(hypers.dim)
+    window_grads = []
     yhat, lambdas, grads = [], [], []
     for step in range(steps):
         i = start + step
-        if config.strategy is Strategy.OFFLINE_GRAD and step % schedule.tune_every == 0:
-            hypers = tune_offline_gradient(
-                config, hypers, stream.slice(i - vw - tw, i - vw), stream.slice(i - vw, i)
-            )
+        if tunes and step % schedule.tune_every == 0:
+            fit_w, val_w = stream.slice(i - vw - tw, i - vw), stream.slice(i - vw, i)
+            if config.strategy is Strategy.GRID:
+                hypers = tune_grid(config.grid, fit_w, val_w)
+            elif config.strategy is Strategy.RANDOM:
+                hypers = tune_random(config, hypers, fit_w, val_w, rng)
+            else:
+                hypers = tune_offline_gradient(config, hypers, fit_w, val_w)
         if step % schedule.fit_every == 0:
             if ohl and step > 0:
-                lam = lazy_step(hypers.to_vector(), acc, config.eta, schedule.fit_every, config.feasible)
+                lam = lazy_step(hypers.to_vector(), window_grads, config.eta, config.feasible)
                 hypers = config.init.from_vector(lam)
             model = fit(hypers, stream.slice(i - tw, i))
             jac = theta_jacobian(model)
-            acc.reset()
+            window_grads = []
         query = stream.query(i)
         yhat.append(predict(model, query))
         lambdas.append(hypers.to_vector())
         if ohl:
             grads.append(loss_hyper_gradient(model, jac, query, float(stream.targets[i])))
-            acc.add(grads[-1])
+            window_grads.append(grads[-1])
     return np.array(yhat), np.array(lambdas), np.array(grads)
 
 
@@ -121,6 +149,15 @@ class TestTunerConfig:
         bad = HyperParams(CompositeKernel((SquaredExpKernel(99.0),), [1.0]), 1.0)
         with pytest.raises(ValueError, match="grid"):
             se_config("GRID", grid=(bad,))
+
+    def test_random_needs_finite_box(self):
+        hypers = HyperParams(CompositeKernel((SquaredExpKernel(0.05),), [1.0]), 1.0)
+        feasible = FeasibleSet.for_kinds(
+            hypers.scalar_kinds(), {"scale": (1e-4, np.inf), "ridge": (1e-3, 3.0)}
+        )
+        TunerConfig(strategy=Strategy.FIXED, init=hypers, feasible=feasible)
+        with pytest.raises(ValueError, match="finite bounds"):
+            TunerConfig(strategy=Strategy.RANDOM, init=hypers, feasible=feasible)
 
 
 class TestRunOhl:
@@ -167,16 +204,19 @@ class TestRunOhl:
             if step % 10 != 0:
                 assert np.array_equal(trace.lambdas[step], trace.lambdas[step - 1])
 
-    @pytest.mark.parametrize("strategy", ["OHL", "FIXED"])
+    @pytest.mark.parametrize("strategy", ["OHL", "FIXED", "GRID", "RANDOM", "OFFLINE_GRAD"])
     def test_partial_last_window_matches_per_step_loop(self, strategy):
+        # re-tunes at steps 0 and 15, inside the refit window 10..19; refits at 0, 10, 20
         stream = make_stream()
-        schedule = Schedule(tune_every=50, fit_every=10, train_window=60)
-        config = mixed_config(strategy, eta=1e-3)
+        schedule = Schedule(tune_every=15, fit_every=10, train_window=60, validation_window=40)
+        config = mixed_config(strategy, **PER_STEP_KW[strategy])
         trace = run(config, schedule, stream, steps=25)
         yhat, lambdas, grads = per_step_reference(config, schedule, stream, 25)
         assert trace.prediction.fits == 3
         np.testing.assert_allclose(trace.yhat, yhat, rtol=1e-12, atol=1e-14)
         assert np.array_equal(trace.lambdas, lambdas)
+        if strategy not in ("OHL", "FIXED"):
+            assert not np.array_equal(lambdas[14], lambdas[15])  # the re-tune moved them
         if strategy == "OHL":
             assert trace.prediction.gradient_evals == 25
             assert np.array_equal(trace.gradients, grads)
@@ -261,6 +301,12 @@ class TestRunRolling:
         schedule = Schedule(tune_every=50, fit_every=10, train_window=60, validation_window=0)
         with pytest.raises(ValueError, match="validation"):
             run_rolling(se_config("RANDOM"), schedule, stream, steps=50)
+
+    def test_ohl_rejected(self):
+        stream = make_stream()
+        schedule = Schedule(tune_every=50, fit_every=10, train_window=60)
+        with pytest.raises(ValueError):
+            run_rolling(se_config("OHL"), schedule, stream)
 
     def test_dispatch(self):
         stream = make_stream()
