@@ -193,12 +193,16 @@ def _parse_component(entry: dict, lag_order: int):
         raise ConfigError(f"kernel component needs a 'type': {entry!r}") from None
     try:
         if kind == "periodic":
-            return PeriodicKernel(float(entry["scale"]), float(entry["period"]))
+            return PeriodicKernel(_number(entry["scale"], "periodic scale"),
+                                  _number(entry["period"], "period"))
         if kind == "se":
-            return SquaredExpKernel(float(entry["scale"]))
+            return SquaredExpKernel(_number(entry["scale"], "se scale"))
         if kind == "ard":
             scale = entry["scale"]
-            scales = np.full(lag_order, float(scale)) if np.isscalar(scale) else np.asarray(scale, dtype=float)
+            if isinstance(scale, list):
+                scales = np.array([_number(s, "ARD scale") for s in scale])
+            else:
+                scales = np.full(lag_order, _number(scale, "ARD scale"))
             if scales.shape != (lag_order,):
                 raise ValueError(f"needs one scale per lag ({lag_order}), got shape {scales.shape}")
             return ArdKernel(scales)
@@ -210,27 +214,36 @@ def _parse_component(entry: dict, lag_order: int):
 def _parse_model(entry: dict, lag_order: int) -> HyperParams:
     try:
         raw = entry["kernel"]
-        ridge = float(entry["ridge"])
-    except (KeyError, TypeError, ValueError) as e:
+        ridge = _number(entry["ridge"], "ridge")
+    except (KeyError, TypeError) as e:
         raise ConfigError(f"model section needs 'kernel' and 'ridge': {e}") from None
     components = tuple(_parse_component(c, lag_order) for c in _list(raw, "kernel"))
     weights = entry.get("weights")
     if weights is None:
         weights = np.full(len(components), 1.0 / len(components))
     else:
-        _list(weights, "weights")
+        weights = np.array([_number(w, "mixture weight") for w in _list(weights, "weights")])
     try:
-        spec = CompositeKernel(components, np.asarray(weights, dtype=float))
+        spec = CompositeKernel(components, weights)
         return HyperParams(spec, ridge)
     except (ValueError, TypeError) as e:
         raise ConfigError(str(e)) from None
 
 
+_BOUND_KINDS = ("scale", "period", "ridge")
+
+
 def _parse_bounds(entry: dict, hypers: HyperParams) -> FeasibleSet:
+    bounds = {}
+    for kind, value in entry.items():
+        if kind not in _BOUND_KINDS:
+            raise ConfigError(f"unknown bounds key {kind!r} (expected {'|'.join(_BOUND_KINDS)})")
+        if not isinstance(value, list) or len(value) != 2:
+            raise ConfigError(f"bounds {kind} must be a two-element list, got {value!r}")
+        bounds[kind] = (_number(value[0], f"bounds {kind}"), _number(value[1], f"bounds {kind}"))
     try:
-        bounds = {k: (float(v[0]), float(v[1])) for k, v in entry.items()}
         return FeasibleSet.for_kinds(hypers.scalar_kinds(), bounds)
-    except (ValueError, TypeError, IndexError) as e:
+    except ValueError as e:
         raise ConfigError(f"bad bounds section: {e}") from None
 
 

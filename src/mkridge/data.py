@@ -132,8 +132,8 @@ class SyntheticConfig:
             raise ValueError(f"length must exceed the {BURN_IN}-step burn-in")
         if not self.noise_sd >= 0:  # a NaN fails too
             raise ValueError("noise_sd must be nonnegative")
-        if not self.omega > 0:
-            raise ValueError("omega must be positive")
+        if not 0 < self.omega < np.inf:  # an infinite omega would drop the sinusoid
+            raise ValueError(f"omega must be positive and finite, got {self.omega}")
 
 
 def generate_synthetic(config: SyntheticConfig) -> TimeSeries:

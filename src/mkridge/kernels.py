@@ -18,8 +18,8 @@ composite Gram matrix has ``sum(weights)`` on its diagonal.
 
 All scalar kernel hyperparameters are addressable through one flat index
 (component parameters in declaration order, then the mixture weights).
-Every base kernel has exactly five evaluators, and the composite mixes
-the same five:
+Every base kernel has five evaluators, and the composite mixes the same
+five:
 
 * ``block(times, lags)``: the Gram matrix of a window;
 * ``block_contract(times, lags, gram, v, ...)``: every Gram derivative
@@ -34,9 +34,15 @@ the same five:
 * ``cross_derivs_many(ts, xs, times, lags, ...)``: cross values of a block
   of queries together with all their derivatives.
 
+The ARD kernel adds ``cross_contract``, the query-side twin of its
+``block_contract``. :meth:`CompositeKernel.cross_contract`, the
+hyper-gradient's path, returns cross values and every cross derivative
+applied to a vector; ``cross_derivs_many`` is its oracle.
+
 Single-query calls (``CompositeKernel.cross``, ``cross_derivs_all``,
 :func:`cross_vector`) are one-row views of ``cross_derivs_many``, and
-:func:`gram_derivative` picks one item of ``iter_block_derivs``. Gram
+:func:`gram_derivative` picks one item of ``iter_block_derivs``. The ARD
+cross values are :meth:`ArdKernel.cross_many`'s on every path. Gram
 matrices are exactly symmetric: the lag kernels are assembled from their
 upper triangle and mirrored, and the periodic kernel depends on ``|dt|``.
 
@@ -361,23 +367,51 @@ class ArdKernel:
         bv = gram @ v
         base = gram.copy()  # the caller keeps gram, diagonal included
         np.fill_diagonal(base, 0.0)
-        x = lags - lags.mean(axis=0)
-        x2 = x * x
-        bx = base @ (v[:, None] * np.hstack([np.ones((len(v), 1)), x, x2]))
-        p = self.n_params
-        out[:] = w * -(x2 * bx[:, :1] - 2.0 * x * bx[:, 1 : p + 1] + bx[:, p + 1 :])
+        mean, moments = _lag_moments(lags, v)
+        _expand_contraction(lags - mean, base @ moments, w, out)
         return bv
+
+    def cross_contract(self, ts, xs, times, lags, v, w, out) -> np.ndarray:
+        """Fills ``out[q, j]`` with ``(w * dk_q/d s_j) @ v`` and returns the
+        cross matrix ``k = cross_many(ts, xs, times, lags)``.
+
+        The query-side twin of :meth:`block_contract`: with query and window
+        lags centred by the window's lag mean, ``dk_q/d s_j`` applied to
+        ``v`` is ``-(xq_j^2 (k_q v) - 2 xq_j (k_q (v X_j)) + k_q (v X_j^2))``.
+        Each query takes one ``(1, n) @ (n, 2p + 1)`` product, so its row does
+        not depend on the other queries of the block; one ``(m, n)`` product
+        would round differently for different blocks.
+        """
+        k = self.cross_many(ts, xs, times, lags)
+        mean, moments = _lag_moments(lags, v)
+        _expand_contraction(xs - mean, (k[:, None, :] @ moments)[:, 0], w, out)
+        return k
 
     def cross_derivs_many(self, ts, xs, times, lags, out) -> np.ndarray:
         """Cross matrix of many queries; fills ``out[:, j]`` with its derivative
-        w.r.t. parameter ``j``."""
-        self._check_dim(lags)
+        w.r.t. parameter ``j``. The values are :meth:`cross_many`'s."""
+        k = self.cross_many(ts, xs, times, lags)
         sq = lags[None, :, :] - xs[:, None, :]
         sq *= sq
-        k = np.exp(-(sq @ self.scales))  # one (|W|, p) @ (p,) product per query
         np.negative(sq.transpose(0, 2, 1), out=out)
         out *= k[:, None, :]
         return k
+
+
+def _lag_moments(lags: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lags' column means and ``v[:, None] * [1, X, X^2]`` of the centred
+    lags ``X``, shape ``(n, 2p + 1)``."""
+    mean = lags.mean(axis=0)
+    x = lags - mean
+    return mean, v[:, None] * np.hstack([np.ones((len(v), 1)), x, x * x])
+
+
+def _expand_contraction(xq: np.ndarray, kx: np.ndarray, w: float, out: np.ndarray) -> None:
+    """``out[q, j] = w * -(xq_j^2 kx_0 - 2 xq_j kx_{1+j} + kx_{1+p+j})``, the
+    ARD derivative contraction from the products ``kx`` of a kernel block
+    with :func:`_lag_moments`."""
+    p = xq.shape[1]
+    out[:] = w * -(xq * xq * kx[:, :1] - 2.0 * xq * kx[:, 1 : p + 1] + kx[:, p + 1 :])
 
 
 KernelComponent = Union[PeriodicKernel, SquaredExpKernel, ArdKernel]
@@ -464,14 +498,13 @@ class CompositeKernel:
         return self.mix(self.component_blocks(times, lags))
 
     def cross_many(self, ts, xs, times, lags) -> np.ndarray:
-        # Two cross paths stay. cross_many (cdist) is the predictor: routing
-        # predictions through cross_derivs_many would build the ARD
-        # component's (queries, n, p) squared-difference tensor, about 72 MB
-        # for a 336-query validation window against 1344 training steps with
-        # 20 lags, plus the derivative tensor. cross_derivs_many is the
-        # gradient's path: its stacked one-query products keep every gradient
-        # bit-identical to a one-query evaluation, and OHL's updates can
-        # amplify a last-digit change until it shows in the forecasts.
+        # Two cross paths stay. cross_many (cdist) is the predictor.
+        # cross_contract is the gradient's path: its ARD values are
+        # cross_many's, but its periodic and SE values and derivatives come
+        # from the stacked one-query products of cross_derivs_many, which keep
+        # a periodic + SE gradient bit-identical to a one-query evaluation;
+        # OHL's updates can amplify a last-digit change until it shows in the
+        # forecasts.
         return self.mix([c.cross_many(ts, xs, times, lags) for c in self.components])
 
     # -- derivatives ------------------------------------------------------
@@ -503,27 +536,62 @@ class CompositeKernel:
             pos += c.n_params
         return out
 
+    @property
+    def cross_rows(self) -> list[int]:
+        """Flat indices of the derivatives :meth:`cross_contract` materializes:
+        all but the ARD parameters', which it contracts on the query side."""
+        owners = [c for c in self.components for _ in range(c.n_params)]
+        owners += [None] * self.n_components  # the weights
+        return [i for i, c in enumerate(owners) if not isinstance(c, ArdKernel)]
+
+    def _cross_terms(self, ts, xs, times, lags, v=None):
+        """The per-component loop of the two query-side evaluators: ``(k, dk,
+        dkv)``. Without ``v``, ``dk`` holds every derivative; with it, only the
+        :attr:`cross_rows`, and the ARD columns of ``dkv`` are filled. Row
+        ``q`` does not depend on the other queries of the block.
+        """
+        contract = v is not None
+        n_rows = len(self.cross_rows) if contract else self.n_scalars
+        dk = np.empty((len(ts), n_rows, len(times)))
+        dkv = np.empty((len(ts), self.n_scalars)) if contract else None
+        ks = []
+        pos = row = 0
+        for w, c in zip(self.weights, self.components):
+            if contract and isinstance(c, ArdKernel):
+                ks.append(c.cross_contract(ts, xs, times, lags, v, w, dkv[:, pos : pos + c.n_params]))
+            else:
+                block = dk[:, row : row + c.n_params]
+                ks.append(c.cross_derivs_many(ts, xs, times, lags, block))
+                block *= w
+                row += c.n_params
+            pos += c.n_params
+        for k in ks:
+            dk[:, row] = k
+            row += 1
+        return self.mix(ks), dk, dkv
+
     def cross_derivs_many(self, ts, xs, times, lags) -> tuple[np.ndarray, np.ndarray]:
-        """Cross vectors and all their derivatives for many queries.
+        """Cross vectors and all their derivatives for many queries; the
+        materialized path, kept as the oracle behind :meth:`cross_derivs_all`.
 
         Returns ``(k, dk)``: ``k[q]`` is the cross vector of query ``q``, shape
         ``(len(ts), len(times))``, and ``dk[q, i]`` its derivative w.r.t.
         scalar ``i`` in flat order, shape ``(len(ts), n_scalars, len(times))``.
-        Everything is elementwise per query, so row ``q`` does not depend on
-        the other queries of the block.
         """
-        dk = np.empty((len(ts), self.n_scalars, len(times)))
-        ks = []
-        pos = 0
-        for w, c in zip(self.weights, self.components):
-            block = dk[:, pos : pos + c.n_params]
-            ks.append(c.cross_derivs_many(ts, xs, times, lags, block))
-            block *= w
-            pos += c.n_params
-        for k in ks:
-            dk[:, pos] = k
-            pos += 1
-        return self.mix(ks), dk
+        k, dk, _ = self._cross_terms(ts, xs, times, lags)
+        return k, dk
+
+    def cross_contract(self, ts, xs, times, lags, v) -> tuple[np.ndarray, np.ndarray]:
+        """Cross vectors of many queries, and ``dkv[q, i] = (dk_q/d lam_i) @ v``.
+
+        The ARD columns come from :meth:`ArdKernel.cross_contract`, without
+        the ``(queries, n, p)`` tensor; the others are stacked one-query
+        products of :meth:`cross_derivs_many`'s rows, so a composite without
+        ARD gives the materialized path's bits.
+        """
+        k, dk, dkv = self._cross_terms(ts, xs, times, lags, v)
+        dkv[:, self.cross_rows] = dk @ v
+        return k, dkv
 
     def _one_query(self, t, x, times, lags) -> tuple[np.ndarray, np.ndarray]:
         ts = np.array([t], dtype=float)

@@ -22,7 +22,10 @@ and the cached Jacobian columns.
 
 Predictions and hyper-gradients are evaluated for a block of queries at once
 (:func:`predict_batch`, :func:`loss_hyper_gradient_batch`);
-:func:`loss_hyper_gradient` is a one-row view of the batched gradient.
+:func:`loss_hyper_gradient` is a one-row view of the batched gradient. The
+gradient needs the cross derivatives only applied to ``theta``, and takes
+them from ``CompositeKernel.cross_contract``: the ARD ones are contracted on
+the query side, and no ``(queries, n, lags)`` tensor is built.
 """
 
 from __future__ import annotations
@@ -247,8 +250,9 @@ def loss_hyper_gradient_batch(model: TrainedModel, jac: np.ndarray, queries, tar
     vector, ``dk_q`` its derivatives (no ridge row: the cross vector does not
     depend on the ridge), ``r_q = y_q - k_q theta`` the residual and ``J``
     the cached Jacobian. The hyperparameters are fixed across the block, so
-    the kernel values and derivatives of many queries come from one batched
-    evaluation.
+    ``k`` and ``dk theta`` of many queries come from one batched evaluation,
+    ``CompositeKernel.cross_contract``; the ARD part of ``dk`` is contracted
+    with ``theta`` there and never built.
     """
     d = model.hypers.dim
     if jac.shape != (model.n, d):
@@ -261,11 +265,13 @@ def loss_hyper_gradient_batch(model: TrainedModel, jac: np.ndarray, queries, tar
     spec = model.hypers.kernel
     ns = spec.n_scalars
     grads = np.empty((y.size, d))
-    # queries go in blocks so the (block, ns, n) derivative tensor stays near 1 MB
-    block = max(1, _BLOCK_VALUES // (ns * model.n))
+    # queries go in blocks so the (block, rows, n) derivative tensor stays near 1 MB
+    block = max(1, _BLOCK_VALUES // (len(spec.cross_rows) * model.n))
     for lo in range(0, y.size, block):
         hi = lo + block
-        k, dk = spec.cross_derivs_many(qt[lo:hi], qx[lo:hi], model.times, model.lags)
+        k, dk_theta = spec.cross_contract(
+            qt[lo:hi], qx[lo:hi], model.times, model.lags, model.theta
+        )
         # Every product is a stack of one-query products (matmul loops over the
         # leading axis with the BLAS call a single query makes), so each row is
         # bit-identical to a one-query evaluation whatever the block size. One
@@ -273,6 +279,6 @@ def loss_hyper_gradient_batch(model: TrainedModel, jac: np.ndarray, queries, tar
         # amplify a last-digit difference until it shows in the forecasts.
         rows = k[:, None, :]
         scale = -2.0 * (y[lo:hi] - (rows @ model.theta)[:, 0])
-        grads[lo:hi, :ns] = scale[:, None] * (dk @ model.theta + (rows @ jac[:, :ns])[:, 0])
+        grads[lo:hi, :ns] = scale[:, None] * (dk_theta + (rows @ jac[:, :ns])[:, 0])
         grads[lo:hi, ns] = scale * (rows @ jac[:, ns])[:, 0]
     return grads

@@ -73,7 +73,9 @@ class TestGenerate:
     def test_bad_length_is_config_error(self, tmp_path):
         assert main(["generate", "--out", str(tmp_path / "x.csv"), "--length", "50"]) == 2
 
-    @pytest.mark.parametrize("flags", [["--c1", "inf"], ["--noise-sd", "nan"]])
+    @pytest.mark.parametrize(
+        "flags", [["--c1", "inf"], ["--noise-sd", "nan"], ["--omega", "inf"]]
+    )
     def test_non_finite_value_is_config_error(self, tmp_path, capsys, flags):
         assert main(["generate", "--out", str(tmp_path / "x.csv"), *flags]) == 2
         err = capsys.readouterr().err
@@ -281,6 +283,32 @@ def finite_csv(tmp_path, bad_value="1.01", **binning):
         pytest.param({"bounds": {"scale": [1e-4, float("inf")], "ridge": [1e-3, 3.0]},
                       "strategies": {"RANDOM": {"draws": 2}}},
                      [], 2, "finite bounds", id="random-bound-inf"),
+        pytest.param({"data": {"type": "synthetic", "length": 300, "omega": float("inf"),
+                               "seed": 1}},
+                     [], 2, "omega must be positive and finite", id="synthetic-omega-inf"),
+        pytest.param({"model": {"kernel": [{"type": "se", "scale": 0.05}], "weights": ["1"],
+                                "ridge": 1.0}},
+                     [], 2, "mixture weight must be a number", id="weight-string"),
+        pytest.param({"model": {"kernel": [{"type": "se", "scale": 0.05}], "ridge": "0.3"}},
+                     [], 2, "ridge must be a number", id="ridge-string"),
+        pytest.param({"model": {"kernel": [{"type": "se", "scale": "0.05"}], "ridge": 1.0}},
+                     [], 2, "se scale must be a number", id="se-scale-string"),
+        pytest.param({"model": {"kernel": [{"type": "periodic", "scale": 1.0, "period": "5"}],
+                                "ridge": 1.0}},
+                     [], 2, "period must be a number", id="period-string"),
+        pytest.param({"model": {"kernel": [{"type": "ard", "scale": [0.1, "0.2", 0.1, 0.1, 0.1]}],
+                                "ridge": 1.0}},
+                     [], 2, "ARD scale must be a number", id="ard-scale-string"),
+        pytest.param({"model": {"kernel": [{"type": "ard", "scale": True}], "ridge": 1.0}},
+                     [], 2, "ARD scale must be a number", id="ard-scale-bool"),
+        pytest.param({"bounds": {"scale": [1e-4, 10.0], "ridge": [1e-3, 3.0], "bogus": [0, 1]}},
+                     [], 2, "'bogus'", id="bounds-unknown-key"),
+        pytest.param({"bounds": {"scale": ["1e-4", 10.0], "ridge": [1e-3, 3.0]}},
+                     [], 2, "bounds scale must be a number", id="bound-string"),
+        pytest.param({"bounds": {"scale": [1e-4, 10.0, 20.0], "ridge": [1e-3, 3.0]}},
+                     [], 2, "two-element list", id="bound-three-elements"),
+        pytest.param({"bounds": {"scale": 5, "ridge": [1e-3, 3.0]}},
+                     [], 2, "two-element list", id="bound-not-list"),
         pytest.param({"out": 5}, [], 2, "out must be a string", id="out-not-string"),
         pytest.param({"binning": {"timestamp_column": 5}}, [], 2, "timestamp_column",
                      id="timestamp-column-not-string"),

@@ -385,6 +385,13 @@ def one_query_gradient(model, jac, query, y_true):
     return grad
 
 
+def assert_rows_close(a, b, tol):
+    """Every row of ``a`` within ``tol`` of the largest |entry| of ``b``'s row."""
+    scale = np.maximum(np.abs(b).max(axis=1, keepdims=True), np.finfo(float).tiny)
+    worst = float((np.abs(a - b) / scale).max())
+    assert worst <= tol, f"worst row-relative error {worst:.3e}"
+
+
 class TestBatchedEvaluator:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 30))
@@ -408,13 +415,75 @@ class TestBatchedEvaluator:
         assert grads.shape == (m, hypers.dim)
         stacked = [loss_hyper_gradient(model, jac, q, y) for q, y in zip(singles, targets)]
         assert np.array_equal(grads, np.array(stacked))
-        formula = [one_query_gradient(model, jac, q, y) for q, y in zip(singles, targets)]
-        assert np.array_equal(grads, np.array(formula))
+        # without ARD the batch builds the one-query formula's derivative
+        # tensor; an ARD component is contracted on the query side instead
+        formula = np.array([one_query_gradient(model, jac, q, y) for q, y in zip(singles, targets)])
+        if not any(isinstance(c, ArdKernel) for c in hypers.kernel.components):
+            assert np.array_equal(grads, formula)
+        else:
+            assert_rows_close(grads, formula, 1e-10)
 
     def test_target_count_checked(self):
         model, window = single_point_model()
         with pytest.raises(ValueError, match="targets"):
             loss_hyper_gradient_batch(model, theta_jacobian(model), window, [0.0, 1.0])
+
+
+def periodic_ard_instance(rng, case):
+    """A fitted periodic + ARD model and queries for one hard case of the
+    query-side contraction."""
+    n, p, m = int(rng.integers(5, 60)), int(rng.integers(1, 21)), int(rng.integers(1, 40))
+    window = random_window(rng, n, p)
+    queries = random_window(rng, m, p)
+    scales = rng.uniform(0.01, 1.0, p)
+    if case == "query_is_training_row":
+        pick = rng.integers(0, n, m)
+        queries = Dataset(window.times[pick], window.lags[pick], queries.targets)
+    elif case == "far_apart":
+        scales = rng.uniform(5.0, 50.0, p)
+    elif case == "half_zero_scales":
+        scales[rng.permutation(p)[: p // 2]] = 0.0
+    elif case == "lags_offset":
+        window = Dataset(window.times, window.lags + 1e3, window.targets)
+        queries = Dataset(queries.times, queries.lags + 1e3, queries.targets)
+    spec = CompositeKernel(
+        (PeriodicKernel(float(rng.uniform(0.05, 2.0)), float(rng.uniform(3.0, 40.0))),
+         ArdKernel(scales)),
+        rng.dirichlet([2.0, 2.0]),
+    )
+    return fit(HyperParams(spec, float(rng.uniform(0.05, 1.5))), window), queries
+
+
+class TestContractedGradient:
+    """The hyper-gradient contracts the ARD cross derivatives on the query side."""
+
+    def test_builds_no_ard_cross_derivatives(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        model, queries = periodic_ard_instance(rng, "random")
+        jac = theta_jacobian(model)
+        expected = loss_hyper_gradient_batch(model, jac, queries, queries.targets)
+
+        def refuse(*args):
+            raise AssertionError("ARD cross derivatives must not be materialized")
+
+        monkeypatch.setattr(ArdKernel, "cross_derivs_many", refuse)
+        got = loss_hyper_gradient_batch(model, jac, queries, queries.targets)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize(
+        "case", ["query_is_training_row", "far_apart", "half_zero_scales", "lags_offset"]
+    )
+    def test_matches_one_query_formula(self, case):
+        rng = np.random.default_rng(22)
+        for _ in range(40):
+            model, queries = periodic_ard_instance(rng, case)
+            jac = theta_jacobian(model)
+            grads = loss_hyper_gradient_batch(model, jac, queries, queries.targets)
+            formula = np.array([
+                one_query_gradient(model, jac, queries.query(i), y)
+                for i, y in enumerate(queries.targets)
+            ])
+            assert_rows_close(grads, formula, 1e-10)
 
 
 class TestInterpolationLimit:
