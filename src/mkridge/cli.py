@@ -562,6 +562,3 @@ def main(argv=None) -> int:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 4
 
-
-if __name__ == "__main__":
-    sys.exit(main())

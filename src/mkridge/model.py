@@ -1,11 +1,12 @@
 """Closed-form kernel ridge regression with exact hyperparameter gradients.
 
 Fitting solves ``(K + ridge*I) theta = y`` through a cached Cholesky
-factorization. The factorization and the solves skip scipy's O(n^2)
-finiteness scans: ``fit`` checks the targets and the factor's diagonal,
-which every non-finite entry of the system reaches, in O(n). The same
-factorization backs the Jacobian of the dual coefficients with respect to
-every hyperparameter,
+factorization. The factorization and the solves call LAPACK's ``potrf`` and
+``potrs`` directly, without scipy's per-call wrappers and their O(n^2)
+finiteness scans: ``fit`` checks the targets, the factorization's status and
+the factor's diagonal, which every non-finite entry of the system reaches, in
+O(n). The same factorization backs the Jacobian of the dual coefficients with
+respect to every hyperparameter,
 
     d theta / d lam_i = -(K + ridge*I)^{-1} (dA/d lam_i) theta,
 
@@ -14,7 +15,8 @@ hyperparameters and the identity for the ridge constant. The Jacobian
 columns are contracted, not materialized: the products
 ``(dA/d lam_i) theta`` come from the kernel directly
 (``CompositeKernel.block_contract``), and no ``n x n`` derivative matrix is
-built. A :class:`TrainedModel` keeps the Gram of each kernel component that
+built; all columns then come from one multi-right-hand-side solve. A
+:class:`TrainedModel` keeps the Gram of each kernel component that
 ``fit`` built, and ``block_contract`` works from those, so each component
 Gram is built once per fit. The per-step squared-error loss then has an
 exact gradient assembled from the cross vector, its analytic derivatives,
@@ -33,10 +35,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import get_lapack_funcs
 
 from .errors import NumericalError
 from .kernels import CompositeKernel, TimedPoint, _readonly, window_arrays
+
+# Looked up once: at the window sizes of a refit, scipy's cho_factor and
+# cho_solve spend longer on batch dispatch, asarray and this lookup than
+# LAPACK spends on the solve.
+_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 __all__ = [
     "HyperParams",
@@ -97,7 +104,9 @@ class TrainedModel:
 
     ``blocks`` holds the read-only Gram of each kernel component, in
     component order; with the factor that is one ``n x n`` matrix per
-    component plus one.
+    component plus one. ``factor`` is Fortran-ordered and holds the Cholesky
+    factor of ``K + ridge*I`` in its lower triangle (its upper triangle is
+    not cleaned).
     """
 
     hypers: HyperParams
@@ -106,7 +115,7 @@ class TrainedModel:
     targets: np.ndarray
     theta: np.ndarray
     blocks: tuple[np.ndarray, ...]
-    cho: tuple
+    factor: np.ndarray
 
     @property
     def n(self) -> int:
@@ -118,8 +127,12 @@ class TrainedModel:
         return self.hypers.kernel.mix(self.blocks)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Apply the cached factorization: solve ``(K + ridge*I) x = b``."""
-        return cho_solve(self.cho, b, check_finite=False)
+        """Apply the cached factorization: solve ``(K + ridge*I) x = b``.
+
+        ``b`` is not overwritten; a right-hand side of the wrong length raises
+        ``ValueError``.
+        """
+        return _potrs(self.factor, b, lower=1)[0]
 
 
 def training_arrays(window) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -149,23 +162,24 @@ def fit(hypers: HyperParams, window) -> TrainedModel:
     blocks = hypers.kernel.component_blocks(times, lags)
     a = hypers.kernel.mix(blocks)
     a.flat[:: y.size + 1] += hypers.ridge
-    try:
-        factor = cho_factor(a, lower=True, check_finite=False)
-        # Nothing scans the n x n system for NaN or inf, and the Cholesky
-        # routine may carry a NaN through instead of failing. A non-finite
-        # entry of the lower triangle ends on the diagonal of its row (or
-        # fails the factorization), so this O(n) test catches it.
-        if not np.isfinite(np.diagonal(factor[0])).all():
-            raise LinAlgError("non-finite Cholesky factor")
-    except LinAlgError as exc:
+    # a is exactly symmetric, so a.T is the same matrix already in Fortran
+    # order: potrf copies it without transposing, and a stays intact for the
+    # refinement residual.
+    factor, info = _potrf(a.T, lower=1, clean=0)
+    # Nothing scans the n x n system for NaN or inf, and the Cholesky routine
+    # may carry a NaN through instead of failing. A non-finite entry of the
+    # lower triangle ends on the diagonal of its row (or fails the
+    # factorization), so this O(n) test catches it. A failed factorization
+    # (info > 0) can leave a finite diagonal, so info is tested too.
+    if info != 0 or not np.isfinite(np.diagonal(factor)).all():
         raise NumericalError(
             f"kernel system factorization failed at ridge={hypers.ridge!r} (n={y.size})"
-        ) from exc
-    theta = cho_solve(factor, y, check_finite=False)
+        )
+    theta = _potrs(factor, y, lower=1)[0]
     residual = y - a @ theta
     if np.linalg.norm(residual) > 1e-10 * max(1.0, np.linalg.norm(y)):
         # a single refinement pass keeps the residual bound on ill-conditioned systems
-        theta = theta + cho_solve(factor, residual, check_finite=False)
+        theta = theta + _potrs(factor, residual, lower=1, overwrite_b=1)[0]
     # the blocks and theta were built here and nothing else holds them: freeze in place
     for b in blocks:
         b.setflags(write=False)
@@ -177,7 +191,7 @@ def fit(hypers: HyperParams, window) -> TrainedModel:
         targets=_readonly(y),
         theta=theta,
         blocks=tuple(blocks),
-        cho=factor,
+        factor=factor,
     )
 
 
@@ -220,17 +234,19 @@ def theta_jacobian(model: TrainedModel) -> np.ndarray:
     Column ``i`` solves the cached system against ``-(dA/d lam_i) theta``;
     the final column is the ridge direction with ``dA/d ridge = I``. The
     right-hand sides come from one kernel contraction of the model's
-    component Grams, so neither a Gram nor a derivative matrix is built.
+    component Grams, so neither a Gram nor a derivative matrix is built, and
+    all columns come from one solve. The result is C-contiguous.
     """
     contracted = model.hypers.kernel.block_contract(
         model.times, model.lags, model.blocks, model.theta
     )
-    # One solve per column: a single multi-right-hand-side solve rounds
-    # differently for some window sizes, and OHL's updates can amplify a
-    # last-digit difference until it shows in the forecasts.
-    cols = [model.solve(-c) for c in contracted.T]
-    cols.append(model.solve(-model.theta))
-    return np.column_stack(cols)
+    ns = contracted.shape[1]
+    rhs = np.empty((model.n, ns + 1), order="F")
+    np.negative(contracted, out=rhs[:, :ns])
+    np.negative(model.theta, out=rhs[:, ns])
+    # Returned row-major, the layout of a stack of columns: a product such as
+    # k @ jac rounds by the layout of jac, so a caller's products keep their bits.
+    return np.ascontiguousarray(_potrs(model.factor, rhs, lower=1, overwrite_b=1)[0])
 
 
 def loss_hyper_gradient(
@@ -257,6 +273,11 @@ def loss_hyper_gradient_batch(model: TrainedModel, jac: np.ndarray, queries, tar
     d = model.hypers.dim
     if jac.shape != (model.n, d):
         raise ValueError(f"Jacobian shape {jac.shape} does not match (n, dim)=({model.n}, {d})")
+    # The stacked (1, n) @ (n, d) products below round by the layout of jac,
+    # and OHL's updates can amplify a last-digit difference until it shows in
+    # the forecasts: a jac of any layout is used row-major (no copy for
+    # theta_jacobian's).
+    jac = np.ascontiguousarray(jac)
     qt, qx = window_arrays(queries)
     _check_query(model, qx)
     y = np.asarray(targets, dtype=float)

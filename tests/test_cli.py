@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mkridge
 from mkridge.cli import main, read_trace_csv, rmse_series, rmse_t, _fmt
 
 
@@ -48,6 +53,21 @@ class TestRmse:
         rng = np.random.default_rng(0)
         for x in rng.normal(0, 100, 50):
             assert float(_fmt(float(x))) == float(x)
+
+
+class TestModuleEntryPoint:
+    def test_python_m_help_exits_zero(self):
+        # an uninstalled checkout runs the CLI as a module from its sources
+        src = str(Path(mkridge.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )}
+        done = subprocess.run(
+            [sys.executable, "-m", "mkridge", "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "usage: mkridge" in done.stdout
 
 
 class TestGenerate:

@@ -73,12 +73,36 @@ class TestFit:
             assert np.linalg.norm(model.theta) <= bound * (1 + 1e-12)
 
     def test_factorization_failure_reports_ridge(self):
-        # zero-scale kernel on two points gives an all-ones Gram matrix; a
-        # denormal ridge cannot rescue the factorization
-        window = Dataset(np.array([0.0, 1.0]), np.array([[0.0], [1.0]]), np.array([1.0, 2.0]))
-        hypers = se_hypers(scale=0.0, ridge=1e-300)
-        with pytest.raises(NumericalError, match="1e-300"):
-            fit(hypers, window)
+        # Zero-scale SE on two points gives an all-ones Gram, which a denormal
+        # ridge cannot rescue. Off-simplex weights [2, -1] mix a near-identity
+        # Gram with the all-ones one: 2I - 11^T is indefinite for n >= 3, and
+        # its failed factor keeps a finite diagonal, so only the
+        # factorization's status reports that failure.
+        systems = (((0.0,), [1.0], 1e-300, 2), ((50.0, 0.0), [2.0, -1.0], 1e-3, 4))
+        for scales, weights, ridge, n in systems:
+            window = Dataset(np.arange(float(n)), np.arange(float(n))[:, None] * 10.0, np.ones(n))
+            spec = CompositeKernel(
+                tuple(SquaredExpKernel(s) for s in scales), np.array(weights), require_simplex=False
+            )
+            with pytest.raises(NumericalError, match=rf"ridge={ridge!r} \(n={n}\)"):
+                fit(HyperParams(spec, ridge), window)
+
+    def test_solve_rejects_wrong_length(self):
+        model, _ = single_point_model()
+        with pytest.raises(ValueError):
+            model.solve(np.ones(2))
+
+    def test_solves_leave_their_inputs_unchanged(self):
+        # point pairs give fit a writeable target array of its own
+        rng = np.random.default_rng(15)
+        hypers, window = random_instance(rng, n_max=30, p_max=4)
+        pairs = [(TimedPoint(t, x), y) for t, x, y in zip(window.times, window.lags, window.targets)]
+        model = fit(hypers, pairs)
+        assert np.array_equal(model.targets, window.targets)
+        b = rng.normal(size=model.n)
+        kept = b.copy()
+        model.solve(b)
+        assert np.array_equal(b, kept)
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
@@ -320,6 +344,66 @@ class TestContractedJacobian:
             monkeypatch.setattr(owner, "block", refuse)
         monkeypatch.setattr(CompositeKernel, "component_blocks", refuse)
         assert np.array_equal(theta_jacobian(model), expected)
+
+
+# families with their hyperparameter counts (ARD: one per lag, added below)
+JACOBIAN_FAMILIES = {"periodic": 2, "se": 1, "ard": 0}
+
+
+@st.composite
+def jacobian_model(draw):
+    """A fitted model of 1 to 200 rows, on or off the unit time grid, with a
+    composite of one to three kernel families and at most 25 hyperparameters."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 200))
+    families = draw(st.lists(st.sampled_from(sorted(JACOBIAN_FAMILIES)), min_size=1, max_size=3))
+    dim = sum(JACOBIAN_FAMILIES[f] + 1 for f in families) + 1
+    n_ard = families.count("ard")
+    p = draw(st.integers(1, (25 - dim) // n_ard if n_ard else 20))
+    components = []
+    for family in families:
+        if family == "periodic":
+            components.append(PeriodicKernel(rng.uniform(0.05, 2.0), rng.uniform(3.0, 40.0)))
+        elif family == "se":
+            components.append(SquaredExpKernel(rng.uniform(0.01, 1.0)))
+        else:
+            components.append(ArdKernel(rng.uniform(0.01, 1.0, p)))
+    spec = CompositeKernel(tuple(components), rng.dirichlet(np.full(len(components), 2.0)))
+    window = random_window(rng, n, p)
+    if draw(st.booleans()):
+        window = on_grid(window, origin=float(rng.integers(-50, 50)))
+    return fit(HyperParams(spec, rng.uniform(0.05, 1.5)), window)
+
+
+class TestOneSolveJacobian:
+    """theta_jacobian solves every column at once. For n up to 200 and d up
+    to 25 that has the bits of one solve per column; beyond 384 rows
+    OpenBLAS's blocked multi-right-hand-side solve can round differently."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(model=jacobian_model())
+    def test_equals_single_column_solves_bitwise(self, model):
+        contracted = model.hypers.kernel.block_contract(
+            model.times, model.lags, model.blocks, model.theta
+        )
+        cols = [model.solve(-c) for c in contracted.T] + [model.solve(-model.theta)]
+        assert model.hypers.dim <= 25
+        jac = theta_jacobian(model)
+        assert np.array_equal(jac, np.column_stack(cols))
+        # the layout of the stacked columns: products such as k @ jac round by it
+        assert jac.flags.c_contiguous
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=jacobian_model())
+    def test_gradient_bits_do_not_depend_on_jacobian_layout(self, model):
+        # the stacked rows @ jac products round by the layout of jac
+        jac = theta_jacobian(model)
+        queries = Dataset(model.times + 0.5, model.lags[::-1].copy(), model.targets)
+        grads = [
+            loss_hyper_gradient_batch(model, layout(jac), queries, queries.targets)
+            for layout in (np.asfortranarray, np.ascontiguousarray)
+        ]
+        assert np.array_equal(grads[0], grads[1])
 
 
 class TestLossHyperGradient:
