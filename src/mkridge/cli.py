@@ -93,8 +93,14 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
         if reader.fieldnames is None or set(TRACE_COLUMNS) - set(reader.fieldnames):
             raise DataError(f"{path}: expected trace columns {TRACE_COLUMNS}")
         for row in reader:
-            for c in TRACE_COLUMNS:
-                columns[c].append(float(row[c]))
+            try:
+                values = [float(row[c]) for c in TRACE_COLUMNS]
+            except (TypeError, ValueError):  # a short row holds None cells
+                raise DataError(
+                    f"{path}: line {reader.line_num}: expected a number in each of {TRACE_COLUMNS}"
+                ) from None
+            for c, value in zip(TRACE_COLUMNS, values):
+                columns[c].append(value)
     if not columns["t"]:
         raise DataError(f"{path}: no rows")
     return {c: np.asarray(v) for c, v in columns.items()}
@@ -369,15 +375,9 @@ def _load_config(args) -> dict:
 
 
 def cmd_generate(args) -> int:
-    try:
-        config = SyntheticConfig(
-            c1=args.c1, c2=args.c2, omega=args.omega,
-            ar_order=args.ar_order, length=args.length,
-            seed=args.seed, noise_sd=args.noise_sd,
-        )
-        series = generate_synthetic(config)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    keys = ("c1", "c2", "omega", "ar_order", "length", "seed", "noise_sd")
+    data_cfg = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+    series = _build_series({"type": "synthetic", **data_cfg}, 0)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="", encoding="utf-8") as fh:
@@ -512,13 +512,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write a synthetic series to CSV")
     gen.add_argument("--out", required=True, help="output CSV path")
-    gen.add_argument("--length", type=int, default=1500, help="raw steps including warm-up")
-    gen.add_argument("--c1", type=float, default=0.5)
-    gen.add_argument("--c2", type=float, default=0.5)
-    gen.add_argument("--omega", type=float, default=5.0)
-    gen.add_argument("--ar-order", type=int, default=20)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--noise-sd", type=float, default=0.0)
+    # no defaults here: unset flags take the synthetic data section's
+    gen.add_argument("--length", type=int, help="raw steps including warm-up")
+    gen.add_argument("--c1", type=float)
+    gen.add_argument("--c2", type=float)
+    gen.add_argument("--omega", type=float)
+    gen.add_argument("--ar-order", type=int)
+    gen.add_argument("--seed", type=int)
+    gen.add_argument("--noise-sd", type=float)
     gen.set_defaults(func=cmd_generate)
 
     runp = sub.add_parser("run", help="execute strategies on one stream")

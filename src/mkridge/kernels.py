@@ -18,8 +18,8 @@ composite Gram matrix has ``sum(weights)`` on its diagonal.
 
 All scalar kernel hyperparameters are addressable through one flat index
 (component parameters in declaration order, then the mixture weights).
-Every base kernel has five evaluators, and the composite mixes the same
-five:
+Every base kernel has four evaluators, and the composite mixes the same
+four:
 
 * ``block(times, lags)``: the Gram matrix of a window;
 * ``block_contract(times, lags, gram, v, ...)``: every Gram derivative
@@ -28,23 +28,25 @@ five:
   (the ARD columns come from one matrix product, see
   :meth:`ArdKernel.block_contract`);
 * ``iter_block_derivs(times, lags)``: the Gram derivatives themselves, in
-  flat order; the materialized path, kept as the oracle behind
-  :func:`gram_derivative` and the finite-difference tests;
-* ``cross_many(ts, xs, times, lags)``: cross values of a block of queries;
-* ``cross_derivs_many(ts, xs, times, lags, ...)``: cross values of a block
-  of queries together with all their derivatives.
+  flat order; the materialized path, kept as the one oracle of the
+  derivative code and the finite-difference tests;
+* ``cross_many(ts, xs, times, lags)``: cross values of a block of queries.
 
-The ARD kernel adds ``cross_contract``, the query-side twin of its
-``block_contract``. :meth:`CompositeKernel.cross_contract`, the
-hyper-gradient's path, returns cross values and every cross derivative
-applied to a vector; ``cross_derivs_many`` is its oracle.
+The query side of the hyper-gradient is
+:meth:`CompositeKernel.cross_contract`: cross values and every cross
+derivative applied to a vector. Its periodic and SE parts come from those
+kernels' ``cross_derivs_many`` (cross values with their derivatives), its
+ARD part from :meth:`ArdKernel.cross_contract`, the query-side twin of
+``block_contract``, which builds no ``(queries, n, p)`` tensor.
 
-Single-query calls (``CompositeKernel.cross``, ``cross_derivs_all``,
-:func:`cross_vector`) are one-row views of ``cross_derivs_many``, and
-:func:`gram_derivative` picks one item of ``iter_block_derivs``. The ARD
-cross values are :meth:`ArdKernel.cross_many`'s on every path. Gram
-matrices are exactly symmetric: the lag kernels are assembled from their
-upper triangle and mirrored, and the periodic kernel depends on ``|dt|``.
+``CompositeKernel.cross`` and :func:`cross_vector` are one-row views of
+``cross_contract``, and :func:`gram_derivative` picks one item of
+``iter_block_derivs``. ``CompositeKernel.cross_derivs_all``, the oracle of
+the cross derivatives, is row 0 of every Gram derivative of the window with
+the query in front. The ARD cross values are :meth:`ArdKernel.cross_many`'s
+on every path. Gram matrices are exactly symmetric: the lag kernels are
+assembled from their upper triangle and mirrored, and the periodic kernel
+depends on ``|dt|``.
 
 On a uniform integer time grid (a synthetic stream, a binned CSV) the
 periodic kernel's matrices are Toeplitz, and every periodic evaluator but
@@ -408,16 +410,6 @@ class ArdKernel:
         _expand_contraction(xs - mean, (k[:, None, :] @ moments)[:, 0], w, out)
         return k
 
-    def cross_derivs_many(self, ts, xs, times, lags, out) -> np.ndarray:
-        """Cross matrix of many queries; fills ``out[:, j]`` with its derivative
-        w.r.t. parameter ``j``. The values are :meth:`cross_many`'s."""
-        k = self.cross_many(ts, xs, times, lags)
-        sq = lags[None, :, :] - xs[:, None, :]
-        sq *= sq
-        np.negative(sq.transpose(0, 2, 1), out=out)
-        out *= k[:, None, :]
-        return k
-
 
 def _lag_moments(lags: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The lags' column means and ``v[:, None] * [1, X, X^2]`` of the centred
@@ -519,13 +511,11 @@ class CompositeKernel:
         return self.mix(self.component_blocks(times, lags))
 
     def cross_many(self, ts, xs, times, lags) -> np.ndarray:
-        # Two cross paths stay. cross_many (cdist) is the predictor.
-        # cross_contract is the gradient's path: its ARD values are
-        # cross_many's, but its periodic and SE values and derivatives come
-        # from the stacked one-query products of cross_derivs_many, which keep
-        # a periodic + SE gradient bit-identical to a one-query evaluation;
-        # OHL's updates can amplify a last-digit change until it shows in the
-        # forecasts.
+        # The batch predictor. The gradient and cross() take their values from
+        # cross_contract instead: the ARD values are the same (cross_many's),
+        # but the SE values there come from the einsum distances of
+        # cross_derivs_many, and OHL's updates can amplify a last-digit change
+        # until it shows in the forecasts.
         return self.mix([c.cross_many(ts, xs, times, lags) for c in self.components])
 
     # -- derivatives ------------------------------------------------------
@@ -565,20 +555,22 @@ class CompositeKernel:
         owners += [None] * self.n_components  # the weights
         return [i for i, c in enumerate(owners) if not isinstance(c, ArdKernel)]
 
-    def _cross_terms(self, ts, xs, times, lags, v=None):
-        """The per-component loop of the two query-side evaluators: ``(k, dk,
-        dkv)``. Without ``v``, ``dk`` holds every derivative; with it, only the
-        :attr:`cross_rows`, and the ARD columns of ``dkv`` are filled. Row
-        ``q`` does not depend on the other queries of the block.
+    def cross_contract(self, ts, xs, times, lags, v) -> tuple[np.ndarray, np.ndarray]:
+        """Cross vectors of many queries, and ``dkv[q, i] = (dk_q/d lam_i) @ v``.
+
+        The ARD columns come from :meth:`ArdKernel.cross_contract`, without
+        the ``(queries, n, p)`` tensor. The :attr:`cross_rows` are the
+        periodic and SE derivatives of ``cross_derivs_many`` and the
+        component cross values, applied to ``v`` as stacked one-query
+        products. Row ``q`` does not depend on the other queries of the block.
         """
-        contract = v is not None
-        n_rows = len(self.cross_rows) if contract else self.n_scalars
-        dk = np.empty((len(ts), n_rows, len(times)))
-        dkv = np.empty((len(ts), self.n_scalars)) if contract else None
+        rows = self.cross_rows
+        dk = np.empty((len(ts), len(rows), len(times)))
+        dkv = np.empty((len(ts), self.n_scalars))
         ks = []
         pos = row = 0
         for w, c in zip(self.weights, self.components):
-            if contract and isinstance(c, ArdKernel):
+            if isinstance(c, ArdKernel):
                 ks.append(c.cross_contract(ts, xs, times, lags, v, w, dkv[:, pos : pos + c.n_params]))
             else:
                 block = dk[:, row : row + c.n_params]
@@ -589,44 +581,26 @@ class CompositeKernel:
         for k in ks:
             dk[:, row] = k
             row += 1
-        return self.mix(ks), dk, dkv
-
-    def cross_derivs_many(self, ts, xs, times, lags) -> tuple[np.ndarray, np.ndarray]:
-        """Cross vectors and all their derivatives for many queries; the
-        materialized path, kept as the oracle behind :meth:`cross_derivs_all`.
-
-        Returns ``(k, dk)``: ``k[q]`` is the cross vector of query ``q``, shape
-        ``(len(ts), len(times))``, and ``dk[q, i]`` its derivative w.r.t.
-        scalar ``i`` in flat order, shape ``(len(ts), n_scalars, len(times))``.
-        """
-        k, dk, _ = self._cross_terms(ts, xs, times, lags)
-        return k, dk
-
-    def cross_contract(self, ts, xs, times, lags, v) -> tuple[np.ndarray, np.ndarray]:
-        """Cross vectors of many queries, and ``dkv[q, i] = (dk_q/d lam_i) @ v``.
-
-        The ARD columns come from :meth:`ArdKernel.cross_contract`, without
-        the ``(queries, n, p)`` tensor; the others are stacked one-query
-        products of :meth:`cross_derivs_many`'s rows, so a composite without
-        ARD gives the materialized path's bits.
-        """
-        k, dk, dkv = self._cross_terms(ts, xs, times, lags, v)
-        dkv[:, self.cross_rows] = dk @ v
-        return k, dkv
-
-    def _one_query(self, t, x, times, lags) -> tuple[np.ndarray, np.ndarray]:
-        ts = np.array([t], dtype=float)
-        xs = np.asarray(x, dtype=float)[None, :]
-        k, dk = self.cross_derivs_many(ts, xs, times, lags)
-        return k[0], dk[0]
+        dkv[:, rows] = dk @ v
+        return self.mix(ks), dkv
 
     def cross(self, t, x, times, lags) -> np.ndarray:
-        """Cross vector of one query, shape ``(len(times),)``."""
-        return self._one_query(t, x, times, lags)[0]
+        """Cross vector of one query, shape ``(len(times),)``: the values of a
+        one-row :meth:`cross_contract`, the hyper-gradient's path."""
+        ts = np.array([t], dtype=float)
+        xs = np.asarray(x, dtype=float)[None, :]
+        return self.cross_contract(ts, xs, times, lags, np.zeros(len(times)))[0][0]
 
     def cross_derivs_all(self, t, x, times, lags) -> np.ndarray:
-        """Cross-vector derivatives of one query, shape ``(n_scalars, len(times))``."""
-        return self._one_query(t, x, times, lags)[1]
+        """Cross-vector derivatives of one query, shape ``(n_scalars, len(times))``.
+
+        The materialized oracle: row 0, columns 1 on, of every Gram
+        derivative (:meth:`iter_block_derivs`) of the window with the query
+        in front.
+        """
+        ts = np.concatenate(([t], times))
+        xs = np.vstack((np.asarray(x, dtype=float)[None, :], lags))
+        return np.array([d[0, 1:] for d in self.iter_block_derivs(ts, xs)])
 
 
 # -- module-level operations ----------------------------------------------

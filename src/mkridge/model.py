@@ -27,7 +27,11 @@ Predictions and hyper-gradients are evaluated for a block of queries at once
 :func:`loss_hyper_gradient` is a one-row view of the batched gradient. The
 gradient needs the cross derivatives only applied to ``theta``, and takes
 them from ``CompositeKernel.cross_contract``: the ARD ones are contracted on
-the query side, and no ``(queries, n, lags)`` tensor is built.
+the query side, and no ``(queries, n, lags)`` tensor is built. :func:`predict`
+takes its cross vector from a one-row ``cross_contract`` (through
+``CompositeKernel.cross``), so its value is the gradient's residual bit for
+bit. The materialized derivatives (``CompositeKernel.iter_block_derivs`` and
+``cross_derivs_all``, its rows) are the tests' oracle; nothing here calls them.
 """
 
 from __future__ import annotations

@@ -101,6 +101,14 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("flags", [[], ["--noise-sd", "0.1"]], ids=["noiseless", "noisy"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.csv"
+        assert main(["generate", "--out", str(out), "--seed", "-1", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "data seed" in err
+        assert not out.exists()
+
 
 class TestRun:
     def test_fixed_only_reports_zero_self_improvement(self, tmp_path, capsys):
@@ -389,6 +397,20 @@ class TestRegret:
         rates = [float(r.split(",")[2]) for r in rows]
         assert totals == [0.0, 9.0, 9.0]
         assert rates == [0.0, 4.5, 3.0]
+
+    @pytest.mark.parametrize(
+        "row", ["1,2,2,0,0,3,abc", "1,2,2,0,0"], ids=["non-numeric", "short"]
+    )
+    def test_malformed_row_is_data_error(self, tmp_path, capsys, row):
+        trace = tmp_path / "trace_bad.csv"
+        trace.write_text(
+            f"t,y,yhat,sq_err,rmse_t,grad_norm,proj_grad_norm\n0,1,1,0,0,0,0\n{row}\n",
+            encoding="utf-8",
+        )
+        assert main(["regret", str(trace), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert str(trace) in err and "line 3" in err
 
     def test_trace_without_gradients_is_data_error(self, tmp_path):
         cfg = write_config(tmp_path)

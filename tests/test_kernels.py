@@ -21,7 +21,7 @@ from mkridge.kernels import (
 )
 from mkridge.model import HyperParams
 
-from helpers import fd_gram_derivative, random_spec, random_window
+from helpers import fd_gram_derivative, fd_step, random_spec, random_window
 
 EXP_MINUS_1 = 0.36787944117144233  # exp(-1), frozen
 
@@ -359,6 +359,35 @@ class TestGramDerivative:
             rel = float(np.abs(analytic - fd).max()) / scale
             worst = max(worst, rel)
             checked += 1
+        assert worst <= 1e-5, f"worst relative error {worst:.3e}"
+
+
+class TestCrossDerivatives:
+    def test_matches_finite_differences(self):
+        # the cross-derivative oracle against central differences of cross()
+        rng = np.random.default_rng(20)
+        worst = 0.0
+        for _ in range(200):
+            p = int(rng.integers(1, 6))
+            spec = random_spec(rng, p)
+            window = random_window(rng, int(rng.integers(1, 9)), p)
+            t, x = float(rng.integers(-20, 100)), rng.normal(size=p)
+            analytic = spec.cross_derivs_all(t, x, window.times, window.lags)
+            assert analytic.shape == (spec.n_scalars, len(window))
+            scalars = spec.scalars()
+
+            def cross_at(values):
+                probe = spec.with_scalars(values, require_simplex=False)
+                return probe.cross(t, x, window.times, window.lags)
+
+            for which in range(spec.n_scalars):
+                h = fd_step(scalars[which])
+                up, down = scalars.copy(), scalars.copy()
+                up[which] += h
+                down[which] -= h
+                fd = (cross_at(up) - cross_at(down)) / (2.0 * h)
+                scale = max(float(np.abs(fd).max()), 1e-12)
+                worst = max(worst, float(np.abs(analytic[which] - fd).max()) / scale)
         assert worst <= 1e-5, f"worst relative error {worst:.3e}"
 
 

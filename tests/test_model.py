@@ -499,10 +499,12 @@ class TestBatchedEvaluator:
         assert grads.shape == (m, hypers.dim)
         stacked = [loss_hyper_gradient(model, jac, q, y) for q, y in zip(singles, targets)]
         assert np.array_equal(grads, np.array(stacked))
-        # without ARD the batch builds the one-query formula's derivative
-        # tensor; an ARD component is contracted on the query side instead
+        # the formula's derivatives come from the Gram derivatives of the
+        # window with the query in front: the same periodic arithmetic as the
+        # batch, but other distance arithmetic for SE, and no query-side
+        # contraction for ARD
         formula = np.array([one_query_gradient(model, jac, q, y) for q, y in zip(singles, targets)])
-        if not any(isinstance(c, ArdKernel) for c in hypers.kernel.components):
+        if all(isinstance(c, PeriodicKernel) for c in hypers.kernel.components):
             assert np.array_equal(grads, formula)
         else:
             assert_rows_close(grads, formula, 1e-10)
@@ -548,9 +550,10 @@ class TestContractedGradient:
         expected = loss_hyper_gradient_batch(model, jac, queries, queries.targets)
 
         def refuse(*args):
-            raise AssertionError("ARD cross derivatives must not be materialized")
+            raise AssertionError("the gradient must not materialize derivative matrices")
 
-        monkeypatch.setattr(ArdKernel, "cross_derivs_many", refuse)
+        for cls in (PeriodicKernel, SquaredExpKernel, ArdKernel, CompositeKernel):
+            monkeypatch.setattr(cls, "iter_block_derivs", refuse)
         got = loss_hyper_gradient_batch(model, jac, queries, queries.targets)
         assert np.array_equal(got, expected)
 
