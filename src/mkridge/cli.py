@@ -94,10 +94,13 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
             raise DataError(f"{path}: expected trace columns {TRACE_COLUMNS}")
         for row in reader:
             try:
+                if None in row:  # DictReader files a long row's extra cells under None
+                    raise ValueError
                 values = [float(row[c]) for c in TRACE_COLUMNS]
             except (TypeError, ValueError):  # a short row holds None cells
                 raise DataError(
-                    f"{path}: line {reader.line_num}: expected a number in each of {TRACE_COLUMNS}"
+                    f"{path}: line {reader.line_num}: expected one number in each of "
+                    f"{TRACE_COLUMNS}"
                 ) from None
             for c, value in zip(TRACE_COLUMNS, values):
                 columns[c].append(value)
@@ -111,14 +114,12 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
 
 def _trajectory(trace: RunTrace) -> list[list]:
     """Hyperparameter trajectory compressed to its change points."""
-    points: list[list] = []
-    prev = None
-    for step in range(len(trace)):
-        lam = trace.lambdas[step]
-        if prev is None or not np.array_equal(lam, prev):
-            points.append([int(step), [float(v) for v in lam]])
-            prev = lam
-    return points
+    lam = trace.lambdas[: len(trace)]
+    if not len(lam):
+        return []
+    # a step is a change point if any value differs (!=) from the step before
+    changed = np.flatnonzero((lam[1:] != lam[:-1]).any(axis=1)) + 1
+    return [[int(s), lam[s].tolist()] for s in (0, *changed)]
 
 
 def build_report(traces: dict[str, RunTrace]) -> dict:

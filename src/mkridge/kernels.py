@@ -22,11 +22,15 @@ Every base kernel has four evaluators, and the composite mixes the same
 four:
 
 * ``block(times, lags)``: the Gram matrix of a window;
-* ``block_contract(times, lags, gram, v, ...)``: every Gram derivative
-  applied to a vector, ``(dA/d lam_i) v``, from the Gram ``block`` already
-  built for the same window and without building the derivative matrices
-  (the ARD columns come from one matrix product, see
-  :meth:`ArdKernel.block_contract`);
+* ``block_contract(times, lags, gram, v, ..., scratch)``: every Gram
+  derivative applied to a vector, ``(dA/d lam_i) v``, from the Gram
+  ``block`` already built for the same window. The composite lends every
+  component one ``(n, n)`` scratch array: the periodic and SE kernels write
+  each derivative matrix there and apply it before the next overwrites it,
+  and the ARD kernel copies its Gram there without the diagonal, for the
+  one matrix product all its columns come from
+  (:meth:`ArdKernel.block_contract`). Every product sees the matrix a fresh
+  C-ordered array would hold, so the scratch changes no bits;
 * ``iter_block_derivs(times, lags)``: the Gram derivatives themselves, in
   flat order; the materialized path, kept as the one oracle of the
   derivative code and the finite-difference tests;
@@ -51,7 +55,8 @@ depends on ``|dt|``.
 On a uniform integer time grid (a synthetic stream, a binned CSV) the
 periodic kernel's matrices are Toeplitz, and every periodic evaluator but
 ``iter_block_derivs`` runs ``sin`` and ``exp`` on the distinct differences
-only (:func:`_eval_dt`), with the same bits as the dense evaluation.
+only (:func:`_eval_dt`; ``block_contract`` gathers into its scratch array),
+with the same bits as the dense evaluation.
 """
 
 from __future__ import annotations
@@ -81,6 +86,8 @@ __all__ = [
 ]
 
 SIMPLEX_TOL = 1e-12
+_BLOCK_VALUES = 1 << 17  # float64 values per block of query-side temporaries (1 MB)
+_CHUNK_VALUES = 1 << 12  # float64 values per chunk of an off-grid periodic derivative
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -165,9 +172,10 @@ def _on_one_grid(ts: np.ndarray, times: np.ndarray) -> bool:
     return True
 
 
-def _toeplitz(col: np.ndarray, row: np.ndarray) -> np.ndarray:
+def _toeplitz(col: np.ndarray, row: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The Toeplitz matrix with first column ``col`` and first row ``row``
-    (``row[0]`` is not used), gathered from one strided view."""
+    (``row[0]`` is not used), gathered from one strided view into ``out`` or
+    a new array."""
     values = np.concatenate((row[:0:-1], col))
     # entry (i, j) of the view is values[len(row) - 1 + i - j]: col[i - j]
     # below the diagonal, row[j - i] above it. The raw constructor because at
@@ -177,7 +185,10 @@ def _toeplitz(col: np.ndarray, row: np.ndarray) -> np.ndarray:
     view = np.ndarray(
         (col.size, row.size), values.dtype, values, (row.size - 1) * step, (step, -step)
     )
-    return view.copy()
+    if out is None:
+        return view.copy()
+    out[...] = view
+    return out
 
 
 def _eval_dt(f, ts: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -195,11 +206,6 @@ def _eval_dt(f, ts: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, ...]:
     first_col = f(np.abs(ts - times[0]))
     first_row = f(np.abs(ts[0] - times))
     return tuple(_toeplitz(c, r) for c, r in zip(first_col, first_row))
-
-
-def _sq_dists_to(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    d = rows - x
-    return np.einsum("ij,ij->i", d, d)
 
 
 @dataclass(frozen=True)
@@ -248,20 +254,44 @@ class PeriodicKernel:
         k = np.exp(-self.scale * s**2)
         return k, -(s**2) * k, self.scale * np.pi * dt / self.period**2 * np.sin(2 * u) * k
 
-    def _derivs(self, dt):
-        return self._value_and_derivs(dt)[1:]
+    def _deriv(self, j, dt, k):
+        """Derivative ``j`` (scale, period) of :meth:`_value_and_derivs`, with
+        its bits, given the kernel values ``k = from_dt(dt)``: one ``sin``."""
+        u = np.pi * dt / self.period
+        if j == 0:
+            return -(np.sin(u) ** 2) * k
+        return self.scale * np.pi * dt / self.period**2 * np.sin(2 * u) * k
 
     def iter_block_derivs(self, times, lags) -> Iterator[np.ndarray]:
         _, d_scale, d_period = self._value_and_derivs(_abs_dt(times, times))
         yield d_scale
         yield d_period
 
-    def block_contract(self, times, lags, gram, v, w, out) -> np.ndarray:
+    def block_contract(self, times, lags, gram, v, w, out, scratch) -> np.ndarray:
         """Fills ``out[:, j]`` with ``(w * dB/d p_j) @ v`` and returns ``B @ v``,
-        given ``gram = block(times, lags)``."""
-        d_scale, d_period = _eval_dt(self._derivs, times, times)
-        out[:, 0] = (w * d_scale) @ v
-        out[:, 1] = (w * d_period) @ v
+        given ``gram = block(times, lags)``.
+
+        Each ``w * dB/d p_j`` is written into ``scratch``, an ``(n, n)`` array
+        the caller owns, and applied to ``v`` before the next one overwrites
+        it. On one grid it is gathered from the scaled derivatives of the
+        distinct differences (:func:`_toeplitz`); off the grid it is filled a
+        chunk of rows at a time. Both take their ``k`` factor from
+        ``gram``, which holds ``from_dt``'s bits, and give every element the
+        bits of ``w *`` the matrix :meth:`iter_block_derivs` yields.
+        """
+        on_grid = _on_one_grid(times, times)
+        for j in range(2):
+            if on_grid:
+                col = w * self._deriv(j, np.abs(times - times[0]), gram[:, 0])
+                row = w * self._deriv(j, np.abs(times[0] - times), gram[0])
+                _toeplitz(col, row, out=scratch)
+            else:
+                step = max(1, _CHUNK_VALUES // len(times))
+                for lo in range(0, len(times), step):
+                    rows = slice(lo, lo + step)
+                    dt = _abs_dt(times[rows], times)
+                    np.multiply(w, self._deriv(j, dt, gram[rows]), out=scratch[rows])
+            out[:, j] = scratch @ v
         return gram @ v
 
     def cross_derivs_many(self, ts, xs, times, lags, out) -> np.ndarray:
@@ -305,16 +335,31 @@ class SquaredExpKernel:
         d2 = _sq_dists(lags)
         yield -d2 * np.exp(-self.scale * d2)
 
-    def block_contract(self, times, lags, gram, v, w, out) -> np.ndarray:
+    def block_contract(self, times, lags, gram, v, w, out, scratch) -> np.ndarray:
         """Fills ``out[:, 0]`` with ``(w * dB/d scale) @ v`` and returns ``B @ v``,
-        given ``gram = block(times, lags)``."""
-        out[:, 0] = (w * (-_sq_dists(lags) * gram)) @ v
+        given ``gram = block(times, lags)``.
+
+        ``w * dB/d scale = w * (-d2 * B)`` is built in place in ``scratch``,
+        an ``(n, n)`` array the caller owns. ``cdist`` writes the squared
+        distances there with the bits of :func:`_sq_dists`.
+        """
+        d = cdist(lags, lags, "sqeuclidean", out=scratch)
+        np.negative(d, out=d)
+        np.multiply(d, gram, out=d)
+        np.multiply(w, d, out=d)
+        out[:, 0] = d @ v
         return gram @ v
 
     def cross_derivs_many(self, ts, xs, times, lags, out) -> np.ndarray:
         """Cross matrix of many queries; fills ``out[:, j]`` with its derivative
         w.r.t. parameter ``j``."""
-        d2 = np.vstack([_sq_dists_to(x, lags) for x in xs])
+        # squared distances summed per query row, as np.einsum("ij,ij->i") of
+        # one query would, for a block of queries whose differences fit the budget
+        d2 = np.empty((len(xs), len(lags)))
+        block = max(1, _BLOCK_VALUES // lags.size)
+        for lo in range(0, len(xs), block):
+            d = lags - xs[lo : lo + block, None, :]
+            d2[lo : lo + block] = np.einsum("qij,qij->qi", d, d)
         k = np.exp(-self.scale * d2)
         out[:, 0] = -d2 * k
         return k
@@ -376,7 +421,7 @@ class ArdKernel:
             d = col[:, None] - col[None, :]
             yield -(d * d) * base
 
-    def block_contract(self, times, lags, gram, v, w, out) -> np.ndarray:
+    def block_contract(self, times, lags, gram, v, w, out, scratch) -> np.ndarray:
         """Fills ``out[:, j]`` with ``(w * dB/d s_j) @ v`` and returns ``B @ v``,
         given ``gram = block(times, lags)``.
 
@@ -386,12 +431,14 @@ class ArdKernel:
         keep the three terms small where they cancel: the product uses ``B``
         without its diagonal, which ``dB/d s_j`` does not have either, and the
         lag columns are centred, which leaves every difference unchanged.
+        ``B`` without its diagonal is copied into ``scratch``, an ``(n, n)``
+        array the caller owns; the caller keeps ``gram``, diagonal included.
         """
         bv = gram @ v
-        base = gram.copy()  # the caller keeps gram, diagonal included
-        np.fill_diagonal(base, 0.0)
+        scratch[...] = gram
+        np.fill_diagonal(scratch, 0.0)
         mean, moments = _lag_moments(lags, v)
-        _expand_contraction(lags - mean, base @ moments, w, out)
+        _expand_contraction(lags - mean, scratch @ moments, w, out)
         return bv
 
     def cross_contract(self, ts, xs, times, lags, v, w, out) -> np.ndarray:
@@ -538,11 +585,19 @@ class CompositeKernel:
         :meth:`iter_block_derivs` yields, and each weight column is
         ``block @ v``, so all of these are bit-identical to the materialized
         path; only the ARD columns are contracted differently.
+
+        One ``(n, n)`` scratch array is allocated here and lent to each
+        component in turn, which writes its derivative matrices (or, for ARD,
+        its Gram without the diagonal) there and contracts them before the
+        next component reuses it. Each product sees the same C-ordered matrix
+        a fresh array would hold, so the bits do not depend on the scratch.
         """
-        out = np.empty((len(times), self.n_scalars))
+        n = len(times)
+        out = np.empty((n, self.n_scalars))
+        scratch = np.empty((n, n))
         pos = 0
         for i, (w, c, b) in enumerate(zip(self.weights, self.components, blocks)):
-            value = c.block_contract(times, lags, b, v, w, out[:, pos : pos + c.n_params])
+            value = c.block_contract(times, lags, b, v, w, out[:, pos : pos + c.n_params], scratch)
             out[:, self.n_scalars - self.n_components + i] = value
             pos += c.n_params
         return out

@@ -14,8 +14,9 @@ where ``dA/d lam_i`` is the analytic Gram derivative for kernel
 hyperparameters and the identity for the ridge constant. The Jacobian
 columns are contracted, not materialized: the products
 ``(dA/d lam_i) theta`` come from the kernel directly
-(``CompositeKernel.block_contract``), and no ``n x n`` derivative matrix is
-built; all columns then come from one multi-right-hand-side solve. A
+(``CompositeKernel.block_contract``), which holds each derivative matrix it
+needs in one ``n x n`` scratch array, in turn; all columns then come from
+one multi-right-hand-side solve. A
 :class:`TrainedModel` keeps the Gram of each kernel component that
 ``fit`` built, and ``block_contract`` works from those, so each component
 Gram is built once per fit. The per-step squared-error loss then has an
@@ -42,7 +43,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .errors import NumericalError
-from .kernels import CompositeKernel, TimedPoint, _readonly, window_arrays
+from .kernels import _BLOCK_VALUES, CompositeKernel, TimedPoint, _readonly, window_arrays
 
 # Looked up once: at the window sizes of a refit, scipy's cho_factor and
 # cho_solve spend longer on batch dispatch, asarray and this lookup than
@@ -199,9 +200,6 @@ def fit(hypers: HyperParams, window) -> TrainedModel:
     )
 
 
-_BLOCK_VALUES = 1 << 17  # float64 values per block of cross derivatives (1 MB)
-
-
 def _check_query(model: TrainedModel, x: np.ndarray) -> None:
     if x.shape[-1] != model.lags.shape[1]:
         raise ValueError(
@@ -238,8 +236,9 @@ def theta_jacobian(model: TrainedModel) -> np.ndarray:
     Column ``i`` solves the cached system against ``-(dA/d lam_i) theta``;
     the final column is the ridge direction with ``dA/d ridge = I``. The
     right-hand sides come from one kernel contraction of the model's
-    component Grams, so neither a Gram nor a derivative matrix is built, and
-    all columns come from one solve. The result is C-contiguous.
+    component Grams, which builds no Gram and allocates one ``n x n``
+    scratch array, and all columns come from one solve. The result is
+    C-contiguous.
     """
     contracted = model.hypers.kernel.block_contract(
         model.times, model.lags, model.blocks, model.theta

@@ -125,17 +125,18 @@ class FeasibleSet:
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """Draw one feasible vector: uniform (or log-uniform) boxes, uniform simplex."""
         v = np.empty(self.dim)
-        for i in range(self.dim):
-            if self.simplex.start <= i < self.simplex.stop:
-                continue
-            lo, hi = self.lower[i], self.upper[i]
-            if not (np.isfinite(lo) and np.isfinite(hi)):
-                raise ValueError("cannot sample from an unbounded box coordinate")
-            if self.log_sample[i]:
-                v[i] = np.exp(rng.uniform(np.log(lo), np.log(hi)))
-                v[i] = min(max(v[i], lo), hi)
-            else:
-                v[i] = rng.uniform(lo, hi)
+        box = np.ones(self.dim, dtype=bool)
+        box[self.simplex] = False
+        lo, hi, log = self.lower[box], self.upper[box], self.log_sample[box]
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("cannot sample from an unbounded box coordinate")
+        a, b = lo.copy(), hi.copy()
+        a[log], b[log] = np.log(lo[log]), np.log(hi[log])
+        # one draw per box coordinate, in index order: the stream of a
+        # per-coordinate loop of rng.uniform calls
+        u = rng.uniform(a, b)
+        u[log] = np.clip(np.exp(u[log]), lo[log], hi[log])
+        v[box] = u
         m = self.simplex.stop - self.simplex.start
         v[self.simplex] = project_simplex(rng.uniform(0.0, 1.0, m))
         return v

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mkridge
-from mkridge.cli import main, read_trace_csv, rmse_series, rmse_t, _fmt
+from mkridge.cli import main, read_trace_csv, rmse_series, rmse_t, _fmt, _trajectory
 
 
 def write_config(tmp_path, **overrides):
@@ -412,8 +412,60 @@ class TestRegret:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert str(trace) in err and "line 3" in err
 
+    def test_long_row_is_data_error(self, tmp_path, capsys):
+        trace = tmp_path / "trace_long.csv"
+        trace.write_text(
+            "t,y,yhat,sq_err,rmse_t,grad_norm,proj_grad_norm\n0,1,1,0,0,0,0\n1,2,2,0,0,3,3,99\n",
+            encoding="utf-8",
+        )
+        assert main(["regret", str(trace), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert str(trace) in err and "line 3" in err
+
     def test_trace_without_gradients_is_data_error(self, tmp_path):
         cfg = write_config(tmp_path)
         out_dir = tmp_path / "results"
         assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 0
         assert main(["regret", str(out_dir / "trace_FIXED.csv")]) == 3
+
+
+class _Lambdas:
+    """The part of a run trace the trajectory reads."""
+
+    def __init__(self, lambdas):
+        self.lambdas = np.asarray(lambdas, dtype=float)
+
+    def __len__(self):
+        return len(self.lambdas)
+
+
+def per_step_trajectory(lambdas):
+    """Change points by definition: a step whose values differ from the last
+    recorded point's."""
+    points, prev = [], None
+    for step, lam in enumerate(lambdas):
+        if prev is None or not np.array_equal(lam, prev):
+            points.append([step, [float(v) for v in lam]])
+            prev = lam
+    return points
+
+
+class TestTrajectory:
+    def test_matches_per_step_definition(self):
+        rng = np.random.default_rng(2)
+        rows = [[1.0, 0.0, 2.0]] * 3 + [[1.0, -0.0, 2.0]]  # differs only by the sign of zero
+        rows += [[1.0, 0.5, 2.0]] * 2 + [[-0.0, 0.5, 2.0], [0.0, 0.5, 2.0], [0.0, 0.5, 2.5]]
+        rows += [list(r) for r in rng.choice([0.0, -0.0, 1.0], size=(2000, 3))]
+        trace = _Lambdas(rows)
+        expected = per_step_trajectory(trace.lambdas)
+        assert [p[0] for p in expected[:4]] == [0, 4, 6, 8]
+        got = _trajectory(trace)
+        assert got == expected
+        assert [[np.copysign(1.0, v) for v in p[1]] for p in got] == [
+            [np.copysign(1.0, v) for v in p[1]] for p in expected
+        ]
+
+    def test_empty_and_constant(self):
+        assert _trajectory(_Lambdas(np.empty((0, 2)))) == []
+        assert _trajectory(_Lambdas([[0.5, 2.0]] * 5)) == [[0, [0.5, 2.0]]]

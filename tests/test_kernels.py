@@ -1,4 +1,5 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -446,7 +447,8 @@ class TestPeriodicGrid:
         v, w = rng.normal(size=n), float(rng.uniform(0.0, 1.0))
         out = np.empty((n, 2))
         gram = kernel.block(times, None)
-        assert np.array_equal(kernel.block_contract(times, None, gram, v, w, out), k @ v)
+        scratch = np.empty((n, n))
+        assert np.array_equal(kernel.block_contract(times, None, gram, v, w, out, scratch), k @ v)
         assert np.array_equal(out[:, 0], (w * d_scale) @ v)
         assert np.array_equal(out[:, 1], (w * d_period) @ v)
 
@@ -456,3 +458,88 @@ class TestPeriodicGrid:
         assert np.array_equal(kernel.cross_derivs_many(ts, None, times, None, out), k)
         assert np.array_equal(out[:, 0], d_scale)
         assert np.array_equal(out[:, 1], d_period)
+
+
+class TestScratchContraction:
+    """Each component writes its derivative matrices into one scratch array the
+    composite lends it; the contraction keeps the bits of the materialized
+    derivatives, whatever the scratch held before."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        p=st.integers(1, 6),
+        grid=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_materialized_bitwise(self, n, p, grid, seed):
+        rng = np.random.default_rng(seed)
+        times = np.arange(n, dtype=float) if grid else np.sort(rng.uniform(-50.0, 300.0, n))
+        lags = rng.normal(size=(n, p))
+        v, w = rng.normal(size=n), float(rng.uniform(0.0, 1.0))
+        for kernel in (
+            PeriodicKernel(float(rng.uniform(0.01, 5.0)), float(rng.uniform(2.0, 100.0))),
+            SquaredExpKernel(float(rng.uniform(0.0, 2.0))),
+        ):
+            gram = kernel.block(times, lags)
+            out = np.empty((n, kernel.n_params))
+            scratch = np.full((n, n), np.nan)
+            assert np.array_equal(kernel.block_contract(times, lags, gram, v, w, out, scratch), gram @ v)
+            for j, d in enumerate(kernel.iter_block_derivs(times, lags)):
+                assert np.array_equal(out[:, j], (w * d) @ v)
+
+    @pytest.mark.parametrize("chunk", [1, 500, 1 << 12], ids=["one-row", "some-rows", "32kb"])
+    @pytest.mark.parametrize("n", [17, 100, 333])
+    def test_off_grid_periodic_chunks_match_dense_bitwise(self, n, chunk):
+        # off the grid the periodic derivatives are filled chunk // n rows at a time
+        rng = np.random.default_rng(n)
+        times = np.sort(rng.uniform(0.0, 5.0 * n, n))
+        kernel = PeriodicKernel(0.8, 23.7)
+        k, d_scale, d_period = dense_periodic(kernel, times, times)
+        v, w = rng.normal(size=n), 0.3
+        out = np.empty((n, 2))
+        gram = kernel.block(times, None)
+        with patch("mkridge.kernels._CHUNK_VALUES", chunk):
+            kernel.block_contract(times, None, gram, v, w, out, np.full((n, n), np.nan))
+        assert np.array_equal(out[:, 0], (w * d_scale) @ v)
+        assert np.array_equal(out[:, 1], (w * d_period) @ v)
+
+
+def se_cross_derivs_per_query(kernel, xs, lags):
+    """The SE cross values and scale derivatives, one query at a time."""
+    d2 = np.vstack([np.einsum("ij,ij->i", lags - x, lags - x) for x in xs])
+    k = np.exp(-kernel.scale * d2)
+    return k, -d2 * k
+
+
+class TestSquaredExpCrossDerivs:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(1, 30),
+        n=st.integers(1, 60),
+        p=st.integers(1, 8),
+        budget=st.integers(1, 2000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_query_loop_bitwise(self, m, n, p, budget, seed):
+        # blocks of queries whose difference tensors fit a (patched) budget
+        rng = np.random.default_rng(seed)
+        kernel = SquaredExpKernel(float(rng.uniform(0.0, 2.0)))
+        xs, lags = rng.normal(size=(m, p)), rng.normal(size=(n, p)) * 2.0
+        out = np.empty((m, 1, n))
+        with patch("mkridge.kernels._BLOCK_VALUES", budget):
+            k = kernel.cross_derivs_many(None, xs, None, lags, out)
+        k_ref, d_ref = se_cross_derivs_per_query(kernel, xs, lags)
+        assert np.array_equal(k, k_ref)
+        assert np.array_equal(out[:, 0], d_ref)
+
+    def test_wide_window_blocks(self):
+        # at n = 1344, p = 20 the 1 MB budget takes four queries per block
+        rng = np.random.default_rng(5)
+        kernel = SquaredExpKernel(0.05)
+        xs, lags = rng.normal(size=(10, 20)), rng.normal(size=(1344, 20))
+        out = np.empty((10, 1, 1344))
+        k = kernel.cross_derivs_many(None, xs, None, lags, out)
+        k_ref, d_ref = se_cross_derivs_per_query(kernel, xs, lags)
+        assert np.array_equal(k, k_ref)
+        assert np.array_equal(out[:, 0], d_ref)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
+import mkridge.model
 from mkridge.data import Dataset
 from mkridge.errors import NumericalError
 from mkridge.kernels import (
@@ -141,6 +144,32 @@ class TestFit:
                 theta = theta + cho_solve(factor, residual)
             assert np.array_equal(model.theta, theta)
 
+    def test_refinement_pass_on_ill_conditioned_system(self, monkeypatch):
+        # nearly identical SE rows and a tiny ridge (condition number ~4e10):
+        # the first solve misses 1e-10 * max(1, |y|), so fit refines once, and
+        # theta keeps the bits of the factor, solve and refinement of the
+        # unmixed system
+        rng = np.random.default_rng(3)
+        window = Dataset(np.arange(40.0), rng.normal(size=(40, 3)), rng.normal(size=40))
+        hypers = HyperParams(CompositeKernel((SquaredExpKernel(1e-3),), np.array([1.0])), 1e-9)
+        solves = []
+        potrs = mkridge.model._potrs
+
+        def counted(*args, **kwargs):
+            solves.append(args[1].copy())
+            return potrs(*args, **kwargs)
+
+        monkeypatch.setattr(mkridge.model, "_potrs", counted)
+        model = fit(hypers, window)
+        assert len(solves) == 2
+        a = hypers.kernel.block(window.times, window.lags) + hypers.ridge * np.eye(len(window))
+        factor = cho_factor(a, lower=True)
+        theta = cho_solve(factor, window.targets)
+        residual = window.targets - a @ theta
+        assert np.linalg.norm(residual) > 1e-10 * max(1.0, np.linalg.norm(window.targets))
+        assert np.array_equal(solves[1], residual)
+        assert np.array_equal(model.theta, theta + cho_solve(factor, residual))
+
     def test_accepts_point_pairs(self):
         pairs = [(TimedPoint(0.0, [0.0]), 2.0)]
         model = fit(se_hypers(), pairs)
@@ -239,6 +268,33 @@ class TestThetaJacobian:
                 worst = max(worst, err / scale)
                 checked += 1
         assert worst <= 1e-5, f"worst column relative error {worst:.3e}"
+
+
+class TestJacobianMemory:
+    """theta_jacobian holds one n x n scratch array next to the model's Grams
+    and factor; everything else it allocates is O(n (p + d))."""
+
+    @pytest.mark.parametrize("grid", [True, False], ids=["on-grid", "off-grid"])
+    @pytest.mark.parametrize("lag_kernel", ["ard", "se"])
+    def test_peak_is_one_gram(self, lag_kernel, grid):
+        n, p = 400, 20
+        rng = np.random.default_rng(7)
+        times = np.arange(n, dtype=float) if grid else np.sort(rng.uniform(0.0, 3.0 * n, n))
+        window = Dataset(times, rng.normal(size=(n, p)), rng.normal(size=n))
+        other = ArdKernel(rng.uniform(0.01, 0.1, p)) if lag_kernel == "ard" else SquaredExpKernel(0.05)
+        spec = CompositeKernel((PeriodicKernel(0.5, 24.0), other), np.array([0.5, 0.5]))
+        model = fit(HyperParams(spec, 0.3), window)
+        d = model.hypers.dim
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            jac = theta_jacobian(model)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert jac.shape == (n, d)
+        # one n x n float64 array plus at most 8 n (p + d) values
+        assert peak <= 8 * (n * n + 8 * n * (p + d)), peak / (8 * n * n)
 
 
 def materialized_column(model, window, which):

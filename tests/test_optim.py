@@ -407,6 +407,48 @@ class TestFeasibleSet:
         again = [fs.sample(np.random.default_rng(10)) for _ in range(1)]
         assert np.array_equal(draws[0], again[0])
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "lower, upper, simplex, log",
+        [
+            # a log coordinate with lo == hi: exp(log(0.1)) rounds off 0.1 and is clamped
+            ([1e-6, 0.1, 48.0, 0, 0, 0.03], [1e-2, 0.1, 672.0, 0, 0, 3.0], slice(3, 5),
+             [True, True, False, False, False, False]),
+            ([0, 0, -2.0], [0, 0, 5.0], slice(0, 2), [False, False, False]),
+            ([1e-3, 1e-3, 0], [10.0, 2e-3, 0], slice(2, 3), [True, True, False]),
+        ],
+        ids=["mixed", "linear-only", "log-only"],
+    )
+    def test_sample_matches_per_coordinate_loop(self, lower, upper, simplex, log, seed):
+        fs = FeasibleSet(np.array(lower, dtype=float), np.array(upper, dtype=float), simplex, log)
+
+        def reference(rng):
+            v = np.empty(fs.dim)
+            for i in range(fs.dim):
+                if fs.simplex.start <= i < fs.simplex.stop:
+                    continue
+                lo, hi = fs.lower[i], fs.upper[i]
+                if fs.log_sample[i]:
+                    v[i] = min(max(np.exp(rng.uniform(np.log(lo), np.log(hi))), lo), hi)
+                else:
+                    v[i] = rng.uniform(lo, hi)
+            m = fs.simplex.stop - fs.simplex.start
+            v[fs.simplex] = project_simplex(rng.uniform(0.0, 1.0, m))
+            return v
+
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(200):
+            v = fs.sample(rng)
+            assert np.array_equal(v, reference(rng_ref))
+            assert fs.contains(v, tol=0.0)
+        if lower[1] == upper[1] == 0.1:
+            assert v[1] == 0.1 and np.exp(np.log(0.1)) != 0.1
+
+    def test_sample_rejects_unbounded_box_coordinate(self):
+        fs = FeasibleSet(np.array([0.0, -np.inf]), np.array([1.0, 1.0]), slice(0, 1))
+        with pytest.raises(ValueError, match="unbounded"):
+            fs.sample(np.random.default_rng(0))
+
     def test_scale_bounds_marked_log(self):
         fs = standard_set()
         assert fs.log_sample[0]
