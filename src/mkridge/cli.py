@@ -441,6 +441,9 @@ def cmd_run(args) -> int:
         raise ConfigError("config file must provide a 'bounds' section")
     feasible = _parse_bounds(_object(bounds_cfg, "bounds"), hypers)
     strategies = _parse_strategies(cfg, hypers, feasible, lag_order, args)
+    for name, tuner_cfg in strategies.items():
+        if tuner_cfg.strategy not in (Strategy.OHL, Strategy.FIXED) and schedule.validation_window < 1:
+            raise ConfigError(f"strategy {name} needs validation_window >= 1")
 
     series = _build_series(data_cfg, seed)
     try:

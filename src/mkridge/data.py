@@ -14,7 +14,6 @@ from datetime import datetime
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import DataError
 from .kernels import TimedPoint, _readonly
@@ -136,6 +135,20 @@ class SyntheticConfig:
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
 
 
+def _ar_filter(drive: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``scipy.signal.lfilter([1.0], [1.0, *a], drive)`` bit for bit: its
+    transposed direct form II recursion in its order of operations, less the
+    numerator's zero taps, which add only signed zeros. ``state[-1]`` stays 0.
+    An overflowing series comes out non-finite, without a warning."""
+    state = np.zeros(a.size + 1)
+    y = np.empty_like(drive)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, x in enumerate(drive):
+            y[t] = state[0] + x
+            state[:-1] = state[1:] - y[t] * a
+    return y
+
+
 def generate_synthetic(config: SyntheticConfig) -> TimeSeries:
     """Generate the synthetic stream; deterministic given the seed.
 
@@ -148,8 +161,7 @@ def generate_synthetic(config: SyntheticConfig) -> TimeSeries:
     drive = 1.0 + config.c2 * np.sin(t / config.omega)
     alpha = np.arange(1, config.ar_order + 1, dtype=float)
     coeffs = alpha / (2.0 * np.linalg.norm(alpha))
-    denom = np.concatenate(([1.0], -config.c1 * coeffs))
-    clean = lfilter([1.0], denom, drive)
+    clean = _ar_filter(drive, -config.c1 * coeffs)
     values = clean
     if config.noise_sd > 0:
         rng = np.random.default_rng(config.seed)

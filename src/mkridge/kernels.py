@@ -38,10 +38,11 @@ four:
 
 The query side of the hyper-gradient is
 :meth:`CompositeKernel.cross_contract`: cross values and every cross
-derivative applied to a vector. Its periodic and SE parts come from those
-kernels' ``cross_derivs_many`` (cross values with their derivatives), its
-ARD part from :meth:`ArdKernel.cross_contract`, the query-side twin of
-``block_contract``, which builds no ``(queries, n, p)`` tensor.
+derivative applied to a vector, for all queries of a batch in one call. Its
+periodic and SE parts come from those kernels' ``cross_derivs_many`` (cross
+values with their derivatives), its ARD part from
+:meth:`ArdKernel.cross_contract`, the query-side twin of ``block_contract``,
+which builds no ``(queries, n, p)`` tensor.
 
 ``CompositeKernel.cross`` and :func:`cross_vector` are one-row views of
 ``cross_contract``, and :func:`gram_derivative` picks one item of
@@ -52,11 +53,12 @@ on every path. Gram matrices are exactly symmetric: the lag kernels are
 assembled from their upper triangle and mirrored, and the periodic kernel
 depends on ``|dt|``.
 
-On a uniform integer time grid (a synthetic stream, a binned CSV) the
-periodic kernel's matrices are Toeplitz, and every periodic evaluator but
-``iter_block_derivs`` runs ``sin`` and ``exp`` on the distinct differences
-only (:func:`_eval_dt`; ``block_contract`` gathers into its scratch array),
-with the same bits as the dense evaluation.
+Every periodic matrix but the oracle's is filled by :func:`_eval_dt`. On a
+uniform integer time grid (a synthetic stream, a binned CSV) the matrix is
+Toeplitz, and ``sin`` and ``exp`` run on the distinct differences only;
+off the grid it is filled a chunk of rows at a time. The derivatives read
+their ``k`` factor from the values already built. Every path gives the bits
+of the dense evaluation.
 """
 
 from __future__ import annotations
@@ -86,8 +88,8 @@ __all__ = [
 ]
 
 SIMPLEX_TOL = 1e-12
-_BLOCK_VALUES = 1 << 17  # float64 values per block of query-side temporaries (1 MB)
-_CHUNK_VALUES = 1 << 12  # float64 values per chunk of an off-grid periodic derivative
+_BLOCK_VALUES = 1 << 17  # float64 values per block of SE's (queries, n, p) differences (1 MB)
+_CHUNK_VALUES = 1 << 12  # float64 values per chunk of an off-grid periodic matrix
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -172,40 +174,34 @@ def _on_one_grid(ts: np.ndarray, times: np.ndarray) -> bool:
     return True
 
 
-def _toeplitz(col: np.ndarray, row: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The Toeplitz matrix with first column ``col`` and first row ``row``
-    (``row[0]`` is not used), gathered from one strided view into ``out`` or
-    a new array."""
+def _eval_dt(f, ts: np.ndarray, times: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fills ``out`` with ``f(|ts[:, None] - times[None, :]|, at)`` and returns it.
+
+    ``f`` is elementwise in the differences it receives; ``at`` indexes their
+    entries in the full matrix, so ``f`` can read ``k[at]`` from a matrix
+    already built. On one grid (:func:`_on_one_grid`) ``f`` runs on the first
+    column and first row only, and the Toeplitz matrix is gathered from them;
+    off the grid, ``_CHUNK_VALUES`` values of rows at a time. Every element
+    gets the bits of the dense evaluation.
+    """
+    if not _on_one_grid(ts, times):
+        step = max(1, _CHUNK_VALUES // len(times))
+        for lo in range(0, len(ts), step):
+            rows = slice(lo, lo + step)
+            out[rows] = f(_abs_dt(ts[rows], times), rows)
+        return out
+    col = f(np.abs(ts - times[0]), np.s_[:, 0])
+    row = f(np.abs(ts[0] - times), np.s_[0, :])
     values = np.concatenate((row[:0:-1], col))
     # entry (i, j) of the view is values[len(row) - 1 + i - j]: col[i - j]
     # below the diagonal, row[j - i] above it. The raw constructor because at
     # n = 96 sliding_window_view (20 us) and as_strided (15 us) cost as much
     # as scipy's toeplitz; this view and its copy take 6 us.
-    step = values.itemsize
-    view = np.ndarray(
-        (col.size, row.size), values.dtype, values, (row.size - 1) * step, (step, -step)
+    item = values.itemsize
+    out[...] = np.ndarray(
+        (col.size, row.size), values.dtype, values, (row.size - 1) * item, (item, -item)
     )
-    if out is None:
-        return view.copy()
-    out[...] = view
     return out
-
-
-def _eval_dt(f, ts: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``f(|ts[:, None] - times[None, :]|)`` for an elementwise ``f`` that
-    returns a tuple of arrays.
-
-    On one grid (:func:`_on_one_grid`) the matrices are Toeplitz: ``f`` runs
-    on the ``len(ts) + len(times)`` differences of their first column and
-    row, and the results are gathered. Each element passes the same
-    difference through the same contiguous float64 operations as in the
-    dense evaluation, so both give the same bits.
-    """
-    if not _on_one_grid(ts, times):
-        return f(_abs_dt(ts, times))
-    first_col = f(np.abs(ts - times[0]))
-    first_row = f(np.abs(ts[0] - times))
-    return tuple(_toeplitz(c, r) for c, r in zip(first_col, first_row))
 
 
 @dataclass(frozen=True)
@@ -238,17 +234,16 @@ class PeriodicKernel:
     def from_dt(self, dt):
         return np.exp(-self.scale * np.sin(np.pi * dt / self.period) ** 2)
 
-    def _values(self, dt):
-        return (self.from_dt(dt),)
-
     def block(self, times, lags) -> np.ndarray:
-        return _eval_dt(self._values, times, times)[0]
+        return self.cross_many(times, lags, times, lags)
 
     def cross_many(self, ts, xs, times, lags) -> np.ndarray:
-        return _eval_dt(self._values, ts, times)[0]
+        out = np.empty((len(ts), len(times)))
+        return _eval_dt(lambda dt, at: self.from_dt(dt), ts, times, out)
 
     def _value_and_derivs(self, dt):
-        """Kernel values at ``dt`` and their scale and period derivatives."""
+        """Kernel values at ``dt`` and their scale and period derivatives: the
+        dense oracle of :meth:`iter_block_derivs`."""
         u = np.pi * dt / self.period
         s = np.sin(u)
         k = np.exp(-self.scale * s**2)
@@ -271,33 +266,23 @@ class PeriodicKernel:
         """Fills ``out[:, j]`` with ``(w * dB/d p_j) @ v`` and returns ``B @ v``,
         given ``gram = block(times, lags)``.
 
-        Each ``w * dB/d p_j`` is written into ``scratch``, an ``(n, n)`` array
+        Each ``w * dB/d p_j`` is filled into ``scratch``, an ``(n, n)`` array
         the caller owns, and applied to ``v`` before the next one overwrites
-        it. On one grid it is gathered from the scaled derivatives of the
-        distinct differences (:func:`_toeplitz`); off the grid it is filled a
-        chunk of rows at a time. Both take their ``k`` factor from
-        ``gram``, which holds ``from_dt``'s bits, and give every element the
-        bits of ``w *`` the matrix :meth:`iter_block_derivs` yields.
+        it. Its ``k`` factor is read from ``gram``, which holds ``from_dt``'s
+        bits, so every element has the bits of ``w *`` the matrix
+        :meth:`iter_block_derivs` yields.
         """
-        on_grid = _on_one_grid(times, times)
         for j in range(2):
-            if on_grid:
-                col = w * self._deriv(j, np.abs(times - times[0]), gram[:, 0])
-                row = w * self._deriv(j, np.abs(times[0] - times), gram[0])
-                _toeplitz(col, row, out=scratch)
-            else:
-                step = max(1, _CHUNK_VALUES // len(times))
-                for lo in range(0, len(times), step):
-                    rows = slice(lo, lo + step)
-                    dt = _abs_dt(times[rows], times)
-                    np.multiply(w, self._deriv(j, dt, gram[rows]), out=scratch[rows])
+            _eval_dt(lambda dt, at: w * self._deriv(j, dt, gram[at]), times, times, scratch)
             out[:, j] = scratch @ v
         return gram @ v
 
     def cross_derivs_many(self, ts, xs, times, lags, out) -> np.ndarray:
         """Cross matrix of many queries; fills ``out[:, j]`` with its derivative
-        w.r.t. parameter ``j``."""
-        k, out[:, 0], out[:, 1] = _eval_dt(self._value_and_derivs, ts, times)
+        w.r.t. parameter ``j``, reading ``k`` from the cross matrix."""
+        k = self.cross_many(ts, xs, times, lags)
+        for j in range(2):
+            _eval_dt(lambda dt, at: self._deriv(j, dt, k[at]), ts, times, out[:, j])
         return k
 
 
@@ -602,27 +587,20 @@ class CompositeKernel:
             pos += c.n_params
         return out
 
-    @property
-    def cross_rows(self) -> list[int]:
-        """Flat indices of the derivatives :meth:`cross_contract` materializes:
-        all but the ARD parameters', which it contracts on the query side."""
-        owners = [c for c in self.components for _ in range(c.n_params)]
-        owners += [None] * self.n_components  # the weights
-        return [i for i, c in enumerate(owners) if not isinstance(c, ArdKernel)]
-
     def cross_contract(self, ts, xs, times, lags, v) -> tuple[np.ndarray, np.ndarray]:
         """Cross vectors of many queries, and ``dkv[q, i] = (dk_q/d lam_i) @ v``.
 
         The ARD columns come from :meth:`ArdKernel.cross_contract`, without
-        the ``(queries, n, p)`` tensor. The :attr:`cross_rows` are the
-        periodic and SE derivatives of ``cross_derivs_many`` and the
-        component cross values, applied to ``v`` as stacked one-query
-        products. Row ``q`` does not depend on the other queries of the block.
+        the ``(queries, n, p)`` tensor. Every other column (the periodic and SE
+        derivatives of ``cross_derivs_many``, then the component cross values)
+        is one row of a ``(queries, rows, n)`` tensor, applied to ``v`` as
+        stacked one-query products, so row ``q`` does not depend on the other
+        queries.
         """
-        rows = self.cross_rows
-        dk = np.empty((len(ts), len(rows), len(times)))
+        n_rows = sum(c.n_params for c in self.components if not isinstance(c, ArdKernel))
+        dk = np.empty((len(ts), n_rows + self.n_components, len(times)))
         dkv = np.empty((len(ts), self.n_scalars))
-        ks = []
+        rows, ks = [], []
         pos = row = 0
         for w, c in zip(self.weights, self.components):
             if isinstance(c, ArdKernel):
@@ -631,12 +609,12 @@ class CompositeKernel:
                 block = dk[:, row : row + c.n_params]
                 ks.append(c.cross_derivs_many(ts, xs, times, lags, block))
                 block *= w
+                rows.extend(range(pos, pos + c.n_params))
                 row += c.n_params
             pos += c.n_params
-        for k in ks:
-            dk[:, row] = k
-            row += 1
-        dkv[:, rows] = dk @ v
+        for i, k in enumerate(ks):
+            dk[:, row + i] = k
+        dkv[:, rows + list(range(pos, self.n_scalars))] = dk @ v
         return self.mix(ks), dkv
 
     def cross(self, t, x, times, lags) -> np.ndarray:

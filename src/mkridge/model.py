@@ -27,8 +27,9 @@ Predictions and hyper-gradients are evaluated for a block of queries at once
 (:func:`predict_batch`, :func:`loss_hyper_gradient_batch`);
 :func:`loss_hyper_gradient` is a one-row view of the batched gradient. The
 gradient needs the cross derivatives only applied to ``theta``, and takes
-them from ``CompositeKernel.cross_contract``: the ARD ones are contracted on
-the query side, and no ``(queries, n, lags)`` tensor is built. :func:`predict`
+them from one ``CompositeKernel.cross_contract`` call for all its queries:
+the ARD ones are contracted on the query side, and no ``(queries, n, lags)``
+tensor is built. :func:`predict`
 takes its cross vector from a one-row ``cross_contract`` (through
 ``CompositeKernel.cross``), so its value is the gradient's residual bit for
 bit. The materialized derivatives (``CompositeKernel.iter_block_derivs`` and
@@ -43,7 +44,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .errors import NumericalError
-from .kernels import _BLOCK_VALUES, CompositeKernel, TimedPoint, _readonly, window_arrays
+from .kernels import CompositeKernel, TimedPoint, _readonly, window_arrays
 
 # Looked up once: at the window sizes of a refit, scipy's cho_factor and
 # cho_solve spend longer on batch dispatch, asarray and this lookup than
@@ -268,8 +269,8 @@ def loss_hyper_gradient_batch(model: TrainedModel, jac: np.ndarray, queries, tar
     Row ``q`` is ``-2 r_q (dk_q theta + k_q J)`` with ``k_q`` the cross
     vector, ``dk_q`` its derivatives (no ridge row: the cross vector does not
     depend on the ridge), ``r_q = y_q - k_q theta`` the residual and ``J``
-    the cached Jacobian. The hyperparameters are fixed across the block, so
-    ``k`` and ``dk theta`` of many queries come from one batched evaluation,
+    the cached Jacobian. The hyperparameters are fixed across the queries,
+    so ``k`` and ``dk theta`` of all of them come from one call of
     ``CompositeKernel.cross_contract``; the ARD part of ``dk`` is contracted
     with ``theta`` there and never built.
     """
@@ -286,23 +287,16 @@ def loss_hyper_gradient_batch(model: TrainedModel, jac: np.ndarray, queries, tar
     y = np.asarray(targets, dtype=float)
     if y.shape != qt.shape:
         raise ValueError(f"got {y.size} targets for {qt.size} queries")
-    spec = model.hypers.kernel
-    ns = spec.n_scalars
+    ns = model.hypers.kernel.n_scalars
+    k, dk_theta = model.hypers.kernel.cross_contract(qt, qx, model.times, model.lags, model.theta)
+    # Every product is a stack of one-query products (matmul loops over the
+    # leading axis with the BLAS call a single query makes), so each row is
+    # bit-identical to a one-query evaluation whatever the number of queries.
+    # One (m, n) @ (n,) product would round differently, and OHL's updates can
+    # amplify a last-digit difference until it shows in the forecasts.
+    rows = k[:, None, :]
+    scale = -2.0 * (y - (rows @ model.theta)[:, 0])
     grads = np.empty((y.size, d))
-    # queries go in blocks so the (block, rows, n) derivative tensor stays near 1 MB
-    block = max(1, _BLOCK_VALUES // (len(spec.cross_rows) * model.n))
-    for lo in range(0, y.size, block):
-        hi = lo + block
-        k, dk_theta = spec.cross_contract(
-            qt[lo:hi], qx[lo:hi], model.times, model.lags, model.theta
-        )
-        # Every product is a stack of one-query products (matmul loops over the
-        # leading axis with the BLAS call a single query makes), so each row is
-        # bit-identical to a one-query evaluation whatever the block size. One
-        # (m, n) @ (n,) product would round differently, and OHL's updates can
-        # amplify a last-digit difference until it shows in the forecasts.
-        rows = k[:, None, :]
-        scale = -2.0 * (y[lo:hi] - (rows @ model.theta)[:, 0])
-        grads[lo:hi, :ns] = scale[:, None] * (dk_theta + (rows @ jac[:, :ns])[:, 0])
-        grads[lo:hi, ns] = scale * (rows @ jac[:, ns])[:, 0]
+    grads[:, :ns] = scale[:, None] * (dk_theta + (rows @ jac[:, :ns])[:, 0])
+    grads[:, ns] = scale * (rows @ jac[:, ns])[:, 0]
     return grads

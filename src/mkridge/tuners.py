@@ -120,6 +120,10 @@ class TunerConfig:
         object.__setattr__(self, "grid", tuple(self.grid))
         if not 0 <= self.eta < np.inf:  # a NaN rate fails too
             raise ValueError(f"learning rate must be nonnegative and finite, got {self.eta!r}")
+        if self.strategy is Strategy.OFFLINE_GRAD and self.eta == 0:
+            raise ValueError("OFFLINE_GRAD needs a positive learning rate, got 0")
+        if self.strategy is Strategy.GRID and not self.grid:
+            raise ValueError("GRID needs at least one grid point")
         if self.draws < 1:
             raise ValueError("draws must be >= 1")
         if not self.tol > 0:
@@ -251,10 +255,11 @@ def tune_offline_gradient(
         grads = loss_hyper_gradient_batch(trained, jac, val_window, val_window.targets)
         counters.gradient_evals += len(val_window)
         grad = grads.sum(axis=0) / len(val_window)
-        pg = projected_gradient(lam, grad, config.eta, config.feasible)
-        if float(np.linalg.norm(pg)) <= config.tol:
+        step = project_C(lam - config.eta * grad, config.feasible)
+        # the projected-gradient norm, from the step it projects
+        if float(np.linalg.norm((lam - step) / config.eta)) <= config.tol:
             break
-        lam = project_C(lam - config.eta * grad, config.feasible)
+        lam = step
         hypers = incumbent.from_vector(lam)
         del trained, jac  # free this model's n x n matrices before the next fit
     return hypers

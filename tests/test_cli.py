@@ -273,6 +273,22 @@ def finite_csv(tmp_path, bad_value="1.01", **binning):
         pytest.param({"strategies": {"OFFLINE_GRAD": {"tol": "x"}}}, [], 2, "tol", id="tol-string"),
         pytest.param({"strategies": {"GRID": {"grid": 5}}}, [], 2, "grid must be a JSON list",
                      id="grid-not-list"),
+        pytest.param({"strategies": {"GRID": {}}}, [], 2, "at least one grid point",
+                     id="grid-missing"),
+        pytest.param({"strategies": {"OFFLINE_GRAD": {"eta": 0}}}, [], 2,
+                     "positive learning rate", id="offline-eta-zero"),
+        pytest.param({"strategies": {"OFFLINE_GRAD": {}}}, ["--eta", "0"], 2,
+                     "positive learning rate", id="offline-eta-flag-zero"),
+        *(pytest.param({"schedule": {"n": 40, "m": 10, "train_window": 50, "validation_window": 0},
+                        "strategies": {name: params}},
+                       [], 2, f"strategy {name} needs validation_window >= 1",
+                       id=f"{name.lower()}-validation-window-zero")
+          for name, params in (
+              ("GRID", {"grid": [{"kernel": [{"type": "se", "scale": 0.05}], "weights": [1.0],
+                                  "ridge": 1.0}]}),
+              ("RANDOM", {"draws": 2}),
+              ("OFFLINE_GRAD", {}),
+          )),
         pytest.param({"bounds": {"scale": [float("nan"), 10.0], "ridge": [1e-3, 3.0]},
                       "strategies": {"OHL": {"eta": 1e-4}}},
                      [], 2, "bounds", id="bound-nan"),

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import mkridge
 
 from mkridge.data import (
     BURN_IN,
@@ -63,6 +70,36 @@ class TestGenerateSynthetic:
     def test_length_must_exceed_burn_in(self):
         with pytest.raises(ValueError):
             SyntheticConfig(0.5, 0.5, 5.0, length=90)
+
+    @pytest.mark.parametrize("ar_order", [1, 2, 7, 20])
+    @pytest.mark.parametrize("c1", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("omega", [5.0, 96.0 / (2.0 * np.pi)])
+    def test_ar_recursion_matches_lfilter_bitwise(self, ar_order, c1, omega):
+        from scipy.signal import lfilter
+
+        for length in (BURN_IN + 1, 750, 4000):
+            series = generate_synthetic(SyntheticConfig(c1, 0.5, omega, ar_order, length))
+            t = np.arange(length, dtype=float)
+            alpha = np.arange(1, ar_order + 1, dtype=float)
+            coeffs = alpha / (2.0 * np.linalg.norm(alpha))
+            denom = np.concatenate(([1.0], -c1 * coeffs))
+            want = lfilter([1.0], denom, 1.0 + 0.5 * np.sin(t / omega))[BURN_IN:]
+            assert series.values.tobytes() == want.tobytes()
+
+
+def test_import_leaves_out_scipy_signal_and_stats():
+    # scipy.signal (and the scipy.stats it imports) doubled the import time and memory
+    src = str(Path(mkridge.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    code = ("import sys, mkridge; "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.stats'))))")
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestBuildFeatures:

@@ -565,6 +565,28 @@ class TestBatchedEvaluator:
         else:
             assert_rows_close(grads, formula, 1e-10)
 
+    @pytest.mark.parametrize("grid", [False, True], ids=["off-grid", "on-grid"])
+    def test_large_batch_matches_single_queries_bitwise(self, grid):
+        # 400 queries against a 120-point window take one (400, 6, 120) tensor:
+        # four times the 1 MB budget that once split such a batch into blocks
+        rng = np.random.default_rng(13)
+        p = 3
+        spec = CompositeKernel(
+            (PeriodicKernel(0.7, 37.0), SquaredExpKernel(0.2), ArdKernel(rng.uniform(0.05, 1.0, p))),
+            [0.5, 0.3, 0.2],
+        )
+        window, queries = random_window(rng, 120, p), random_window(rng, 400, p)
+        if grid:
+            window, queries = on_grid(window), on_grid(queries, origin=120.0)
+        model = fit(HyperParams(spec, 0.4), window)
+        jac = theta_jacobian(model)
+        grads = loss_hyper_gradient_batch(model, jac, queries, queries.targets)
+        singles = [
+            loss_hyper_gradient(model, jac, queries.query(i), queries.targets[i])
+            for i in range(len(queries))
+        ]
+        assert np.array_equal(grads, np.array(singles))
+
     def test_target_count_checked(self):
         model, window = single_point_model()
         with pytest.raises(ValueError, match="targets"):
