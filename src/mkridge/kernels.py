@@ -44,8 +44,10 @@ values with their derivatives), its ARD part from
 :meth:`ArdKernel.cross_contract`, the query-side twin of ``block_contract``,
 which builds no ``(queries, n, p)`` tensor.
 
-``CompositeKernel.cross`` and :func:`cross_vector` are one-row views of
-``cross_contract``, and :func:`gram_derivative` picks one item of
+Its queries go in blocks whose ``(queries, rows, n)`` tensor holds at most
+``_BLOCK_VALUES`` values. ``CompositeKernel.cross`` and :func:`cross_vector`
+compute the values of a one-row ``cross_contract`` with its bits, and no
+derivative; :func:`gram_derivative` picks one item of
 ``iter_block_derivs``. ``CompositeKernel.cross_derivs_all``, the oracle of
 the cross derivatives, is row 0 of every Gram derivative of the window with
 the query in front. The ARD cross values are :meth:`ArdKernel.cross_many`'s
@@ -56,9 +58,18 @@ depends on ``|dt|``.
 Every periodic matrix but the oracle's is filled by :func:`_eval_dt`. On a
 uniform integer time grid (a synthetic stream, a binned CSV) the matrix is
 Toeplitz, and ``sin`` and ``exp`` run on the distinct differences only;
-off the grid it is filled a chunk of rows at a time. The derivatives read
-their ``k`` factor from the values already built. Every path gives the bits
-of the dense evaluation.
+off the grid it is filled a chunk of rows at a time. Each evaluator call
+decides once which of the two applies. The derivatives read their ``k``
+factor from the values already built. Every path gives the bits of the
+dense evaluation.
+
+``CompositeKernel.component_blocks``, the Grams a fitted model keeps, holds
+a periodic Gram on the grid as :meth:`PeriodicKernel.compact_block`'s
+read-only strided view of its ``2n - 1`` distinct values, O(n) memory.
+``CompositeKernel.mix`` writes the first weighted Gram into its output and
+adds the others in place, a chunk of rows at a time, without a temporary of
+the full size; its output, like every ``block`` and ``cross_many``, is a
+C-ordered array.
 """
 
 from __future__ import annotations
@@ -88,7 +99,7 @@ __all__ = [
 ]
 
 SIMPLEX_TOL = 1e-12
-_BLOCK_VALUES = 1 << 17  # float64 values per block of SE's (queries, n, p) differences (1 MB)
+_BLOCK_VALUES = 1 << 17  # float64 values per block of a query tensor or a mix (1 MB)
 _CHUNK_VALUES = 1 << 12  # float64 values per chunk of an off-grid periodic matrix
 
 
@@ -174,17 +185,23 @@ def _on_one_grid(ts: np.ndarray, times: np.ndarray) -> bool:
     return True
 
 
-def _eval_dt(f, ts: np.ndarray, times: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _eval_dt(f, ts: np.ndarray, times: np.ndarray, grid: bool, out=None) -> np.ndarray:
     """Fills ``out`` with ``f(|ts[:, None] - times[None, :]|, at)`` and returns it.
 
     ``f`` is elementwise in the differences it receives; ``at`` indexes their
     entries in the full matrix, so ``f`` can read ``k[at]`` from a matrix
-    already built. On one grid (:func:`_on_one_grid`) ``f`` runs on the first
-    column and first row only, and the Toeplitz matrix is gathered from them;
-    off the grid, ``_CHUNK_VALUES`` values of rows at a time. Every element
-    gets the bits of the dense evaluation.
+    already built. ``grid`` is :func:`_on_one_grid` of ``(ts, times)``, which
+    the caller decides once for every fill of one evaluation. On the grid
+    ``f`` runs on the first column and first row only, and the Toeplitz
+    matrix is gathered from them; without ``out`` it is returned as a
+    read-only strided view of those ``len(ts) + len(times) - 1`` values.
+    Off the grid it is filled ``_CHUNK_VALUES`` values of rows at a time,
+    into a new array if ``out`` is not given. Every element gets the bits of
+    the dense evaluation.
     """
-    if not _on_one_grid(ts, times):
+    if not grid:
+        if out is None:
+            out = np.empty((len(ts), len(times)))
         step = max(1, _CHUNK_VALUES // len(times))
         for lo in range(0, len(ts), step):
             rows = slice(lo, lo + step)
@@ -192,15 +209,20 @@ def _eval_dt(f, ts: np.ndarray, times: np.ndarray, out: np.ndarray) -> np.ndarra
         return out
     col = f(np.abs(ts - times[0]), np.s_[:, 0])
     row = f(np.abs(ts[0] - times), np.s_[0, :])
-    values = np.concatenate((row[:0:-1], col))
-    # entry (i, j) of the view is values[len(row) - 1 + i - j]: col[i - j]
-    # below the diagonal, row[j - i] above it. The raw constructor because at
-    # n = 96 sliding_window_view (20 us) and as_strided (15 us) cost as much
-    # as scipy's toeplitz; this view and its copy take 6 us.
+    values = np.concatenate((col[::-1], row[1:]))
+    # entry (i, j) of the view is values[len(col) - 1 - i + j]: col[i - j]
+    # below the diagonal, row[j - i] above it. Its rows run forward through
+    # memory, which at n = 96 reads them 30 % faster than the mirrored
+    # layout. The raw constructor because at n = 96 sliding_window_view
+    # (20 us) and as_strided (15 us) cost as much as scipy's toeplitz.
     item = values.itemsize
-    out[...] = np.ndarray(
-        (col.size, row.size), values.dtype, values, (row.size - 1) * item, (item, -item)
+    view = np.ndarray(
+        (col.size, row.size), values.dtype, values, (col.size - 1) * item, (-item, item)
     )
+    if out is None:
+        view.setflags(write=False)
+        return view
+    out[...] = view
     return out
 
 
@@ -237,9 +259,18 @@ class PeriodicKernel:
     def block(self, times, lags) -> np.ndarray:
         return self.cross_many(times, lags, times, lags)
 
+    def compact_block(self, times, lags) -> np.ndarray:
+        """The Gram :meth:`block` returns, with its bits, but on the time grid
+        a read-only strided view of its ``2n - 1`` distinct values: O(n)
+        memory instead of ``n x n``. Off the grid it is ``block``'s array."""
+        return self._fill(times, times, _on_one_grid(times, times))
+
     def cross_many(self, ts, xs, times, lags) -> np.ndarray:
         out = np.empty((len(ts), len(times)))
-        return _eval_dt(lambda dt, at: self.from_dt(dt), ts, times, out)
+        return self._fill(ts, times, _on_one_grid(ts, times), out)
+
+    def _fill(self, ts, times, grid, out=None) -> np.ndarray:
+        return _eval_dt(lambda dt, at: self.from_dt(dt), ts, times, grid, out)
 
     def _value_and_derivs(self, dt):
         """Kernel values at ``dt`` and their scale and period derivatives: the
@@ -264,25 +295,31 @@ class PeriodicKernel:
 
     def block_contract(self, times, lags, gram, v, w, out, scratch) -> np.ndarray:
         """Fills ``out[:, j]`` with ``(w * dB/d p_j) @ v`` and returns ``B @ v``,
-        given ``gram = block(times, lags)``.
+        given ``gram``, :meth:`block` or :meth:`compact_block` of the window.
 
-        Each ``w * dB/d p_j`` is filled into ``scratch``, an ``(n, n)`` array
-        the caller owns, and applied to ``v`` before the next one overwrites
-        it. Its ``k`` factor is read from ``gram``, which holds ``from_dt``'s
-        bits, so every element has the bits of ``w *`` the matrix
-        :meth:`iter_block_derivs` yields.
+        ``gram`` is copied into ``scratch``, an ``(n, n)`` array the caller
+        owns, for ``B @ v``: matmul on the Toeplitz view's negative stride
+        skips BLAS and rounds differently. Then each ``w * dB/d p_j`` is
+        filled into ``scratch`` and applied to ``v`` before the next one
+        overwrites it. Its ``k`` factor is read from ``gram``, which holds
+        ``from_dt``'s bits, so every element has the bits of ``w *`` the
+        matrix :meth:`iter_block_derivs` yields.
         """
+        grid = _on_one_grid(times, times)
+        scratch[...] = gram
+        bv = scratch @ v
         for j in range(2):
-            _eval_dt(lambda dt, at: w * self._deriv(j, dt, gram[at]), times, times, scratch)
+            _eval_dt(lambda dt, at: w * self._deriv(j, dt, gram[at]), times, times, grid, scratch)
             out[:, j] = scratch @ v
-        return gram @ v
+        return bv
 
     def cross_derivs_many(self, ts, xs, times, lags, out) -> np.ndarray:
         """Cross matrix of many queries; fills ``out[:, j]`` with its derivative
         w.r.t. parameter ``j``, reading ``k`` from the cross matrix."""
-        k = self.cross_many(ts, xs, times, lags)
+        grid = _on_one_grid(ts, times)
+        k = self._fill(ts, times, grid, np.empty((len(ts), len(times))))
         for j in range(2):
-            _eval_dt(lambda dt, at: self._deriv(j, dt, k[at]), ts, times, out[:, j])
+            _eval_dt(lambda dt, at: self._deriv(j, dt, k[at]), ts, times, grid, out[:, j])
         return k
 
 
@@ -335,19 +372,28 @@ class SquaredExpKernel:
         out[:, 0] = d @ v
         return gram @ v
 
-    def cross_derivs_many(self, ts, xs, times, lags, out) -> np.ndarray:
-        """Cross matrix of many queries; fills ``out[:, j]`` with its derivative
-        w.r.t. parameter ``j``."""
-        # squared distances summed per query row, as np.einsum("ij,ij->i") of
-        # one query would, for a block of queries whose differences fit the budget
-        d2 = np.empty((len(xs), len(lags)))
-        block = max(1, _BLOCK_VALUES // lags.size)
-        for lo in range(0, len(xs), block):
-            d = lags - xs[lo : lo + block, None, :]
-            d2[lo : lo + block] = np.einsum("qij,qij->qi", d, d)
+    def cross_derivs_many(self, ts, xs, times, lags, out=None) -> np.ndarray:
+        """Cross matrix of many queries from :func:`_query_sq_dists` (the
+        hyper-gradient's values, which can differ in the last digit from
+        :meth:`cross_many`'s ``cdist``); fills ``out[:, 0]``, if given, with
+        its scale derivative."""
+        d2 = _query_sq_dists(xs, lags)
         k = np.exp(-self.scale * d2)
-        out[:, 0] = -d2 * k
+        if out is not None:
+            out[:, 0] = -d2 * k
         return k
+
+
+def _query_sq_dists(xs: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """Squared distances of every query row to every lag row, summed per query
+    row as ``np.einsum("ij,ij->i")`` of one query would, for a block of
+    queries whose differences fit the budget."""
+    d2 = np.empty((len(xs), len(lags)))
+    block = max(1, _BLOCK_VALUES // lags.size)
+    for lo in range(0, len(xs), block):
+        d = lags - xs[lo : lo + block, None, :]
+        d2[lo : lo + block] = np.einsum("qij,qij->qi", d, d)
+    return d2
 
 
 @dataclass(frozen=True, eq=False)
@@ -528,26 +574,42 @@ class CompositeKernel:
 
     # -- evaluation -------------------------------------------------------
 
-    def mix(self, blocks) -> np.ndarray:
-        """Weighted sum of per-component matrices, in component order, as a
-        new array."""
-        out = self.weights[0] * blocks[0]
+    def mix(self, blocks, out=None) -> np.ndarray:
+        """Weighted sum of per-component matrices, in component order, into
+        ``out``, a new C-ordered array if it is not given.
+
+        The first weighted component is written into ``out`` and every other
+        one is added in place, ``_BLOCK_VALUES`` values of rows at a time, so
+        no temporary of the full size is made. The work is elementwise: every
+        entry has the bits of ``w0 * b0 + w1 * b1 + ...``.
+        """
+        if out is None:
+            out = np.empty(blocks[0].shape)
+        np.multiply(self.weights[0], blocks[0], out=out)
+        step = max(1, _BLOCK_VALUES // out.shape[-1])
         for w, b in zip(self.weights[1:], blocks[1:]):
-            out += w * b
+            for lo in range(0, len(out), step):
+                out[lo : lo + step] += w * b[lo : lo + step]
         return out
 
     def component_blocks(self, times, lags) -> list[np.ndarray]:
-        return [c.block(times, lags) for c in self.components]
+        """The component Grams of a window. A periodic one is
+        :meth:`PeriodicKernel.compact_block`, on the time grid a read-only
+        view of O(n) values; every other is a new C-ordered array."""
+        return [
+            c.compact_block(times, lags) if isinstance(c, PeriodicKernel) else c.block(times, lags)
+            for c in self.components
+        ]
 
     def block(self, times, lags) -> np.ndarray:
         return self.mix(self.component_blocks(times, lags))
 
     def cross_many(self, ts, xs, times, lags) -> np.ndarray:
         # The batch predictor. The gradient and cross() take their values from
-        # cross_contract instead: the ARD values are the same (cross_many's),
-        # but the SE values there come from the einsum distances of
-        # cross_derivs_many, and OHL's updates can amplify a last-digit change
-        # until it shows in the forecasts.
+        # the cross_contract path instead: the ARD values are the same
+        # (cross_many's), but the SE values there come from the einsum
+        # distances of cross_derivs_many, and OHL's updates can amplify a
+        # last-digit change until it shows in the forecasts.
         return self.mix([c.cross_many(ts, xs, times, lags) for c in self.components])
 
     # -- derivatives ------------------------------------------------------
@@ -595,11 +657,23 @@ class CompositeKernel:
         derivatives of ``cross_derivs_many``, then the component cross values)
         is one row of a ``(queries, rows, n)`` tensor, applied to ``v`` as
         stacked one-query products, so row ``q`` does not depend on the other
-        queries.
+        queries. The queries go in blocks whose tensor holds at most
+        ``_BLOCK_VALUES`` values, which for the same reason changes no bits.
         """
-        n_rows = sum(c.n_params for c in self.components if not isinstance(c, ArdKernel))
-        dk = np.empty((len(ts), n_rows + self.n_components, len(times)))
+        n_rows = self.n_components + sum(
+            c.n_params for c in self.components if not isinstance(c, ArdKernel)
+        )
+        k = np.empty((len(ts), len(times)))
         dkv = np.empty((len(ts), self.n_scalars))
+        step = max(1, _BLOCK_VALUES // (n_rows * len(times)))
+        for lo in range(0, len(ts), step):
+            q = slice(lo, lo + step)
+            self._contract_block(ts[q], xs[q], times, lags, v, n_rows, k[q], dkv[q])
+        return k, dkv
+
+    def _contract_block(self, ts, xs, times, lags, v, n_rows, k, dkv) -> None:
+        """:meth:`cross_contract` of one block of queries, into ``k`` and ``dkv``."""
+        dk = np.empty((len(ts), n_rows, len(times)))
         rows, ks = [], []
         pos = row = 0
         for w, c in zip(self.weights, self.components):
@@ -612,17 +686,24 @@ class CompositeKernel:
                 rows.extend(range(pos, pos + c.n_params))
                 row += c.n_params
             pos += c.n_params
-        for i, k in enumerate(ks):
-            dk[:, row + i] = k
+        for i, ki in enumerate(ks):
+            dk[:, row + i] = ki
         dkv[:, rows + list(range(pos, self.n_scalars))] = dk @ v
-        return self.mix(ks), dkv
+        self.mix(ks, out=k)
 
     def cross(self, t, x, times, lags) -> np.ndarray:
-        """Cross vector of one query, shape ``(len(times),)``: the values of a
-        one-row :meth:`cross_contract`, the hyper-gradient's path."""
+        """Cross vector of one query, shape ``(len(times),)``, with the bits of
+        a one-row :meth:`cross_contract`'s values (the hyper-gradient's path),
+        from the components' values alone: SE's from its einsum distances."""
         ts = np.array([t], dtype=float)
         xs = np.asarray(x, dtype=float)[None, :]
-        return self.cross_contract(ts, xs, times, lags, np.zeros(len(times)))[0][0]
+        ks = [
+            c.cross_derivs_many(ts, xs, times, lags)
+            if isinstance(c, SquaredExpKernel)
+            else c.cross_many(ts, xs, times, lags)
+            for c in self.components
+        ]
+        return self.mix(ks)[0]
 
     def cross_derivs_all(self, t, x, times, lags) -> np.ndarray:
         """Cross-vector derivatives of one query, shape ``(n_scalars, len(times))``.

@@ -19,9 +19,13 @@ needs in one ``n x n`` scratch array, in turn; all columns then come from
 one multi-right-hand-side solve. A
 :class:`TrainedModel` keeps the Gram of each kernel component that
 ``fit`` built, and ``block_contract`` works from those, so each component
-Gram is built once per fit. The per-step squared-error loss then has an
-exact gradient assembled from the cross vector, its analytic derivatives,
-and the cached Jacobian columns.
+Gram is built once per fit. On a uniform integer time grid the periodic
+Gram is kept as a read-only Toeplitz view of its ``2n - 1`` distinct values,
+and ``fit`` mixes the system ``K + ridge*I`` into one buffer without a
+temporary per component: it holds the lag Grams, the system and the factor
+at its peak, and the model keeps the lag Grams and the factor. The per-step
+squared-error loss then has an exact gradient assembled from the cross
+vector, its analytic derivatives, and the cached Jacobian columns.
 
 Predictions and hyper-gradients are evaluated for a block of queries at once
 (:func:`predict_batch`, :func:`loss_hyper_gradient_batch`);
@@ -30,9 +34,9 @@ gradient needs the cross derivatives only applied to ``theta``, and takes
 them from one ``CompositeKernel.cross_contract`` call for all its queries:
 the ARD ones are contracted on the query side, and no ``(queries, n, lags)``
 tensor is built. :func:`predict`
-takes its cross vector from a one-row ``cross_contract`` (through
-``CompositeKernel.cross``), so its value is the gradient's residual bit for
-bit. The materialized derivatives (``CompositeKernel.iter_block_derivs`` and
+takes its cross vector from ``CompositeKernel.cross``, the values of a
+one-row ``cross_contract`` without its derivatives, so its value is the
+gradient's residual bit for bit. The materialized derivatives (``CompositeKernel.iter_block_derivs`` and
 ``cross_derivs_all``, its rows) are the tests' oracle; nothing here calls them.
 """
 
@@ -109,10 +113,13 @@ class TrainedModel:
     """Dual coefficients plus the cached factorization and training window.
 
     ``blocks`` holds the read-only Gram of each kernel component, in
-    component order; with the factor that is one ``n x n`` matrix per
-    component plus one. ``factor`` is Fortran-ordered and holds the Cholesky
-    factor of ``K + ridge*I`` in its lower triangle (its upper triangle is
-    not cleaned).
+    component order (``CompositeKernel.component_blocks``): a periodic Gram
+    on the time grid is a strided Toeplitz view of ``2n - 1`` values, every
+    other Gram an ``n x n`` array. With the factor that is one ``n x n``
+    matrix per lag component, and per periodic component off the grid, plus
+    one. ``factor`` is Fortran-ordered and holds the Cholesky factor of
+    ``K + ridge*I`` in its lower triangle (its upper triangle is not
+    cleaned).
     """
 
     hypers: HyperParams

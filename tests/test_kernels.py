@@ -1,6 +1,8 @@
 import math
 from unittest.mock import patch
 
+import mkridge.kernels
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -458,6 +460,117 @@ class TestPeriodicGrid:
         assert np.array_equal(kernel.cross_derivs_many(ts, None, times, None, out), k)
         assert np.array_equal(out[:, 0], d_scale)
         assert np.array_equal(out[:, 1], d_period)
+
+
+class TestPeriodicGridDecision:
+    """Each periodic evaluator decides once whether its times lie on one grid,
+    and the compact Gram gives the bits of the full one."""
+
+    @pytest.mark.parametrize("grid", [True, False], ids=["on-grid", "off-grid"])
+    def test_one_grid_decision_per_evaluator_call(self, monkeypatch, grid):
+        rng = np.random.default_rng(2)
+        n, m = 30, 7
+        times = np.arange(n, dtype=float) if grid else np.sort(rng.uniform(0.0, 90.0, n))
+        ts = times[-1] + 1.0 + np.arange(m, dtype=float)
+        kernel = PeriodicKernel(0.6, 11.0)
+        gram = kernel.compact_block(times, None)
+        decide = mkridge.kernels._on_one_grid
+        calls = []
+
+        def counted(*args):
+            calls.append(decide(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(mkridge.kernels, "_on_one_grid", counted)
+        evaluations = {
+            "block": lambda: kernel.block(times, None),
+            "compact_block": lambda: kernel.compact_block(times, None),
+            "cross_many": lambda: kernel.cross_many(ts, None, times, None),
+            "block_contract": lambda: kernel.block_contract(
+                times, None, gram, np.ones(n), 0.5, np.empty((n, 2)), np.empty((n, n))
+            ),
+            "cross_derivs_many": lambda: kernel.cross_derivs_many(
+                ts, None, times, None, np.empty((m, 2, n))
+            ),
+        }
+        for name, evaluate in evaluations.items():
+            calls.clear()
+            evaluate()
+            assert calls == [grid], name
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=periodic_case(), seed=st.integers(0, 2**32 - 1))
+    def test_compact_block_matches_block_bitwise(self, case, seed):
+        kernel, _, times, _ = case
+        n = len(times)
+        full, compact = kernel.block(times, None), kernel.compact_block(times, None)
+        assert full.flags.c_contiguous and full.flags.writeable
+        assert np.array_equal(compact, full)
+        if _on_one_grid(times, times):
+            # the strided view of the 2n - 1 distinct values, read-only
+            assert compact.base.size == 2 * n - 1
+            assert not compact.flags.writeable
+        rng = np.random.default_rng(seed)
+        v, w = rng.normal(size=n), float(rng.uniform(0.0, 1.0))
+        outs = [np.empty((n, 2)), np.empty((n, 2))]
+        values = [
+            kernel.block_contract(times, None, g, v, w, out, np.full((n, n), np.nan))
+            for g, out in zip((full, compact), outs)
+        ]
+        assert np.array_equal(values[0], values[1])
+        assert np.array_equal(outs[0], outs[1])
+
+
+class TestCrossValues:
+    """``CompositeKernel.cross`` computes values only, with the bits of the
+    values of a one-row ``cross_contract``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        families=st.lists(st.sampled_from(["periodic", "se", "ard"]), min_size=1, max_size=3),
+        n=st.integers(1, 80),
+        p=st.integers(1, 6),
+        grid=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_one_row_cross_contract_bitwise(self, families, n, p, grid, seed):
+        rng = np.random.default_rng(seed)
+        comps = []
+        for family in families:
+            if family == "periodic":
+                comps.append(PeriodicKernel(float(rng.uniform(0.05, 2.0)), float(rng.uniform(3.0, 40.0))))
+            elif family == "se":
+                comps.append(SquaredExpKernel(float(rng.uniform(0.01, 1.0))))
+            else:
+                comps.append(ArdKernel(rng.uniform(0.01, 1.0, p)))
+        spec = CompositeKernel(tuple(comps), rng.dirichlet(np.full(len(comps), 2.0)))
+        if grid:
+            times = float(rng.integers(-50, 50)) + np.arange(n, dtype=float)
+            t = times[-1] + float(rng.integers(1, 5))
+        else:
+            times = np.sort(rng.uniform(0.0, 3.0 * n, n))
+            t = float(rng.uniform(0.0, 3.0 * n))
+        lags, x = rng.normal(size=(n, p)), rng.normal(size=p)
+        k, _ = spec.cross_contract(np.array([t]), x[None, :], times, lags, rng.normal(size=n))
+        assert np.array_equal(spec.cross(t, x, times, lags), k[0])
+
+    def test_computes_no_derivatives(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        spec = CompositeKernel(
+            (PeriodicKernel(0.5, 7.0), SquaredExpKernel(0.2), ArdKernel(rng.uniform(0.1, 1.0, 3))),
+            [0.3, 0.3, 0.4],
+        )
+        window = random_window(rng, 20, 3)
+        expected = spec.cross(5.5, np.ones(3), window.times, window.lags)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("cross must not evaluate derivatives")
+
+        monkeypatch.setattr(PeriodicKernel, "cross_derivs_many", refuse)
+        monkeypatch.setattr(PeriodicKernel, "_deriv", refuse)
+        monkeypatch.setattr(ArdKernel, "cross_contract", refuse)
+        monkeypatch.setattr(mkridge.kernels, "_lag_moments", refuse)
+        assert np.array_equal(spec.cross(5.5, np.ones(3), window.times, window.lags), expected)
 
 
 class TestScratchContraction:

@@ -14,6 +14,7 @@ from mkridge.kernels import (
     PeriodicKernel,
     SquaredExpKernel,
     TimedPoint,
+    _BLOCK_VALUES,
     gram_derivative,
 )
 from mkridge.model import (
@@ -297,6 +298,63 @@ class TestJacobianMemory:
         assert peak <= 8 * (n * n + 8 * n * (p + d)), peak / (8 * n * n)
 
 
+def memory_instance(lag_kernel, grid, n=400, p=20):
+    """A periodic + ARD or periodic + SE model of ``n`` rows, and its window."""
+    rng = np.random.default_rng(7)
+    times = np.arange(n, dtype=float) if grid else np.sort(rng.uniform(0.0, 3.0 * n, n))
+    window = Dataset(times, rng.normal(size=(n, p)), rng.normal(size=n))
+    other = ArdKernel(rng.uniform(0.01, 0.1, p)) if lag_kernel == "ard" else SquaredExpKernel(0.05)
+    spec = CompositeKernel((PeriodicKernel(0.5, 24.0), other), np.array([0.5, 0.5]))
+    return HyperParams(spec, 0.3), window
+
+
+class TestFitMemory:
+    """On the time grid fit keeps the periodic Gram as its Toeplitz view and
+    mixes the kernel system in one buffer: it peaks at the lag Gram, the
+    system and the factor, and the model keeps the lag Gram and the factor."""
+
+    @pytest.mark.parametrize("lag_kernel", ["ard", "se"])
+    def test_peak_is_three_grams(self, lag_kernel):
+        n, p = 400, 20
+        hypers, window = memory_instance(lag_kernel, grid=True, n=n, p=p)
+        d = hypers.dim
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model = fit(hypers, window)
+            held, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert model.n == n
+        # float64 values: three (peak) and two (held) n x n arrays plus 8 n (p + d)
+        assert peak <= 8 * (3 * n * n + 8 * n * (p + d)), peak / (8 * n * n)
+        assert held <= 8 * (2 * n * n + 8 * n * (p + d)), held / (8 * n * n)
+
+
+class TestGradientMemory:
+    """The hyper-gradient's (queries, rows, n) tensor goes in blocks of at
+    most _BLOCK_VALUES values."""
+
+    @pytest.mark.parametrize("lag_kernel", ["ard", "se"])
+    def test_peak_is_the_cross_matrix_and_a_few_blocks(self, lag_kernel):
+        n, p, m = 400, 20, 336
+        hypers, window = memory_instance(lag_kernel, grid=True, n=n, p=p)
+        model = fit(hypers, window)
+        jac = theta_jacobian(model)
+        rng = np.random.default_rng(8)
+        queries = Dataset(n + np.arange(m, dtype=float), rng.normal(size=(m, p)), rng.normal(size=m))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            grads = loss_hyper_gradient_batch(model, jac, queries, queries.targets)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert grads.shape == (m, hypers.dim)
+        # the (m, n) cross matrix plus four blocks' worth of float64 values
+        assert peak <= 8 * (m * n + 4 * _BLOCK_VALUES), peak / 1e6
+
+
 def materialized_column(model, window, which):
     """Jacobian column ``which`` from the materialized Gram derivative."""
     return model.solve(-(gram_derivative(model.hypers.kernel, window, which) @ model.theta))
@@ -429,6 +487,72 @@ def jacobian_model(draw):
     if draw(st.booleans()):
         window = on_grid(window, origin=float(rng.integers(-50, 50)))
     return fit(HyperParams(spec, rng.uniform(0.05, 1.5)), window)
+
+
+@st.composite
+def placed_periodic_instance(draw):
+    """Hyperparameters and a window of 1 to 120 rows, on or off the unit time
+    grid, with the periodic component first, last or absent among up to two
+    lag components."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    placement = draw(st.sampled_from(["first", "last", "absent"]))
+    min_size = 1 if placement == "absent" else 0
+    lag_families = draw(st.lists(st.sampled_from(["se", "ard"]), min_size=min_size, max_size=2))
+    n, p = draw(st.integers(1, 120)), draw(st.integers(1, 8))
+    components = [
+        SquaredExpKernel(rng.uniform(0.01, 1.0)) if f == "se" else ArdKernel(rng.uniform(0.01, 1.0, p))
+        for f in lag_families
+    ]
+    periodic = PeriodicKernel(rng.uniform(0.05, 2.0), rng.uniform(3.0, 40.0))
+    if placement == "first":
+        components.insert(0, periodic)
+    elif placement == "last":
+        components.append(periodic)
+    spec = CompositeKernel(tuple(components), rng.dirichlet(np.full(len(components), 2.0)))
+    window = random_window(rng, n, p)
+    if draw(st.booleans()):
+        window = on_grid(window, origin=float(rng.integers(-50, 50)))
+    return HyperParams(spec, rng.uniform(0.05, 1.5)), window
+
+
+def dense_reference(hypers, window):
+    """theta, factor and Jacobian from the C-ordered Grams of each component's
+    ``block``, mixed with a full-size temporary per component and factored
+    as ``fit`` factors."""
+    spec, (times, lags, y) = hypers.kernel, (window.times, window.lags, window.targets)
+    blocks = [c.block(times, lags) for c in spec.components]
+    a = spec.weights[0] * blocks[0]
+    for w, b in zip(spec.weights[1:], blocks[1:]):
+        a += w * b
+    a.flat[:: y.size + 1] += hypers.ridge
+    factor, info = mkridge.model._potrf(a.T, lower=1, clean=0)
+    assert info == 0
+    theta = mkridge.model._potrs(factor, y, lower=1)[0]
+    residual = y - a @ theta
+    if np.linalg.norm(residual) > 1e-10 * max(1.0, np.linalg.norm(y)):
+        theta = theta + mkridge.model._potrs(factor, residual, lower=1)[0]
+    contracted = spec.block_contract(times, lags, blocks, theta)
+    rhs = np.asfortranarray(np.column_stack([-contracted, -theta]))
+    return theta, factor, mkridge.model._potrs(factor, rhs, lower=1)[0]
+
+
+class TestCompactGram:
+    """fit keeps a periodic Gram on the time grid as its Toeplitz view and
+    mixes the system in place; theta, the factor and the Jacobian keep the
+    bits of the dense build."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(instance=placed_periodic_instance())
+    def test_matches_dense_reference_bitwise(self, instance):
+        hypers, window = instance
+        model = fit(hypers, window)
+        theta, factor, jac = dense_reference(hypers, window)
+        assert np.array_equal(model.theta, theta)
+        assert np.array_equal(model.factor, factor)
+        assert np.array_equal(theta_jacobian(model), jac)
+        for c, b in zip(hypers.kernel.components, model.blocks):
+            assert not b.flags.writeable
+            assert np.array_equal(b, c.block(window.times, window.lags))
 
 
 class TestOneSolveJacobian:
