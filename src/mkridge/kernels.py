@@ -45,15 +45,23 @@ values with their derivatives), its ARD part from
 which builds no ``(queries, n, p)`` tensor.
 
 Its queries go in blocks whose ``(queries, rows, n)`` tensor holds at most
-``_BLOCK_VALUES`` values. ``CompositeKernel.cross`` and :func:`cross_vector`
+``_BLOCK_VALUES`` values; the window side of the ARD part (the lag moments
+and :meth:`ArdKernel.window_terms`) is computed once per call, not once per
+block. ``CompositeKernel.cross`` and :func:`cross_vector`
 compute the values of a one-row ``cross_contract`` with its bits, and no
 derivative; :func:`gram_derivative` picks one item of
 ``iter_block_derivs``. ``CompositeKernel.cross_derivs_all``, the oracle of
 the cross derivatives, is row 0 of every Gram derivative of the window with
-the query in front. The ARD cross values are :meth:`ArdKernel.cross_many`'s
-on every path. Gram matrices are exactly symmetric: the lag kernels are
-assembled from their upper triangle and mirrored, and the periodic kernel
-depends on ``|dt|``.
+the query in front.
+
+The ARD values come from one symmetric matrix product for the Gram and one
+product per query for the cross values, on every path (:class:`ArdKernel`).
+Gram matrices are exactly symmetric: numpy mirrors the ARD product, the SE
+Gram is ``pdist``'s upper triangle mirrored, and the periodic kernel depends
+on ``|dt|``. SE is the one kernel that uses ``scipy.spatial``: it keeps
+``pdist``'s and ``cdist``'s bits, since OHL's updates amplify a last-digit
+change of its values. The module is imported at SE's first evaluation
+(:func:`_sq_dists`), so periodic and ARD models never load it.
 
 Every periodic matrix but the oracle's is filled by :func:`_eval_dt`. On a
 uniform integer time grid (a synthetic stream, a binned CSV) the matrix is
@@ -79,7 +87,6 @@ from itertools import islice
 from typing import Iterator, Union
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
 
 __all__ = [
     "TimedPoint",
@@ -101,6 +108,7 @@ __all__ = [
 SIMPLEX_TOL = 1e-12
 _BLOCK_VALUES = 1 << 17  # float64 values per block of a query tensor or a mix (1 MB)
 _CHUNK_VALUES = 1 << 12  # float64 values per chunk of an off-grid periodic matrix
+_CACHE_VALUES = 1 << 15  # float64 values per row block of an ARD Gram's elementwise passes
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -150,9 +158,18 @@ def window_arrays(window) -> tuple[np.ndarray, np.ndarray]:
     return times, lags
 
 
-def _sq_dists(rows: np.ndarray) -> np.ndarray:
-    # upper triangle via pdist, mirrored by squareform: exactly symmetric
-    return squareform(pdist(rows, "sqeuclidean"), checks=False)
+def _sq_dists(xs: np.ndarray, lags: np.ndarray | None = None, out=None) -> np.ndarray:
+    """SE's squared distances: among the rows of ``xs`` (pdist, mirrored:
+    exactly symmetric) or, given ``lags``, to its rows (cdist, into ``out``)."""
+    # Imported here, at SE's first evaluation: scipy.spatial costs about 9 MB
+    # and 0.1 s, and periodic and ARD models never need it. SE keeps these
+    # bits because OHL's updates amplify a last-digit change of its values.
+    # This helper goes once SE evaluates as an ARD kernel with one tied scale.
+    from scipy.spatial.distance import cdist, pdist, squareform
+
+    if lags is None:
+        return squareform(pdist(xs, "sqeuclidean"), checks=False)
+    return cdist(xs, lags, "sqeuclidean", out=out)
 
 
 def _abs_dt(ts: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -351,7 +368,7 @@ class SquaredExpKernel:
         return np.exp(-self.scale * _sq_dists(lags))
 
     def cross_many(self, ts, xs, times, lags) -> np.ndarray:
-        return np.exp(-self.scale * cdist(xs, lags, "sqeuclidean"))
+        return np.exp(-self.scale * _sq_dists(xs, lags))
 
     def iter_block_derivs(self, times, lags) -> Iterator[np.ndarray]:
         d2 = _sq_dists(lags)
@@ -363,9 +380,9 @@ class SquaredExpKernel:
 
         ``w * dB/d scale = w * (-d2 * B)`` is built in place in ``scratch``,
         an ``(n, n)`` array the caller owns. ``cdist`` writes the squared
-        distances there with the bits of :func:`_sq_dists`.
+        distances there with the bits of the pairwise :func:`_sq_dists`.
         """
-        d = cdist(lags, lags, "sqeuclidean", out=scratch)
+        d = _sq_dists(lags, lags, out=scratch)
         np.negative(d, out=d)
         np.multiply(d, gram, out=d)
         np.multiply(w, d, out=d)
@@ -401,7 +418,12 @@ class ArdKernel:
     """Automatic-relevance kernel: ``exp(-sum_i scales[i] * (x_i - x'_i)^2)``.
 
     One nonnegative scale per lag coordinate; coordinates with scale 0 are
-    ignored entirely.
+    ignored entirely. Every value comes from ``d = h + h' - y . y'``, with
+    ``y`` the lags centred by the window's lag mean and scaled by
+    ``sqrt(2 * scales)`` and ``h = |y|^2 / 2``, clamped at ``d >= 0``: the
+    Gram from one symmetric matrix product (:meth:`block`), the cross values
+    from one product per query (:meth:`cross_many`). Centring keeps the
+    cancellation error near ``eps * (h + h')`` whatever the lags' offset.
     """
 
     scales: np.ndarray
@@ -435,15 +457,66 @@ class ArdKernel:
             )
 
     def block(self, times, lags) -> np.ndarray:
+        """The Gram. ``y @ y.T`` is one symmetric product (numpy computes it
+        with BLAS ``syrk`` and mirrors it) and ``h`` is read from its
+        diagonal, so the Gram is exactly symmetric and its diagonal is exactly
+        ``exp(0) = 1``. The products become kernel values in place,
+        ``_CACHE_VALUES`` values of rows at a time: no distance matrix is
+        built beside the Gram.
+        """
         self._check_dim(lags)
-        b = _sq_dists(lags * np.sqrt(self.scales))
-        np.negative(b, out=b)
-        return np.exp(b, out=b)
+        y = lags - lags.mean(axis=0)
+        y *= np.sqrt(2.0 * self.scales)
+        out = y @ y.T
+        half = np.diagonal(out) * 0.5
+        n = len(half)
+        step = max(1, _CACHE_VALUES // n)
+        sums = np.empty((min(step, n), n))
+        for lo in range(0, n, step):
+            rows = out[lo : lo + step]
+            h = np.add(half[lo : lo + step, None], half, out=sums[: len(rows)])
+            np.subtract(rows, h, out=rows)  # -d
+            np.minimum(rows, 0.0, out=rows)
+            np.exp(rows, out=rows)
+        return out
 
     def cross_many(self, ts, xs, times, lags) -> np.ndarray:
+        mean = lags.mean(axis=0)
+        return self._cross(xs, mean, self.window_terms(lags, mean))
+
+    def window_terms(self, lags, mean) -> np.ndarray:
+        """The window side of the cross values, shape ``(p + 2, n)``: column
+        ``j`` is ``[y_j, 1, h_j]``, with ``y_j`` the lags minus ``mean``
+        scaled by ``sqrt(2 s)`` and ``h_j = |y_j|^2 / 2``. Stored transposed,
+        so each query's product reads it row by row."""
         self._check_dim(lags)
-        root = np.sqrt(self.scales)
-        return np.exp(-cdist(xs * root, lags * root, "sqeuclidean"))
+        p = lags.shape[1]
+        terms = np.empty((p + 2, len(lags)))
+        y = np.subtract(lags, mean, out=terms[:p].T)
+        y *= np.sqrt(2.0 * self.scales)
+        terms[p] = 1.0
+        np.einsum("ji,ji->i", terms[:p], terms[:p], out=terms[p + 1])
+        terms[p + 1] *= 0.5
+        return terms
+
+    def _cross(self, xs, mean, terms) -> np.ndarray:
+        """Cross values of the queries ``xs`` against the window of
+        :meth:`window_terms`: ``exp(-max(d, 0))`` with ``-d_qj = [y_q, -h_q,
+        -1] . [y_j, 1, h_j]``, one ``(1, p + 2) @ (p + 2, n)`` product per
+        query. One ``(m, p + 2)`` product would round row ``q`` differently
+        for different numbers of queries; this way row ``q`` has the bits of
+        a one-query call."""
+        p = xs.shape[1]
+        a = np.empty((len(xs), p + 2))
+        y = np.subtract(xs, mean, out=a[:, :p])
+        y *= np.sqrt(2.0 * self.scales)
+        np.einsum("ij,ij->i", y, y, out=a[:, p])
+        a[:, p] *= -0.5
+        a[:, p + 1] = -1.0
+        k = np.empty((len(xs), terms.shape[1]))
+        np.matmul(a[:, None, :], terms, out=k[:, None, :])
+        np.minimum(k, 0.0, out=k)
+        return np.exp(k, out=k)
 
     def iter_block_derivs(self, times, lags) -> Iterator[np.ndarray]:
         base = self.block(None, lags)
@@ -472,9 +545,12 @@ class ArdKernel:
         _expand_contraction(lags - mean, scratch @ moments, w, out)
         return bv
 
-    def cross_contract(self, ts, xs, times, lags, v, w, out) -> np.ndarray:
+    def cross_contract(self, xs, mean, terms, moments, w, out) -> np.ndarray:
         """Fills ``out[q, j]`` with ``(w * dk_q/d s_j) @ v`` and returns the
-        cross matrix ``k = cross_many(ts, xs, times, lags)``.
+        cross matrix ``k`` of :meth:`cross_many`, given the window's
+        ``mean, moments = _lag_moments(lags, v)`` and its
+        ``terms = window_terms(lags, mean)``, which the caller computes once
+        for every block of queries.
 
         The query-side twin of :meth:`block_contract`: with query and window
         lags centred by the window's lag mean, ``dk_q/d s_j`` applied to
@@ -483,8 +559,7 @@ class ArdKernel:
         not depend on the other queries of the block; one ``(m, n)`` product
         would round differently for different blocks.
         """
-        k = self.cross_many(ts, xs, times, lags)
-        mean, moments = _lag_moments(lags, v)
+        k = self._cross(xs, mean, terms)
         _expand_contraction(xs - mean, (k[:, None, :] @ moments)[:, 0], w, out)
         return k
 
@@ -653,7 +728,9 @@ class CompositeKernel:
         """Cross vectors of many queries, and ``dkv[q, i] = (dk_q/d lam_i) @ v``.
 
         The ARD columns come from :meth:`ArdKernel.cross_contract`, without
-        the ``(queries, n, p)`` tensor. Every other column (the periodic and SE
+        the ``(queries, n, p)`` tensor; the window's lag moments and each ARD
+        component's :meth:`ArdKernel.window_terms` are computed once here for
+        every block of queries. Every other column (the periodic and SE
         derivatives of ``cross_derivs_many``, then the component cross values)
         is one row of a ``(queries, rows, n)`` tensor, applied to ``v`` as
         stacked one-query products, so row ``q`` does not depend on the other
@@ -663,22 +740,32 @@ class CompositeKernel:
         n_rows = self.n_components + sum(
             c.n_params for c in self.components if not isinstance(c, ArdKernel)
         )
+        ard = {}
+        if any(isinstance(c, ArdKernel) for c in self.components):
+            mean, moments = _lag_moments(lags, v)
+            ard = {
+                i: (mean, c.window_terms(lags, mean), moments)
+                for i, c in enumerate(self.components)
+                if isinstance(c, ArdKernel)
+            }
         k = np.empty((len(ts), len(times)))
         dkv = np.empty((len(ts), self.n_scalars))
         step = max(1, _BLOCK_VALUES // (n_rows * len(times)))
         for lo in range(0, len(ts), step):
             q = slice(lo, lo + step)
-            self._contract_block(ts[q], xs[q], times, lags, v, n_rows, k[q], dkv[q])
+            self._contract_block(ts[q], xs[q], times, lags, v, ard, n_rows, k[q], dkv[q])
         return k, dkv
 
-    def _contract_block(self, ts, xs, times, lags, v, n_rows, k, dkv) -> None:
-        """:meth:`cross_contract` of one block of queries, into ``k`` and ``dkv``."""
+    def _contract_block(self, ts, xs, times, lags, v, ard, n_rows, k, dkv) -> None:
+        """:meth:`cross_contract` of one block of queries, into ``k`` and
+        ``dkv``; ``ard`` maps each ARD component's index to its window-side
+        arguments of :meth:`ArdKernel.cross_contract`."""
         dk = np.empty((len(ts), n_rows, len(times)))
         rows, ks = [], []
         pos = row = 0
-        for w, c in zip(self.weights, self.components):
-            if isinstance(c, ArdKernel):
-                ks.append(c.cross_contract(ts, xs, times, lags, v, w, dkv[:, pos : pos + c.n_params]))
+        for i, (w, c) in enumerate(zip(self.weights, self.components)):
+            if i in ard:
+                ks.append(c.cross_contract(xs, *ard[i], w, dkv[:, pos : pos + c.n_params]))
             else:
                 block = dk[:, row : row + c.n_params]
                 ks.append(c.cross_derivs_many(ts, xs, times, lags, block))

@@ -87,19 +87,56 @@ class TestGenerateSynthetic:
             assert series.values.tobytes() == want.tobytes()
 
 
-def test_import_leaves_out_scipy_signal_and_stats():
-    # scipy.signal (and the scipy.stats it imports) doubled the import time and memory
+def _run_isolated(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on this mkridge."""
     src = str(Path(mkridge.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )}
-    code = ("import sys, mkridge; "
-            "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.stats'))))")
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+_HEAVY = "('scipy.signal', 'scipy.stats', 'scipy.spatial')"
+
+
+def test_import_leaves_out_scipy_signal_and_stats():
+    # scipy.signal (and the scipy.stats it imports) doubled the import time and
+    # memory; scipy.spatial adds about 9 MB and is needed by SE models only
+    code = f"import sys, mkridge; print(sorted(m for m in sys.modules if m.startswith({_HEAVY})))"
+    assert _run_isolated(code) == "[]"
+
+
+def test_periodic_ard_models_leave_out_scipy_spatial():
+    # fit, batched prediction and batched hyper-gradients of the paper's
+    # periodic + ARD model; then an SE model loads scipy.spatial and evaluates
+    code = f"""
+import sys
+import numpy as np
+from mkridge import ArdKernel, CompositeKernel, HyperParams, PeriodicKernel, SquaredExpKernel
+from mkridge.data import Dataset
+from mkridge.model import fit, loss_hyper_gradient_batch, predict_batch, theta_jacobian
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith({_HEAVY}))
+
+rng = np.random.default_rng(0)
+window = Dataset(np.arange(60.0), rng.normal(size=(60, 4)), rng.normal(size=60))
+queries = Dataset(np.arange(60.0, 70.0), rng.normal(size=(10, 4)), rng.normal(size=10))
+kernel = CompositeKernel((PeriodicKernel(0.5, 24.0), ArdKernel([0.1, 0.2, 0.3, 0.4])), [0.5, 0.5])
+model = fit(HyperParams(kernel, 1.0), window)
+yhat = predict_batch(model, queries)
+grads = loss_hyper_gradient_batch(model, theta_jacobian(model), queries, queries.targets)
+assert np.isfinite(yhat).all() and np.isfinite(grads).all()
+print(loaded())
+se = fit(HyperParams(CompositeKernel((SquaredExpKernel(0.1),), [1.0]), 1.0), window)
+assert np.isfinite(predict_batch(se, queries)).all()
+print(loaded()[:1])
+"""
+    assert _run_isolated(code).splitlines() == ["[]", "['scipy.spatial']"]
 
 
 class TestBuildFeatures:

@@ -573,6 +573,107 @@ class TestCrossValues:
         assert np.array_equal(spec.cross(5.5, np.ones(3), window.times, window.lags), expected)
 
 
+class TestArdValues:
+    """ARD values come from ``d = h_q + h_j - y_q . y_j`` of the centred,
+    scaled lags: one symmetric product for the Gram, one product per query
+    for the cross values."""
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        rng = np.random.default_rng(21)
+        return 40.0 + 10.0 * rng.normal(size=(96 + 336, 20)), rng.uniform(1e-4, 1e-2, 20)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 96, 336])
+    def test_rows_match_one_query_calls_bitwise(self, stream, m):
+        lags, scales = stream
+        kernel, window, xs = ArdKernel(scales), lags[:96], lags[96 : 96 + m]
+        k = kernel.cross_many(None, xs, None, window)
+        assert k.flags.c_contiguous
+        for q in range(m):
+            assert np.array_equal(k[q], kernel.cross_many(None, xs[q : q + 1], None, window)[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 90),
+        p=st.integers(1, 20),
+        offset=st.floats(-1e3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gram_exactly_symmetric_with_unit_diagonal(self, n, p, offset, seed):
+        rng = np.random.default_rng(seed)
+        lags = offset + rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-2, 2)
+        if n > 3:
+            lags[1] = lags[0]  # a repeated row, and one that rounds to d < 0
+            lags[2] = lags[0] + 1e-9 * rng.normal(size=p)
+        g = ArdKernel(np.exp(rng.uniform(np.log(1e-6), np.log(10.0), p))).block(None, lags)
+        assert g.flags.c_contiguous
+        assert np.array_equal(g, g.T)
+        assert (np.diagonal(g) == 1.0).all()
+        assert ((0.0 <= g) & (g <= 1.0)).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        m=st.integers(1, 8),
+        p=st.integers(1, 20),
+        offset=st.floats(-1e3, 1e3),
+        spread=st.floats(0.01, 100.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_eval_ard_within_centred_norms(self, n, m, p, offset, spread, seed):
+        # The rounding of d grows with the centred, scaled norms
+        # |x~|^2 = sum_i s_i (x_i - mean_i)^2 (the window's lag mean), not with
+        # the offset: it is at most about (p + 2) eps (|x~_q|^2 + |x~_j|^2),
+        # doubled for eval_ard's own rounding, plus the two exp roundings.
+        rng = np.random.default_rng(seed)
+        scales = np.exp(rng.uniform(np.log(1.5e-6), np.log(1.5e-2), p))  # the README's box
+        kernel = ArdKernel(scales)
+        lags = offset + spread * rng.normal(size=(n, p))
+        xs = offset + spread * rng.normal(size=(m, p))
+        xs[0] = lags[0] + 1e-9 * spread * rng.normal(size=p)  # rounds to d < 0 at times
+        mean = lags.mean(axis=0)
+        norm_w, norm_q = ((lags - mean) ** 2) @ scales, ((xs - mean) ** 2) @ scales
+        eps = np.finfo(float).eps
+        for got, rows, norm_rows in (
+            (kernel.cross_many(None, xs, None, lags), xs, norm_q),
+            (kernel.block(None, lags), lags, norm_w),
+        ):
+            want = np.array([[eval_ard(a, b, kernel) for b in lags] for a in rows])
+            bound = 2 * (p + 2) * eps * (norm_rows[:, None] + norm_w[None, :]) + 2 * eps
+            assert (np.abs(got - want) <= bound).all()
+            assert (got <= 1.0).all()
+
+
+class TestArdWindowTerms:
+    def test_one_computation_per_cross_contract_call(self, monkeypatch):
+        # at n = 1344, periodic + ARD-20, 96 queries go in four blocks; the
+        # window's lag moments and ARD terms are computed once for all of them
+        rng = np.random.default_rng(8)
+        n, m, p = 1344, 96, 20
+        spec = CompositeKernel(
+            (PeriodicKernel(1.5e-3, 96.0), ArdKernel(rng.uniform(1e-4, 1e-2, p))), [0.5, 0.5]
+        )
+        times, lags, v = np.arange(float(n)), rng.normal(size=(n, p)), rng.normal(size=n)
+        ts, xs = np.arange(float(n), float(n + m)), rng.normal(size=(m, p))
+        calls = {"moments": 0, "terms": 0, "blocks": 0}
+
+        def counted(key, f):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(mkridge.kernels, "_lag_moments", counted("moments", mkridge.kernels._lag_moments))
+        monkeypatch.setattr(ArdKernel, "window_terms", counted("terms", ArdKernel.window_terms))
+        monkeypatch.setattr(ArdKernel, "cross_contract", counted("blocks", ArdKernel.cross_contract))
+        k, dkv = spec.cross_contract(ts, xs, times, lags, v)
+        assert calls == {"moments": 1, "terms": 1, "blocks": 4}
+        for q in (0, 23, 24, 95):  # the first and last query of a block
+            k1, dkv1 = spec.cross_contract(ts[q : q + 1], xs[q : q + 1], times, lags, v)
+            assert np.array_equal(k[q], k1[0])
+            assert np.array_equal(dkv[q], dkv1[0])
+
+
 class TestScratchContraction:
     """Each component writes its derivative matrices into one scratch array the
     composite lends it; the contraction keeps the bits of the materialized
