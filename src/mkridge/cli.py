@@ -41,6 +41,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write_csv(path, header, columns, formats=None) -> None:
+    """One CSV row per index of the equal-length arrays ``columns``, each cell
+    written by its ``%`` format (default ``%.17g``, the digits of
+    :func:`_fmt`): the bytes ``csv.writer`` gives, with one format
+    operation per row."""
+    row = ",".join(formats or ["%.17g"] * len(header)) + "\n"
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row % cells for cells in zip(*(c.tolist() for c in columns)))
+
+
 # -- metrics ----------------------------------------------------------------
 
 
@@ -65,24 +76,8 @@ def rmse_series(sq_errors) -> np.ndarray:
 
 def write_trace_csv(path, trace: RunTrace) -> None:
     sq = trace.sq_errors()
-    rmse = rmse_series(sq)
-    grad_norms = trace.grad_norms
-    proj_norms = np.sqrt(trace.proj_grad_sq)
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        out = csv_writer(fh, lineterminator="\n")
-        out.writerow(TRACE_COLUMNS)
-        for i in range(len(trace)):
-            out.writerow(
-                (
-                    _fmt(trace.times[i]),
-                    _fmt(trace.y[i]),
-                    _fmt(trace.yhat[i]),
-                    _fmt(sq[i]),
-                    _fmt(rmse[i]),
-                    _fmt(grad_norms[i]),
-                    _fmt(proj_norms[i]),
-                )
-            )
+    _write_csv(path, TRACE_COLUMNS, (trace.times, trace.y, trace.yhat, sq, rmse_series(sq),
+                                     trace.grad_norms, np.sqrt(trace.proj_grad_sq)))
 
 
 def read_trace_csv(path) -> dict[str, np.ndarray]:
@@ -200,11 +195,14 @@ def _parse_component(entry: dict, lag_order: int):
         raise ConfigError(f"kernel component needs a 'type': {entry!r}") from None
     try:
         if kind == "periodic":
+            _check_keys(entry, ("type", "scale", "period"), "periodic kernel component")
             return PeriodicKernel(_number(entry["scale"], "periodic scale"),
                                   _number(entry["period"], "period"))
         if kind == "se":
+            _check_keys(entry, ("type", "scale"), "se kernel component")
             return SquaredExpKernel(_number(entry["scale"], "se scale"))
         if kind == "ard":
+            _check_keys(entry, ("type", "scale"), "ard kernel component")
             scale = entry["scale"]
             if isinstance(scale, list):
                 scales = np.array([_number(s, "ARD scale") for s in scale])
@@ -218,7 +216,8 @@ def _parse_component(entry: dict, lag_order: int):
     raise ConfigError(f"unknown kernel type {kind!r} (expected periodic|se|ard)")
 
 
-def _parse_model(entry: dict, lag_order: int) -> HyperParams:
+def _parse_model(entry: dict, lag_order: int, name: str = "model") -> HyperParams:
+    _check_keys(_object(entry, name), ("kernel", "weights", "ridge"), name)
     try:
         raw = entry["kernel"]
         ridge = _number(entry["ridge"], "ridge")
@@ -237,14 +236,10 @@ def _parse_model(entry: dict, lag_order: int) -> HyperParams:
         raise ConfigError(str(e)) from None
 
 
-_BOUND_KINDS = ("scale", "period", "ridge")
-
-
 def _parse_bounds(entry: dict, hypers: HyperParams) -> FeasibleSet:
+    _check_keys(entry, ("scale", "period", "ridge"), "bounds")
     bounds = {}
     for kind, value in entry.items():
-        if kind not in _BOUND_KINDS:
-            raise ConfigError(f"unknown bounds key {kind!r} (expected {'|'.join(_BOUND_KINDS)})")
         if not isinstance(value, list) or len(value) != 2:
             raise ConfigError(f"bounds {kind} must be a two-element list, got {value!r}")
         bounds[kind] = (_number(value[0], f"bounds {kind}"), _number(value[1], f"bounds {kind}"))
@@ -263,15 +258,14 @@ def _parse_strategies(cfg: dict, hypers: HyperParams, feasible: FeasibleSet,
     out: dict[str, TunerConfig] = {}
     for name in names:
         params = _object(section.get(name, {}), f"strategy {name}")
-        unknown = params.keys() - _STRATEGY_KEYS.keys() - {"grid"}
-        if unknown:
-            raise ConfigError(f"unknown keys for strategy {name}: {sorted(unknown)}")
+        _check_keys(params, (*_STRATEGY_KEYS, "grid"), f"strategy {name}")
         kwargs = {k: parse(params[k], k) for k, parse in _STRATEGY_KEYS.items() if k in params}
         if args.eta is not None and name in (Strategy.OHL.value, Strategy.OFFLINE_GRAD.value):
             kwargs["eta"] = args.eta
         if args.seed is not None:
             kwargs["seed"] = args.seed
-        grid = tuple(_parse_model(g, lag_order) for g in _list(params.get("grid", []), "grid"))
+        grid = tuple(_parse_model(g, lag_order, "grid point")
+                     for g in _list(params.get("grid", []), "grid"))
         try:
             out[name] = TunerConfig(
                 strategy=Strategy(name), init=hypers, feasible=feasible, grid=grid, **kwargs
@@ -284,6 +278,8 @@ def _parse_strategies(cfg: dict, hypers: HyperParams, feasible: FeasibleSet,
 def _build_series(data_cfg: dict, seed: int) -> TimeSeries:
     kind = data_cfg.get("type")
     if kind == "synthetic":
+        _check_keys(data_cfg, ("type", "c1", "c2", "omega", "ar_order", "length", "seed",
+                               "noise_sd"), "synthetic data")
         try:
             config = SyntheticConfig(
                 c1=_number(data_cfg.get("c1", 0.5), "c1"),
@@ -298,6 +294,8 @@ def _build_series(data_cfg: dict, seed: int) -> TimeSeries:
         except ValueError as e:
             raise ConfigError(f"bad synthetic data section: {e}") from None
     if kind == "csv":
+        _check_keys(data_cfg, ("type", "path", "timestamp_column", "value_column", "bin_width",
+                               "aggregator", "bin_mode"), "csv data")
         series = load_csv(
             _string(data_cfg.get("path"), "csv data path"),
             timestamp_column=_string(data_cfg.get("timestamp_column", "timestamp"), "timestamp_column"),
@@ -316,6 +314,14 @@ def _build_series(data_cfg: dict, seed: int) -> TimeSeries:
                 raise ConfigError(f"bad binning settings: {e}") from None
         return series
     raise ConfigError(f"data section needs type 'synthetic' or 'csv', got {kind!r}")
+
+
+def _check_keys(section: dict, known, name: str) -> None:
+    unknown = section.keys() - set(known)
+    if unknown:
+        raise ConfigError(
+            f"unknown keys for {name}: {sorted(unknown)} (expected some of {sorted(known)})"
+        )
 
 
 def _integer(value, name: str, least: int = 1) -> int:
@@ -381,27 +387,26 @@ def cmd_generate(args) -> int:
     series = _build_series({"type": "synthetic", **data_cfg}, 0)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", newline="", encoding="utf-8") as fh:
-        w = csv_writer(fh, lineterminator="\n")
-        w.writerow(("timestamp", "value"))
-        for t, v in zip(series.timestamps, series.values):
-            w.writerow((int(t), _fmt(v)))
+    _write_csv(out, ("timestamp", "value"), (series.timestamps, series.values),
+               ("%d", "%.17g"))
     print(f"wrote {len(series)} rows to {out}")
     return 0
 
 
 def cmd_run(args) -> int:
     cfg = _load_config(args)
+    _check_keys(cfg, ("data", "lag_order", "horizon", "seed", "predict_steps", "schedule", "model",
+                      "bounds", "strategies", "out", "format"), "the config file")
 
     data_cfg = cfg.get("data")
     if data_cfg is not None:
         _object(data_cfg, "data")
     if args.data is not None:
-        if args.data == "synthetic":
-            data_cfg = {"type": "synthetic", **(data_cfg if data_cfg and data_cfg.get("type") == "synthetic" else {})}
-            data_cfg["type"] = "synthetic"
-        else:
-            data_cfg = {"type": "csv", "path": args.data}
+        # the flag picks the source; a section of the same type keeps its settings
+        kind = "synthetic" if args.data == "synthetic" else "csv"
+        data_cfg = {**(data_cfg if data_cfg and data_cfg.get("type") == kind else {}), "type": kind}
+        if kind == "csv":
+            data_cfg["path"] = args.data
     if data_cfg is None:
         raise ConfigError("no data source (use --data or the config file's data section)")
 
@@ -414,6 +419,7 @@ def cmd_run(args) -> int:
         steps = _integer(steps, "predict_steps")
 
     sched_cfg = dict(_object(cfg.get("schedule", {}), "schedule"))
+    _check_keys(sched_cfg, ("n", "m", "train_window", "validation_window"), "schedule")
     if args.n is not None:
         sched_cfg["n"] = args.n
     if args.m is not None:
@@ -464,6 +470,8 @@ def cmd_run(args) -> int:
             traces[name] = run(tuner_cfg, schedule, stream, steps)
         except ValueError as e:
             raise DataError(f"strategy {name}: {e}") from None
+        except NumericalError as e:
+            raise NumericalError(f"strategy {name}: {e}") from None
         write_trace_csv(out_dir / f"trace_{name}.csv", traces[name])
 
     report = build_report(traces)
@@ -495,11 +503,7 @@ def cmd_regret(args) -> int:
         target_dir = out_dir if out_dir is not None else trace_path.parent
         target_dir.mkdir(parents=True, exist_ok=True)
         out_path = target_dir / f"regret_{trace_path.stem}.csv"
-        with out_path.open("w", newline="", encoding="utf-8") as fh:
-            w = csv_writer(fh, lineterminator="\n")
-            w.writerow(("t", "regret", "regret_rate"))
-            for i in range(regret.size):
-                w.writerow((_fmt(columns["t"][i]), _fmt(regret[i]), _fmt(rate[i])))
+        _write_csv(out_path, ("t", "regret", "regret_rate"), (columns["t"], regret, rate))
         print(f"wrote {out_path}")
     return 0
 

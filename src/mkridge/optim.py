@@ -159,7 +159,11 @@ def project_box(v, feasible: FeasibleSet) -> np.ndarray:
 def project_simplex(v) -> np.ndarray:
     """Euclidean projection onto ``{w : sum(w) = 1, w >= 0}``, row by row.
 
-    Sort-and-threshold method, O(M log M) per row.
+    Sort-and-threshold method, O(M log M) per row. Raises
+    :class:`NumericalError` if a projected row misses the unit sum by more
+    than ``SIMPLEX_TOL``, as rounding makes it do once a row's entries dwarf
+    1 (an overflowing gradient step: at 1e16 and more, ``css - 1`` rounds
+    the 1 away).
     """
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or v.shape[-1] < 1:
@@ -179,6 +183,12 @@ def project_simplex(v) -> np.ndarray:
     # already feasible rows stay as they are, so the projection is exactly idempotent
     keep = (v.min(axis=1) >= 0.0) & (np.abs(v.sum(axis=1) - 1.0) <= SIMPLEX_TOL)
     out[keep] = v[keep]
+    miss = np.abs(out.sum(axis=1) - 1.0)
+    if not (miss <= SIMPLEX_TOL).all():
+        raise NumericalError(
+            f"simplex projection misses the unit sum by {float(miss.max()):.3g}: "
+            f"entries up to {float(np.abs(v).max()):.3g} are too large to project"
+        )
     return out
 
 

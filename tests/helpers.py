@@ -7,8 +7,14 @@ are used to check.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import mkridge
 from mkridge.data import Dataset
 from mkridge.kernels import (
     ArdKernel,
@@ -137,3 +143,16 @@ def random_instance(rng: np.random.Generator, n_max: int = 50, p_max: int = 20):
     spec = random_spec(rng, p)
     hypers = HyperParams(spec, float(rng.uniform(0.05, 1.5)))
     return hypers, random_window(rng, n, p)
+
+
+def run_isolated(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on this mkridge."""
+    src = str(Path(mkridge.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()

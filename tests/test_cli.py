@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import mkridge
-from mkridge.cli import main, read_trace_csv, rmse_series, rmse_t, _fmt, _trajectory
+from mkridge.cli import main, read_trace_csv, rmse_series, rmse_t, _fmt, _trajectory, _write_csv
 
 
 def write_config(tmp_path, **overrides):
@@ -53,6 +54,25 @@ class TestRmse:
         rng = np.random.default_rng(0)
         for x in rng.normal(0, 100, 50):
             assert float(_fmt(float(x))) == float(x)
+
+
+class TestCsvWriter:
+    def test_bytes_match_csv_module(self, tmp_path):
+        # one % format per row gives the csv module's bytes over _fmt cells
+        specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 2.2250738585072014e-308, 1e308,
+                    -1e308, 0.1, 1 / 3, 123456789.0, 0.0]
+        rng = np.random.default_rng(5)
+        columns = [np.array(specials), rng.permutation(specials), rng.normal(0, 1e3, 12)]
+        ints = np.arange(-3, 9, dtype=np.int64) * 10**15
+        header = ("t", "a", "b", "c")
+        ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+        _write_csv(ours, header, [ints, *columns], ("%d", "%.17g", "%.17g", "%.17g"))
+        with theirs.open("w", newline="", encoding="utf-8") as fh:
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(header)
+            for i in range(ints.size):
+                out.writerow((int(ints[i]), *(_fmt(c[i]) for c in columns)))
+        assert ours.read_bytes() == theirs.read_bytes()
 
 
 class TestModuleEntryPoint:
@@ -200,6 +220,25 @@ class TestRun:
             ["run", "--config", str(cfg), "--data", str(series), "--out", str(out_dir)]
         ) == 0
         assert (out_dir / "trace_FIXED.csv").exists()
+
+
+def test_data_flag_synthetic_replaces_csv_section(tmp_path):
+    cfg = write_config(tmp_path, **finite_csv(tmp_path, bin_width=2, bin_mode="strict"))
+    out_dir = tmp_path / "results"
+    assert main(["run", "--config", str(cfg), "--data", "synthetic", "--out", str(out_dir)]) == 0
+    assert (out_dir / "trace_FIXED.csv").exists()
+
+
+def test_data_flag_csv_keeps_csv_section_settings(tmp_path):
+    # --data swaps the file and keeps the section's binning: 300 raw steps in
+    # bins of 2 are the bin indices 0..149
+    cfg = write_config(tmp_path, **finite_csv(tmp_path, bin_width=2))
+    other = tmp_path / "other.csv"
+    other.write_bytes((tmp_path / "series.csv").read_bytes())
+    out_dir = tmp_path / "results"
+    flags = ["run", "--config", str(cfg), "--data", str(other), "--out", str(out_dir)]
+    assert main(flags) == 0
+    assert read_trace_csv(out_dir / "trace_FIXED.csv")["t"][-1] == 149.0
 
 
 def finite_csv(tmp_path, bad_value="1.01", **binning):
@@ -358,6 +397,41 @@ def finite_csv(tmp_path, bad_value="1.01", **binning):
                      id="timestamp-column-not-string"),
         pytest.param({"binning": {"value_column": ["value"]}}, [], 2, "value_column",
                      id="value-column-not-string"),
+        pytest.param({"lagorder": 20}, [], 2, "unknown keys for the config file: ['lagorder']",
+                     id="config-unknown-key"),
+        pytest.param({"schedule": {"n": 40, "mm": 10, "train_window": 50}}, [], 2,
+                     "unknown keys for schedule: ['mm']", id="schedule-unknown-key"),
+        pytest.param({"model": {"kernel": [{"type": "se", "scale": 0.05}], "weight": [1.0],
+                                "ridge": 1.0}},
+                     [], 2, "unknown keys for model: ['weight']", id="model-unknown-key"),
+        pytest.param({"model": {"kernel": [{"type": "se", "scales": 0.05}], "ridge": 1.0}},
+                     [], 2, "unknown keys for se kernel component: ['scales']",
+                     id="se-unknown-key"),
+        pytest.param({"model": {"kernel": [{"type": "periodic", "scale": 1.0, "period": 5.0,
+                                            "phase": 0.0}], "ridge": 1.0}},
+                     [], 2, "unknown keys for periodic kernel component: ['phase']",
+                     id="periodic-unknown-key"),
+        pytest.param({"model": {"kernel": [{"type": "ard", "scale": 0.1, "period": 5.0}],
+                                "ridge": 1.0}},
+                     [], 2, "unknown keys for ard kernel component: ['period']",
+                     id="ard-unknown-key"),
+        pytest.param({"strategies": {"GRID": {"grid": [{"kernel": [{"type": "se", "scale": 0.05}],
+                                                        "ridge": 1.0, "ridg": 2.0}]}}},
+                     [], 2, "unknown keys for grid point: ['ridg']", id="grid-point-unknown-key"),
+        pytest.param({"data": {"type": "synthetic", "lenght": 300, "seed": 1}}, [], 2,
+                     "unknown keys for synthetic data: ['lenght']", id="synthetic-unknown-key"),
+        pytest.param({"binning": {"bin_widht": 2}}, [], 2, "unknown keys for csv data: ['bin_widht']",
+                     id="csv-unknown-key"),
+        pytest.param({"data": {"type": "csv", "path": "series.csv", "length": 300}}, [], 2,
+                     "unknown keys for csv data: ['length']", id="csv-synthetic-key"),
+        *(pytest.param({"model": {"kernel": [{"type": "periodic", "scale": 1.0, "period": 5.0},
+                                             {"type": "se", "scale": 0.05}], "ridge": 1.0},
+                        "bounds": {"scale": [1e-4, 10.0], "period": [2.0, 100.0],
+                                   "ridge": [1e-3, 3.0]},
+                        "strategies": {name: {"eta": eta}}},
+                       [], 4, f"strategy {name}: simplex projection misses the unit sum",
+                       id=f"{name.lower()}-step-overflow")
+          for name, eta in (("OHL", 1e30), ("OFFLINE_GRAD", 1e300))),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, capsys, overrides, flags, code, needle):

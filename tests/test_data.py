@@ -1,13 +1,7 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import mkridge
-
+from helpers import run_isolated as _run_isolated
 from mkridge.data import (
     BURN_IN,
     Dataset,
@@ -85,19 +79,6 @@ class TestGenerateSynthetic:
             denom = np.concatenate(([1.0], -c1 * coeffs))
             want = lfilter([1.0], denom, 1.0 + 0.5 * np.sin(t / omega))[BURN_IN:]
             assert series.values.tobytes() == want.tobytes()
-
-
-def _run_isolated(code: str) -> str:
-    """Standard output of ``code`` run in a fresh interpreter on this mkridge."""
-    src = str(Path(mkridge.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    )}
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout.strip()
 
 
 _HEAVY = "('scipy.signal', 'scipy.stats', 'scipy.spatial')"

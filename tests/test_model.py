@@ -1,9 +1,10 @@
+import importlib.machinery
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import _flapack, cho_factor, cho_solve, get_lapack_funcs
 
 import mkridge.model
 from mkridge.data import Dataset
@@ -34,6 +35,7 @@ from helpers import (
     random_instance,
     random_window,
     rel_errors,
+    run_isolated,
 )
 
 
@@ -787,3 +789,74 @@ class TestInterpolationLimit:
             resid = window.targets - predict_batch(model, window)
             errors.append(np.linalg.norm(resid))
         assert errors[0] >= errors[1] >= errors[2]
+
+
+class TestLapackLoad:
+    """fit's potrf and potrs come from scipy's LAPACK wrapper, loaded without
+    scipy.linalg, or from get_lapack_funcs when that load fails."""
+
+    def test_periodic_ard_models_leave_out_scipy_linalg(self):
+        code = """
+import sys
+import numpy as np
+from mkridge import ArdKernel, CompositeKernel, HyperParams, PeriodicKernel, SquaredExpKernel
+from mkridge.data import Dataset
+from mkridge.model import fit, loss_hyper_gradient_batch, predict_batch, theta_jacobian
+
+def loaded():
+    return [m for m in ('scipy._lib._array_api', 'scipy.linalg', 'scipy.spatial') if m in sys.modules]
+
+rng = np.random.default_rng(0)
+window = Dataset(np.arange(60.0), rng.normal(size=(60, 4)), rng.normal(size=60))
+queries = Dataset(np.arange(60.0, 70.0), rng.normal(size=(10, 4)), rng.normal(size=10))
+kernel = CompositeKernel((PeriodicKernel(0.5, 24.0), ArdKernel([0.1, 0.2, 0.3, 0.4])), [0.5, 0.5])
+model = fit(HyperParams(kernel, 1.0), window)
+yhat = predict_batch(model, queries)
+grads = loss_hyper_gradient_batch(model, theta_jacobian(model), queries, queries.targets)
+assert np.isfinite(yhat).all() and np.isfinite(grads).all()
+print(loaded(), 'mkridge._flapack' in sys.modules)
+se = fit(HyperParams(CompositeKernel((SquaredExpKernel(0.1),), [1.0]), 1.0), window)
+assert np.isfinite(predict_batch(se, queries)).all()
+print('scipy.spatial' in loaded())
+"""
+        assert run_isolated(code).splitlines() == ["[] True", "True"]
+
+    def test_scipy_linalg_imports_after_mkridge(self):
+        code = """
+import mkridge
+import scipy.linalg
+print(scipy.linalg._flapack.__name__, hasattr(scipy.linalg, 'cho_factor'))
+"""
+        assert run_isolated(code) == "scipy.linalg._flapack True"
+
+    @pytest.mark.parametrize("n", [5, 100, 1344])
+    def test_same_bits_as_get_lapack_funcs(self, n):
+        potrf, potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, n))
+        a = x @ x.T + n * np.eye(n)
+        rhs = rng.normal(size=(n, 7))
+        mine, info = mkridge.model._potrf(a, lower=1, clean=0)
+        theirs, their_info = potrf(a, lower=1, clean=0)
+        assert info == their_info == 0
+        assert mine.tobytes() == theirs.tobytes()
+        assert (mkridge.model._potrs(mine, rhs, lower=1)[0].tobytes()
+                == potrs(theirs, rhs, lower=1)[0].tobytes())
+
+    @pytest.mark.parametrize("failure", ["missing", "load-raises"])
+    def test_falls_back_to_get_lapack_funcs(self, monkeypatch, failure):
+        if failure == "missing":
+            monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        else:
+            def refuse(self, spec):
+                raise ImportError(f"cannot load {spec.name}")
+
+            monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, "create_module", refuse)
+        potrf, potrs = mkridge.model._load_lapack()
+        assert potrf is _flapack.dpotrf and potrs is _flapack.dpotrs
+        window = random_window(np.random.default_rng(4), 30, 3)
+        hypers = se_hypers(scale=0.5)
+        want = fit(hypers, window).theta
+        monkeypatch.setattr(mkridge.model, "_potrf", potrf)
+        monkeypatch.setattr(mkridge.model, "_potrs", potrs)
+        assert fit(hypers, window).theta.tobytes() == want.tobytes()

@@ -110,6 +110,15 @@ class TestProjectSimplex:
         with pytest.raises(NumericalError, match="non-finite"):
             project_simplex(np.vstack([good, v]))
 
+    @pytest.mark.parametrize("v", [[5.6e29, -5.6e29], [1e300, -1e300, 0.5], [1e300, 1e300]])
+    def test_lost_unit_sum_raises_numerical_error(self, v):
+        # 1 vanishes next to entries this large: the projected row cannot sum to 1
+        with pytest.raises(NumericalError, match="misses the unit sum"):
+            project_simplex(v)
+        good = np.full(len(v), 1.0 / len(v))
+        with pytest.raises(NumericalError, match="misses the unit sum"):
+            project_simplex(np.vstack([good, v]))
+
 
 class TestProjectC:
     def test_composes_box_and_simplex(self):
