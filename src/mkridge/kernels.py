@@ -58,10 +58,11 @@ The ARD values come from one symmetric matrix product for the Gram and one
 product per query for the cross values, on every path (:class:`ArdKernel`).
 Gram matrices are exactly symmetric: numpy mirrors the ARD product, the SE
 Gram is ``pdist``'s upper triangle mirrored, and the periodic kernel depends
-on ``|dt|``. SE is the one kernel that uses ``scipy.spatial``: it keeps
-``pdist``'s and ``cdist``'s bits, since OHL's updates amplify a last-digit
-change of its values. The module is imported at SE's first evaluation
-(:func:`_sq_dists`), so periodic and ARD models never load it.
+on ``|dt|``. SE keeps the bits of ``scipy.spatial.distance``'s ``pdist`` and
+``cdist``, since OHL's updates amplify a last-digit change of its values. It
+calls the compiled routines behind them, loaded at its first evaluation
+without importing ``scipy.spatial`` (:func:`_distance_routines`), so no
+model loads that package.
 
 Every periodic matrix but the oracle's is filled by :func:`_eval_dt`. On a
 uniform integer time grid (a synthetic stream, a binned CSV) the matrix is
@@ -83,10 +84,13 @@ C-ordered array.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from functools import cache, partial
 from itertools import islice
 from typing import Iterator, Union
 
 import numpy as np
+
+from ._compiled import scipy_routines
 
 __all__ = [
     "TimedPoint",
@@ -158,20 +162,46 @@ def window_arrays(window) -> tuple[np.ndarray, np.ndarray]:
     return times, lags
 
 
-def _sq_dists(xs: np.ndarray, lags: np.ndarray | None = None, out=None) -> np.ndarray:
-    """SE's squared distances: among the rows of ``xs`` (pdist, mirrored:
-    exactly symmetric) or, given ``lags``, to its rows (cdist, into ``out``)."""
-    # Imported here, at SE's first evaluation: scipy.spatial brings scipy's
-    # array-API layer and scipy.linalg with it, about 0.33 s, 32 MB of peak
-    # RSS and 400 modules after `import mkridge`, and periodic and ARD models
-    # never need it. SE keeps these bits because OHL's updates amplify a
-    # last-digit change of its values. This helper goes once SE evaluates as
-    # an ARD kernel with one tied scale.
+@cache
+def _distance_routines():
+    """``(pdist, cdist, to_square)``: the squared distances among the rows of
+    one array (condensed) and between the rows of two, and the mirror of a
+    condensed vector into a zero-diagonal C-ordered square array.
+
+    They are the compiled routines behind ``scipy.spatial.distance``'s
+    ``pdist``, ``cdist`` and ``squareform``, loaded once, at SE's first
+    evaluation, without ``scipy.spatial`` (:func:`._compiled.scipy_routines`),
+    whose package init imports scipy's array-API layer and ``scipy.linalg``.
+    If either module fails to load, they come from ``scipy.spatial.distance``.
+    """
+    pairs = scipy_routines("spatial", "_distance_pybind", ("pdist_sqeuclidean", "cdist_sqeuclidean"))
+    mirror = scipy_routines("spatial", "_distance_wrap", ("to_squareform_from_vector_wrap",))
+    if pairs is not None and mirror is not None:
+        return (*pairs, *mirror)
     from scipy.spatial.distance import cdist, pdist, squareform
 
-    if lags is None:
-        return squareform(pdist(xs, "sqeuclidean"), checks=False)
-    return cdist(xs, lags, "sqeuclidean", out=out)
+    def to_square(out, v):
+        out[...] = squareform(v, checks=False)
+
+    return partial(pdist, metric="sqeuclidean"), partial(cdist, metric="sqeuclidean"), to_square
+
+
+def _sq_dists(xs: np.ndarray, lags: np.ndarray | None = None, out=None) -> np.ndarray:
+    """SE's squared distances: from the rows of ``xs`` to the rows of ``lags``
+    (cdist's) or, without ``lags``, among the rows of ``xs`` (pdist's,
+    mirrored: exactly symmetric), written into ``out`` if given, a C-ordered
+    ``(n, n)`` float64 array."""
+    # This helper goes once SE evaluates as an ARD kernel with one tied scale.
+    pdist, cdist, to_square = _distance_routines()
+    if lags is not None:
+        return cdist(xs, lags)
+    v = pdist(xs)
+    if out is None:
+        out = np.zeros((len(xs), len(xs)), dtype=v.dtype)
+    else:
+        np.fill_diagonal(out, 0.0)
+    to_square(out, v)
+    return out
 
 
 def _abs_dt(ts: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -381,10 +411,10 @@ class SquaredExpKernel:
         given ``gram = block(times, lags)``.
 
         ``w * dB/d scale = w * (-d2 * B)`` is built in place in ``scratch``,
-        an ``(n, n)`` array the caller owns. ``cdist`` writes the squared
-        distances there with the bits of the pairwise :func:`_sq_dists`.
+        an ``(n, n)`` array the caller owns, from the squared distances
+        :func:`_sq_dists` mirrors there, with the bits :meth:`block` uses.
         """
-        d = _sq_dists(lags, lags, out=scratch)
+        d = _sq_dists(lags, out=scratch)
         np.negative(d, out=d)
         np.multiply(d, gram, out=d)
         np.multiply(w, d, out=d)

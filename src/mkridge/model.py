@@ -7,8 +7,9 @@ finiteness scans: ``fit`` checks the targets, the factorization's status and
 the factor's diagonal, which every non-finite entry of the system reaches, in
 O(n). The two routines are loaded from scipy's compiled LAPACK wrapper
 without importing ``scipy.linalg``, whose package init costs more than the
-rest of ``import mkridge`` (:func:`_load_lapack`; it falls back to
-``get_lapack_funcs`` when that load fails). The same factorization backs the
+rest of ``import mkridge`` (:func:`_load_lapack`, through
+:mod:`mkridge._compiled`; it falls back to ``get_lapack_funcs`` when that
+load fails). The same factorization backs the
 Jacobian of the dual coefficients with respect to every hyperparameter,
 
     d theta / d lam_i = -(K + ridge*I)^{-1} (dA/d lam_i) theta,
@@ -45,44 +46,24 @@ gradient's residual bit for bit. The materialized derivatives (``CompositeKernel
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-import scipy
 
+from ._compiled import scipy_routines
 from .errors import NumericalError
 from .kernels import CompositeKernel, TimedPoint, _readonly, window_arrays
 
 
 def _load_lapack():
-    """``(dpotrf, dpotrs)`` from scipy's compiled LAPACK wrapper, ``_flapack``.
-
-    Only the ``scipy`` root package is imported (it also puts scipy's DLL
-    directory on Windows' search path). The wrapper is loaded from its file
-    under a private module name, so ``scipy.linalg``'s package init never
-    runs: it imports scipy's array-API layer, which more than doubles the
-    time and memory of ``import mkridge``. The name must end in
-    ``._flapack``, which names the module's init symbol, and must not be
-    ``scipy.linalg._flapack``: a later ``import scipy.linalg`` loads its own
-    copy as usual. If the file is missing or fails to load, the routines
-    come from ``scipy.linalg.get_lapack_funcs``: the same functions of the
-    same file.
+    """``(dpotrf, dpotrs)`` from scipy's compiled LAPACK wrapper, ``_flapack``,
+    loaded without ``scipy.linalg`` (:func:`._compiled.scipy_routines`). If
+    that load fails, they come from ``scipy.linalg.get_lapack_funcs``: the
+    same functions of the same file.
     """
-    directory = Path(scipy.__file__).parent / "linalg"
-    files = (directory / f"_flapack{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES)
-    path = next((f for f in files if f.is_file()), None)
-    if path is not None:
-        loader = importlib.machinery.ExtensionFileLoader(f"{__package__}._flapack", str(path))
-        try:
-            module = importlib.util.module_from_spec(
-                importlib.util.spec_from_loader(loader.name, loader)
-            )
-            return module.dpotrf, module.dpotrs
-        except (ImportError, OSError, AttributeError):
-            pass
+    routines = scipy_routines("linalg", "_flapack", ("dpotrf", "dpotrs"))
+    if routines is not None:
+        return routines
     from scipy.linalg import get_lapack_funcs
 
     return tuple(get_lapack_funcs(("potrf", "potrs"), dtype=np.float64))

@@ -210,7 +210,9 @@ def projected_gradient(z, g, eta: float, feasible: FeasibleSet) -> np.ndarray:
         raise ValueError(f"step size must be positive, got {eta}")
     z = np.asarray(z, dtype=float)
     g = np.asarray(g, dtype=float)
-    return (z - project_C(z - eta * g, feasible)) / eta
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails in project_C
+        step = z - eta * g
+    return (z - project_C(step, feasible)) / eta
 
 
 def lazy_step(z, grads, eta: float, feasible: FeasibleSet) -> np.ndarray:
@@ -228,7 +230,9 @@ def lazy_step(z, grads, eta: float, feasible: FeasibleSet) -> np.ndarray:
     # accumulate is sequential (a sum may be pairwise); + 0.0 turns an all -0.0 column into +0.0
     total = np.add.accumulate(grads, axis=0)[-1] + 0.0
     z = np.asarray(z, dtype=float)
-    return project_C(z - (eta / len(grads)) * total, feasible)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails in project_C
+        step = z - (eta / len(grads)) * total
+    return project_C(step, feasible)
 
 
 @dataclass

@@ -255,7 +255,9 @@ def tune_offline_gradient(
         grads = loss_hyper_gradient_batch(trained, jac, val_window, val_window.targets)
         counters.gradient_evals += len(val_window)
         grad = grads.sum(axis=0) / len(val_window)
-        step = project_C(lam - config.eta * grad, config.feasible)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails in project_C
+            step = lam - config.eta * grad
+        step = project_C(step, config.feasible)
         # the projected-gradient norm, from the step it projects
         if float(np.linalg.norm((lam - step) / config.eta)) <= config.tol:
             break

@@ -432,6 +432,15 @@ def finite_csv(tmp_path, bad_value="1.01", **binning):
                        [], 4, f"strategy {name}: simplex projection misses the unit sum",
                        id=f"{name.lower()}-step-overflow")
           for name, eta in (("OHL", 1e30), ("OFFLINE_GRAD", 1e300))),
+        # a step that overflows to inf: numpy's overflow warning must not add lines
+        *(pytest.param({"model": {"kernel": [{"type": "periodic", "scale": 1.0, "period": 5.0},
+                                             {"type": "se", "scale": 0.05}], "ridge": 1.0},
+                        "bounds": {"scale": [1e-4, 10.0], "period": [2.0, 100.0],
+                                   "ridge": [1e-3, 3.0]},
+                        "strategies": {name: {"eta": 1e308}}},
+                       [], 4, f"strategy {name}: cannot project a vector with non-finite entries",
+                       id=f"{name.lower()}-step-inf")
+          for name in ("OHL", "OFFLINE_GRAD")),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, capsys, overrides, flags, code, needle):

@@ -81,19 +81,20 @@ class TestGenerateSynthetic:
             assert series.values.tobytes() == want.tobytes()
 
 
-_HEAVY = "('scipy.signal', 'scipy.stats', 'scipy.spatial')"
+_HEAVY = "('scipy.signal', 'scipy.stats', 'scipy.spatial', 'scipy.linalg', 'scipy._lib._array_api')"
 
 
 def test_import_leaves_out_scipy_signal_and_stats():
     # scipy.signal (and the scipy.stats it imports) doubled the import time and
-    # memory; scipy.spatial adds about 9 MB and is needed by SE models only
+    # memory; scipy.spatial adds about 32 MB, with the scipy.linalg and the
+    # array-API layer it imports
     code = f"import sys, mkridge; print(sorted(m for m in sys.modules if m.startswith({_HEAVY})))"
     assert _run_isolated(code) == "[]"
 
 
 def test_periodic_ard_models_leave_out_scipy_spatial():
-    # fit, batched prediction and batched hyper-gradients of the paper's
-    # periodic + ARD model; then an SE model loads scipy.spatial and evaluates
+    # fit, batched prediction, the Jacobian and batched hyper-gradients of the
+    # paper's periodic + ARD model, then of a periodic + SE model
     code = f"""
 import sys
 import numpy as np
@@ -107,17 +108,15 @@ def loaded():
 rng = np.random.default_rng(0)
 window = Dataset(np.arange(60.0), rng.normal(size=(60, 4)), rng.normal(size=60))
 queries = Dataset(np.arange(60.0, 70.0), rng.normal(size=(10, 4)), rng.normal(size=10))
-kernel = CompositeKernel((PeriodicKernel(0.5, 24.0), ArdKernel([0.1, 0.2, 0.3, 0.4])), [0.5, 0.5])
-model = fit(HyperParams(kernel, 1.0), window)
-yhat = predict_batch(model, queries)
-grads = loss_hyper_gradient_batch(model, theta_jacobian(model), queries, queries.targets)
-assert np.isfinite(yhat).all() and np.isfinite(grads).all()
-print(loaded())
-se = fit(HyperParams(CompositeKernel((SquaredExpKernel(0.1),), [1.0]), 1.0), window)
-assert np.isfinite(predict_batch(se, queries)).all()
-print(loaded()[:1])
+for second in (ArdKernel([0.1, 0.2, 0.3, 0.4]), SquaredExpKernel(0.1)):
+    kernel = CompositeKernel((PeriodicKernel(0.5, 24.0), second), [0.5, 0.5])
+    model = fit(HyperParams(kernel, 1.0), window)
+    yhat = predict_batch(model, queries)
+    grads = loss_hyper_gradient_batch(model, theta_jacobian(model), queries, queries.targets)
+    assert np.isfinite(yhat).all() and np.isfinite(grads).all()
+    print(loaded())
 """
-    assert _run_isolated(code).splitlines() == ["[]", "['scipy.spatial']"]
+    assert _run_isolated(code).splitlines() == ["[]", "[]"]
 
 
 class TestBuildFeatures:

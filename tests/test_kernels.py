@@ -1,4 +1,6 @@
+import importlib.machinery
 import math
+import sys
 from unittest.mock import patch
 
 import mkridge.kernels
@@ -6,6 +8,7 @@ import mkridge.kernels
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from mkridge.kernels import (
     ArdKernel,
@@ -13,7 +16,9 @@ from mkridge.kernels import (
     PeriodicKernel,
     SquaredExpKernel,
     TimedPoint,
+    _distance_routines,
     _on_one_grid,
+    _sq_dists,
     cross_matrix,
     cross_vector,
     eval_ard,
@@ -24,7 +29,7 @@ from mkridge.kernels import (
 )
 from mkridge.model import HyperParams
 
-from helpers import fd_gram_derivative, fd_step, random_spec, random_window
+from helpers import fd_gram_derivative, fd_step, random_spec, random_window, run_isolated
 
 EXP_MINUS_1 = 0.36787944117144233  # exp(-1), frozen
 
@@ -757,3 +762,82 @@ class TestSquaredExpCrossDerivs:
         k_ref, d_ref = se_cross_derivs_per_query(kernel, xs, lags)
         assert np.array_equal(k, k_ref)
         assert np.array_equal(out[:, 0], d_ref)
+
+
+def lag_array(rng, n, p, layout):
+    """An ``(n, p)`` array of lags, C-ordered, Fortran-ordered or strided."""
+    base = rng.normal(size=(n, 2 * p))
+    return {
+        "C": np.ascontiguousarray(base[:, :p]),
+        "F": np.asfortranarray(base[:, :p]),
+        "strided": base[:, ::2],
+    }[layout]
+
+
+class TestDistanceRoutines:
+    """SE's squared distances come from the compiled routines behind
+    scipy.spatial.distance, loaded without it, with its bits."""
+
+    def test_routines_are_the_private_modules(self):
+        pdist_, cdist_, to_square = _distance_routines()
+        assert pdist_ is sys.modules["mkridge._distance_pybind"].pdist_sqeuclidean
+        assert cdist_ is sys.modules["mkridge._distance_pybind"].cdist_sqeuclidean
+        assert to_square is sys.modules["mkridge._distance_wrap"].to_squareform_from_vector_wrap
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("p", [1, 20])
+    @pytest.mark.parametrize("n", [1, 2, 100])
+    def test_same_bits_as_scipy_spatial(self, n, p, layout):
+        rng = np.random.default_rng(100 * n + p)
+        lags, xs = lag_array(rng, n, p, layout), lag_array(rng, 7, p, layout)
+        want = squareform(pdist(lags, "sqeuclidean"), checks=False)
+        assert _sq_dists(lags).tobytes() == want.tobytes()
+        scratch = np.full((n, n), np.nan)
+        assert _sq_dists(lags, out=scratch) is scratch
+        assert scratch.tobytes() == want.tobytes()
+        # the window against itself: cdist's bits, which block_contract took before
+        assert cdist(lags, lags, "sqeuclidean").tobytes() == want.tobytes()
+        assert _sq_dists(xs, lags).tobytes() == cdist(xs, lags, "sqeuclidean").tobytes()
+        mine, theirs = np.full((7, n), np.nan), np.full((7, n), np.nan)
+        _distance_routines()[1](xs, lags, out=mine)
+        cdist(xs, lags, "sqeuclidean", out=theirs)
+        assert mine.tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize("failure", ["missing", "load-raises"])
+    def test_falls_back_to_scipy_spatial(self, monkeypatch, failure):
+        if failure == "missing":
+            monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        else:
+            def refuse(self, spec):
+                raise ImportError(f"cannot load {spec.name}")
+
+            monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, "create_module", refuse)
+        routines = _distance_routines.__wrapped__()
+        assert routines[0].func is pdist and routines[1].func is cdist
+        monkeypatch.setattr(mkridge.kernels, "_distance_routines", lambda: routines)
+        rng = np.random.default_rng(6)
+        lags, xs = rng.normal(size=(30, 3)), rng.normal(size=(5, 3))
+        want = squareform(pdist(lags, "sqeuclidean"), checks=False)
+        assert _sq_dists(lags).tobytes() == want.tobytes()
+        scratch = np.full((30, 30), np.nan)
+        assert _sq_dists(lags, out=scratch).tobytes() == want.tobytes()
+        assert _sq_dists(xs, lags).tobytes() == cdist(xs, lags, "sqeuclidean").tobytes()
+
+    def test_scipy_spatial_imports_after_se(self):
+        code = """
+import sys
+import numpy as np
+from mkridge.kernels import SquaredExpKernel, _sq_dists
+rng = np.random.default_rng(0)
+times, lags, xs = np.arange(30.0), rng.normal(size=(30, 4)), rng.normal(size=(5, 4))
+kernel = SquaredExpKernel(0.1)
+before = kernel.block(times, lags), kernel.cross_many(None, xs, times, lags)
+assert 'scipy.spatial' not in sys.modules
+from scipy.spatial.distance import cdist, pdist, squareform
+print(sys.modules['scipy.spatial._distance_pybind'] is not sys.modules['mkridge._distance_pybind'],
+      _sq_dists(lags).tobytes() == squareform(pdist(lags, 'sqeuclidean')).tobytes(),
+      _sq_dists(xs, lags).tobytes() == cdist(xs, lags, 'sqeuclidean').tobytes(),
+      kernel.block(times, lags).tobytes() == before[0].tobytes(),
+      kernel.cross_many(None, xs, times, lags).tobytes() == before[1].tobytes())
+"""
+        assert run_isolated(code) == "True True True True True"
