@@ -20,8 +20,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from csv import DictReader, writer as csv_writer
+from csv import DictReader
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,14 +43,14 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path, header, columns, formats=None) -> None:
-    """One CSV row per index of the equal-length arrays ``columns``, each cell
-    written by its ``%`` format (default ``%.17g``, the digits of
-    :func:`_fmt`): the bytes ``csv.writer`` gives, with one format
-    operation per row."""
+    """One CSV row per index of the equal-length arrays or sequences
+    ``columns``, each cell written by its ``%`` format (default ``%.17g``,
+    the digits of :func:`_fmt`): the bytes ``csv.writer`` gives, with one
+    format operation per row."""
     row = ",".join(formats or ["%.17g"] * len(header)) + "\n"
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(row % cells for cells in zip(*(c.tolist() for c in columns)))
+        fh.writelines(row % cells for cells in zip(*(np.asarray(c).tolist() for c in columns)))
 
 
 # -- metrics ----------------------------------------------------------------
@@ -147,244 +148,288 @@ def build_report(traces: dict[str, RunTrace]) -> dict:
     return report
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _write_report(report: dict, out_dir: Path, fmt: str) -> Path:
     if fmt == "json":
         path = out_dir / "report.json"
-        path.write_text(json.dumps(report, indent=2, default=_json_default) + "\n", encoding="utf-8")
+        path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
         return path
     path = out_dir / "report.csv"
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        out = csv_writer(fh, lineterminator="\n")
-        out.writerow(
-            ("strategy", "final_rmse", "improvement_vs_fixed", "total_fits",
-             "tuning_fits", "prediction_fits", "jacobian_builds", "gradient_evals")
-        )
-        for name, entry in report["strategies"].items():
-            counts = entry["fit_counts"]
-            imp = entry["improvement_vs_fixed"]
-            out.writerow(
-                (
-                    name,
-                    _fmt(entry["final_rmse"]),
-                    "" if imp is None else _fmt(imp),
-                    counts["total_fits"],
-                    counts["tuning"]["fits"],
-                    counts["prediction"]["fits"],
-                    counts["tuning"]["jacobian_builds"] + counts["prediction"]["jacobian_builds"],
-                    counts["tuning"]["gradient_evals"] + counts["prediction"]["gradient_evals"],
-                )
-            )
+    rows = []
+    for name, entry in report["strategies"].items():
+        counts, imp = entry["fit_counts"], entry["improvement_vs_fixed"]
+        tuning, prediction = counts["tuning"], counts["prediction"]
+        rows.append((name, entry["final_rmse"], "" if imp is None else _fmt(imp),
+                     counts["total_fits"], tuning["fits"], prediction["fits"],
+                     tuning["jacobian_builds"] + prediction["jacobian_builds"],
+                     tuning["gradient_evals"] + prediction["gradient_evals"]))
+    _write_csv(path, ("strategy", "final_rmse", "improvement_vs_fixed", "total_fits",
+                      "tuning_fits", "prediction_fits", "jacobian_builds", "gradient_evals"),
+               tuple(zip(*rows)), ("%s", "%.17g", "%s", "%d", "%d", "%d", "%d", "%d"))
     return path
 
 
 # -- configuration ------------------------------------------------------------
+# Each config section is read by one table of key -> _Key; the known keys,
+# ``generate``'s flags and the keys that ``run``'s flags set come from them.
 
 
-def _parse_component(entry: dict, lag_order: int):
+def _checked(test, what: str, convert=None):
+    """A parser that rejects a value failing ``test`` (``what`` in messages)
+    and returns it, through ``convert`` if given."""
+    def parse(value, name: str):
+        if not test(value):
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+        return value if convert is None else convert(value)
+    return parse
+
+
+def _at_least(least: int):
+    return _checked(lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= least,
+                    f"an integer >= {least}")
+
+
+_ABSENT = object()
+_FORMATS = ("csv", "json")
+_integer, _natural = _at_least(1), _at_least(0)
+_number = _checked(lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number",
+                   float)
+_string = _checked(lambda v: isinstance(v, str), "a string")
+_object = _checked(lambda v: isinstance(v, dict), "a JSON object")
+_list = _checked(lambda v: isinstance(v, list), "a JSON list")
+_format = _checked(lambda v: v in _FORMATS, "'csv' or 'json'")
+_pair = _checked(lambda v: isinstance(v, list) and len(v) == 2, "a two-element list")
+
+
+def _optional(parse):  # for a key whose null value means no value
+    return lambda value, name: None if value is None else parse(value, name)
+
+
+def _as_is(value, name: str):  # checked where it is used
+    return value
+
+
+def _interval(value, name: str) -> tuple[float, ...]:
+    return tuple(_number(v, name) for v in _pair(value, name))
+
+
+def _ard_kernel(scale, lag_order: int) -> ArdKernel:
+    """An ARD kernel from one scale for every lag, or a list of one per lag."""
+    if isinstance(scale, list):
+        scales = np.array([_number(s, "ARD scale") for s in scale])
+    else:
+        scales = np.full(lag_order, _number(scale, "ARD scale"))
+    if scales.shape != (lag_order,):
+        raise ValueError(f"needs one scale per lag ({lag_order}), got shape {scales.shape}")
+    return ArdKernel(scales)
+
+
+class _Key(NamedTuple):
+    """How a config key is read: ``parse(value, name)`` checks a value and
+    returns what the library takes. ``name`` (in messages) and ``field`` (the
+    library's) are set where they differ from the key. ``default`` is set only
+    where the library has none; ``None`` reads a missing key as null, which a
+    required key's ``parse`` rejects. ``flag`` holds the argparse settings of
+    the flag that sets the key."""
+
+    parse: Callable
+    name: str = ""
+    default: object = _ABSENT
+    flag: dict | None = None
+    field: str = ""
+
+
+def _parse_keys(section, keys: dict, name: str, flags=None, known=()) -> dict:
+    """The checked values of a config section by its key table, under their
+    library fields; a flag set in ``flags`` replaces the file's value. Keys
+    in ``known`` are read by the section's other tables."""
+    known = {*known, *keys}
+    unknown = _object(section, name).keys() - known
+    if unknown:
+        raise ConfigError(f"unknown keys for {name}: {sorted(unknown)} "
+                          f"(expected some of {sorted(known)})")
+    values = {}
+    for key, spec in keys.items():
+        given = getattr(flags, key, None) if spec.flag is not None else None
+        for value in (section.get(key, spec.default), _ABSENT if given is None else given):
+            if value is not _ABSENT:  # the file's value is checked, then the flag's replaces it
+                values[spec.field or key] = spec.parse(value, spec.name or key)
+    return values
+
+
+# the top level of the config file; each nested section has its own table
+_RUN_KEYS = {
+    "data": _Key(_optional(_object), default=None),
+    "lag_order": _Key(_integer, default=20),
+    "horizon": _Key(_integer, default=1, flag=dict(type=int, help="forecast horizon in steps")),
+    "seed": _Key(_natural, default=0, flag=dict(type=int, help="random seed")),
+    "predict_steps": _Key(_optional(_integer), default=None),
+    "schedule": _Key(_as_is, default={}),
+    "model": _Key(_as_is, default=None),
+    "bounds": _Key(_as_is, default=None),
+    "strategies": _Key(_object, default={}),
+    "out": _Key(_string, default="results", flag=dict(help="output directory")),
+    "format": _Key(_format, default="json", flag=dict(choices=_FORMATS, help="report format")),
+}
+
+_SCHEDULE_KEYS = {
+    "n": _Key(_integer, "schedule n", default=672, field="tune_every",
+              flag=dict(type=int, help="hyperparameter tuning interval (steps)")),
+    "m": _Key(_integer, "schedule m", default=96, field="fit_every",
+              flag=dict(type=int, help="model fitting interval (steps)")),
+    "train_window": _Key(_integer, default=96, flag=dict(type=int, help="training samples per fit")),
+    "validation_window": _Key(_natural, default=336),
+}
+
+# each key is also a flag of ``generate``
+_SYNTHETIC_KEYS = {
+    "length": _Key(_integer, flag=dict(type=int, help="raw steps including warm-up")),
+    "c1": _Key(_number, flag=dict(type=float)),
+    "c2": _Key(_number, flag=dict(type=float)),
+    "omega": _Key(_number, flag=dict(type=float)),
+    "ar_order": _Key(_integer, flag=dict(type=int)),
+    "seed": _Key(_natural, "data seed", flag=dict(type=int)),
+    "noise_sd": _Key(_number, flag=dict(type=float)),
+}
+
+# a CSV section holds load_csv's arguments, and bin_series's when it is binned
+_CSV_KEYS = {
+    "path": _Key(_string, "csv data path", default=None),
+    "timestamp_column": _Key(_string),
+    "value_column": _Key(_string),
+}
+_BINNING_KEYS = {
+    "bin_width": _Key(_integer),
+    "aggregator": _Key(_as_is),
+    "bin_mode": _Key(_as_is, field="mode"),
+}
+
+_MODEL_KEYS = {
+    "kernel": _Key(_list, default=None),
+    "weights": _Key(_optional(_list), default=None),
+    "ridge": _Key(_number, default=None),
+}
+
+# kernel type: what builds it from its keys' values, in table order
+_COMPONENTS = {
+    "periodic": (PeriodicKernel, {"scale": _Key(_number, "periodic scale", default=None),
+                                  "period": _Key(_number, default=None)}),
+    "se": (SquaredExpKernel, {"scale": _Key(_number, "se scale", default=None)}),
+    "ard": (_ard_kernel, {"scale": _Key(_as_is, default=None)}),
+}
+
+_BOUNDS_KEYS = {kind: _Key(_interval, f"bounds {kind}") for kind in ("scale", "period", "ridge")}
+
+# TunerConfig checks the ranges of eta and tol; --seed sets every strategy's seed too
+_STRATEGY_KEYS = {
+    "eta": _Key(_number, flag=dict(type=float, help="learning rate for OHL/OFFLINE_GRAD")),
+    "tol": _Key(_number),
+    "draws": _Key(_integer),
+    "max_iters": _Key(_natural),
+    "seed": _Key(_natural, flag=_RUN_KEYS["seed"].flag),
+    "grid": _Key(_list),
+}
+
+
+def _parse_component(entry, lag_order: int):
     try:
         kind = entry["type"]
     except (KeyError, TypeError):
         raise ConfigError(f"kernel component needs a 'type': {entry!r}") from None
+    if not isinstance(kind, str) or kind not in _COMPONENTS:
+        raise ConfigError(f"unknown kernel type {kind!r} (expected {'|'.join(_COMPONENTS)})")
+    make, keys = _COMPONENTS[kind]
+    args = _parse_keys(entry, keys, f"{kind} kernel component", known=("type",)).values()
     try:
-        if kind == "periodic":
-            _check_keys(entry, ("type", "scale", "period"), "periodic kernel component")
-            return PeriodicKernel(_number(entry["scale"], "periodic scale"),
-                                  _number(entry["period"], "period"))
-        if kind == "se":
-            _check_keys(entry, ("type", "scale"), "se kernel component")
-            return SquaredExpKernel(_number(entry["scale"], "se scale"))
-        if kind == "ard":
-            _check_keys(entry, ("type", "scale"), "ard kernel component")
-            scale = entry["scale"]
-            if isinstance(scale, list):
-                scales = np.array([_number(s, "ARD scale") for s in scale])
-            else:
-                scales = np.full(lag_order, _number(scale, "ARD scale"))
-            if scales.shape != (lag_order,):
-                raise ValueError(f"needs one scale per lag ({lag_order}), got shape {scales.shape}")
-            return ArdKernel(scales)
-    except (KeyError, ValueError, TypeError) as e:
+        return make(*args, lag_order) if make is _ard_kernel else make(*args)
+    except ValueError as e:
         raise ConfigError(f"bad kernel component {entry!r}: {e}") from None
-    raise ConfigError(f"unknown kernel type {kind!r} (expected periodic|se|ard)")
 
 
-def _parse_model(entry: dict, lag_order: int, name: str = "model") -> HyperParams:
-    _check_keys(_object(entry, name), ("kernel", "weights", "ridge"), name)
-    try:
-        raw = entry["kernel"]
-        ridge = _number(entry["ridge"], "ridge")
-    except (KeyError, TypeError) as e:
-        raise ConfigError(f"model section needs 'kernel' and 'ridge': {e}") from None
-    components = tuple(_parse_component(c, lag_order) for c in _list(raw, "kernel"))
-    weights = entry.get("weights")
-    if weights is None:
+def _parse_model(entry, lag_order: int, name: str = "model") -> HyperParams:
+    values = _parse_keys(entry, _MODEL_KEYS, name)
+    components = tuple(_parse_component(c, lag_order) for c in values["kernel"])
+    weights = values["weights"]
+    if weights is not None:
+        weights = [_number(w, "mixture weight") for w in weights]
+    elif components:  # CompositeKernel rejects an empty kernel list
         weights = np.full(len(components), 1.0 / len(components))
-    else:
-        weights = np.array([_number(w, "mixture weight") for w in _list(weights, "weights")])
     try:
-        spec = CompositeKernel(components, weights)
-        return HyperParams(spec, ridge)
-    except (ValueError, TypeError) as e:
+        return HyperParams(CompositeKernel(components, weights), values["ridge"])
+    except ValueError as e:
         raise ConfigError(str(e)) from None
 
 
-def _parse_bounds(entry: dict, hypers: HyperParams) -> FeasibleSet:
-    _check_keys(entry, ("scale", "period", "ridge"), "bounds")
-    bounds = {}
-    for kind, value in entry.items():
-        if not isinstance(value, list) or len(value) != 2:
-            raise ConfigError(f"bounds {kind} must be a two-element list, got {value!r}")
-        bounds[kind] = (_number(value[0], f"bounds {kind}"), _number(value[1], f"bounds {kind}"))
+def _parse_bounds(entry, hypers: HyperParams) -> FeasibleSet:
+    bounds = _parse_keys(entry, _BOUNDS_KEYS, "bounds")
     try:
-        return FeasibleSet.for_kinds(hypers.scalar_kinds(), bounds)
+        feasible = FeasibleSet.for_kinds(hypers.scalar_kinds(), bounds)
+        # a step can land on the lower corner, which must be valid with the initial weights
+        corner = feasible.lower.copy()
+        corner[feasible.simplex] = hypers.to_vector()[feasible.simplex]
+        hypers.from_vector(corner)
     except ValueError as e:
         raise ConfigError(f"bad bounds section: {e}") from None
+    return feasible
 
 
-def _parse_strategies(cfg: dict, hypers: HyperParams, feasible: FeasibleSet,
+def _parse_strategies(section, hypers: HyperParams, feasible: FeasibleSet,
                       lag_order: int, args) -> dict[str, TunerConfig]:
-    section = _object(cfg.get("strategies", {}), "strategies")
     names = list(args.strategy) if args.strategy else list(section)
     if not names:
         raise ConfigError("no strategies configured (use --strategy or the config file)")
     out: dict[str, TunerConfig] = {}
     for name in names:
-        params = _object(section.get(name, {}), f"strategy {name}")
-        _check_keys(params, (*_STRATEGY_KEYS, "grid"), f"strategy {name}")
-        kwargs = {k: parse(params[k], k) for k, parse in _STRATEGY_KEYS.items() if k in params}
-        if args.eta is not None and name in (Strategy.OHL.value, Strategy.OFFLINE_GRAD.value):
-            kwargs["eta"] = args.eta
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        grid = tuple(_parse_model(g, lag_order, "grid point")
-                     for g in _list(params.get("grid", []), "grid"))
+        kwargs = _parse_keys(section.get(name, {}), _STRATEGY_KEYS, f"strategy {name}", args)
+        if "grid" in kwargs:
+            kwargs["grid"] = tuple(_parse_model(g, lag_order, "grid point") for g in kwargs["grid"])
         try:
             out[name] = TunerConfig(
-                strategy=Strategy(name), init=hypers, feasible=feasible, grid=grid, **kwargs
+                strategy=Strategy(name), init=hypers, feasible=feasible, **kwargs
             )
         except ValueError as e:
             raise ConfigError(f"strategy {name}: {e}") from None
     return out
 
 
-def _build_series(data_cfg: dict, seed: int) -> TimeSeries:
+def _build_series(data_cfg: dict, seed: int, flags=None) -> TimeSeries:
+    """A data section's series: ``seed`` is a synthetic one's default seed."""
     kind = data_cfg.get("type")
     if kind == "synthetic":
-        _check_keys(data_cfg, ("type", "c1", "c2", "omega", "ar_order", "length", "seed",
-                               "noise_sd"), "synthetic data")
+        config = _parse_keys({"seed": seed, **data_cfg}, _SYNTHETIC_KEYS, "synthetic data",
+                             flags, known=("type",))
         try:
-            config = SyntheticConfig(
-                c1=_number(data_cfg.get("c1", 0.5), "c1"),
-                c2=_number(data_cfg.get("c2", 0.5), "c2"),
-                omega=_number(data_cfg.get("omega", 5.0), "omega"),
-                ar_order=_integer(data_cfg.get("ar_order", 20), "ar_order"),
-                length=_integer(data_cfg.get("length", 1500), "length"),
-                seed=_integer(data_cfg.get("seed", seed), "data seed", 0),
-                noise_sd=_number(data_cfg.get("noise_sd", 0.0), "noise_sd"),
-            )
-            return generate_synthetic(config)  # raises on a series that overflows
+            return generate_synthetic(SyntheticConfig(**config))  # raises on a series that overflows
         except ValueError as e:
             raise ConfigError(f"bad synthetic data section: {e}") from None
     if kind == "csv":
-        _check_keys(data_cfg, ("type", "path", "timestamp_column", "value_column", "bin_width",
-                               "aggregator", "bin_mode"), "csv data")
-        series = load_csv(
-            _string(data_cfg.get("path"), "csv data path"),
-            timestamp_column=_string(data_cfg.get("timestamp_column", "timestamp"), "timestamp_column"),
-            value_column=_string(data_cfg.get("value_column", "value"), "value_column"),
-        )
-        if "bin_width" in data_cfg:
-            bin_width = _integer(data_cfg["bin_width"], "bin_width")
+        series = load_csv(**_parse_keys(data_cfg, _CSV_KEYS, "csv data",
+                                        known=("type", *_BINNING_KEYS)))
+        binning = _parse_keys(data_cfg, _BINNING_KEYS, "csv data", known=("type", *_CSV_KEYS))
+        if "bin_width" in binning:
             try:
-                series = bin_series(
-                    series,
-                    bin_width,
-                    aggregator=data_cfg.get("aggregator", "mean"),
-                    mode=data_cfg.get("bin_mode", "strict"),
-                )
+                series = bin_series(series, **binning)
             except ValueError as e:
                 raise ConfigError(f"bad binning settings: {e}") from None
         return series
     raise ConfigError(f"data section needs type 'synthetic' or 'csv', got {kind!r}")
 
 
-def _check_keys(section: dict, known, name: str) -> None:
-    unknown = section.keys() - set(known)
-    if unknown:
-        raise ConfigError(
-            f"unknown keys for {name}: {sorted(unknown)} (expected some of {sorted(known)})"
-        )
-
-
-def _integer(value, name: str, least: int = 1) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-    return value
-
-
-def _number(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _string(value, name: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{name} must be a string, got {value!r}")
-    return value
-
-
-def _object(value, name: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
-    return value
-
-
-def _list(value, name: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{name} must be a JSON list, got {value!r}")
-    return value
-
-
-# strategy keys and their parsers; TunerConfig checks the ranges of eta and tol
-_STRATEGY_KEYS = {
-    "eta": _number,
-    "tol": _number,
-    "draws": _integer,
-    "max_iters": lambda value, name: _integer(value, name, 0),
-    "seed": lambda value, name: _integer(value, name, 0),
-}
-
-
-def _load_config(args) -> dict:
-    cfg: dict = {}
-    if args.config is not None:
-        try:
-            cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except OSError as e:
-            raise ConfigError(f"cannot read config file: {e}") from None
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config file is not valid JSON: {e}") from None
-        if not isinstance(cfg, dict):
-            raise ConfigError("config file must hold a JSON object")
-    return cfg
+def _load_config(args):
+    if args.config is None:
+        return {}
+    try:
+        return json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except OSError as e:
+        raise ConfigError(f"cannot read config file: {e}") from None
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"config file is not valid JSON: {e}") from None
 
 
 # -- subcommands ----------------------------------------------------------------
 
 
 def cmd_generate(args) -> int:
-    keys = ("c1", "c2", "omega", "ar_order", "length", "seed", "noise_sd")
-    data_cfg = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
-    series = _build_series({"type": "synthetic", **data_cfg}, 0)
+    series = _build_series({"type": "synthetic"}, 0, args)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_csv(out, ("timestamp", "value"), (series.timestamps, series.values),
@@ -394,13 +439,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args)
-    _check_keys(cfg, ("data", "lag_order", "horizon", "seed", "predict_steps", "schedule", "model",
-                      "bounds", "strategies", "out", "format"), "the config file")
+    cfg = _parse_keys(_load_config(args), _RUN_KEYS, "the config file", args)
 
-    data_cfg = cfg.get("data")
-    if data_cfg is not None:
-        _object(data_cfg, "data")
+    data_cfg = cfg["data"]
     if args.data is not None:
         # the flag picks the source; a section of the same type keeps its settings
         kind = "synthetic" if args.data == "synthetic" else "csv"
@@ -410,64 +451,31 @@ def cmd_run(args) -> int:
     if data_cfg is None:
         raise ConfigError("no data source (use --data or the config file's data section)")
 
-    seed = _integer(args.seed if args.seed is not None else cfg.get("seed", 0), "seed", 0)
-    lag_order = _integer(cfg.get("lag_order", 20), "lag_order")
-    horizon = args.horizon if args.horizon is not None else cfg.get("horizon", 1)
-    horizon = _integer(horizon, "horizon")
-    steps = cfg.get("predict_steps")
-    if steps is not None:
-        steps = _integer(steps, "predict_steps")
-
-    sched_cfg = dict(_object(cfg.get("schedule", {}), "schedule"))
-    _check_keys(sched_cfg, ("n", "m", "train_window", "validation_window"), "schedule")
-    if args.n is not None:
-        sched_cfg["n"] = args.n
-    if args.m is not None:
-        sched_cfg["m"] = args.m
-    if args.train_window is not None:
-        sched_cfg["train_window"] = args.train_window
     try:
-        schedule = Schedule(
-            tune_every=_integer(sched_cfg.get("n", 672), "schedule n"),
-            fit_every=_integer(sched_cfg.get("m", 96), "schedule m"),
-            train_window=_integer(sched_cfg.get("train_window", 96), "train_window"),
-            validation_window=_integer(
-                sched_cfg.get("validation_window", 336), "validation_window", 0
-            ),
-        )
+        schedule = Schedule(**_parse_keys(cfg["schedule"], _SCHEDULE_KEYS, "schedule", args))
     except ValueError as e:
         raise ConfigError(f"bad schedule: {e}") from None
 
-    model_cfg = cfg.get("model")
-    if model_cfg is None:
-        raise ConfigError("config file must provide a 'model' section")
-    hypers = _parse_model(model_cfg, lag_order)
-    bounds_cfg = cfg.get("bounds")
-    if bounds_cfg is None:
-        raise ConfigError("config file must provide a 'bounds' section")
-    feasible = _parse_bounds(_object(bounds_cfg, "bounds"), hypers)
-    strategies = _parse_strategies(cfg, hypers, feasible, lag_order, args)
+    hypers = _parse_model(cfg["model"], cfg["lag_order"])
+    feasible = _parse_bounds(cfg["bounds"], hypers)
+    strategies = _parse_strategies(cfg["strategies"], hypers, feasible, cfg["lag_order"], args)
     for name, tuner_cfg in strategies.items():
         if tuner_cfg.strategy not in (Strategy.OHL, Strategy.FIXED) and schedule.validation_window < 1:
             raise ConfigError(f"strategy {name} needs validation_window >= 1")
 
-    series = _build_series(data_cfg, seed)
+    series = _build_series(data_cfg, cfg["seed"])
     try:
-        stream = build_features(series, lag_order, horizon)
+        stream = build_features(series, cfg["lag_order"], cfg["horizon"])
     except ValueError as e:
         raise DataError(str(e)) from None
 
-    out = _string(cfg.get("out", "results"), "out")  # checked even when --out overrides it
-    out_dir = Path(args.out if args.out is not None else out)
+    out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    fmt = args.format if args.format is not None else cfg.get("format", "json")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
 
     traces: dict[str, RunTrace] = {}
     for name, tuner_cfg in strategies.items():
         try:
-            traces[name] = run(tuner_cfg, schedule, stream, steps)
+            traces[name] = run(tuner_cfg, schedule, stream, cfg["predict_steps"])
         except ValueError as e:
             raise DataError(f"strategy {name}: {e}") from None
         except NumericalError as e:
@@ -475,7 +483,7 @@ def cmd_run(args) -> int:
         write_trace_csv(out_dir / f"trace_{name}.csv", traces[name])
 
     report = build_report(traces)
-    report_path = _write_report(report, out_dir, fmt)
+    report_path = _write_report(report, out_dir, cfg["format"])
     for name, entry in report["strategies"].items():
         imp = entry["improvement_vs_fixed"]
         extra = "" if imp is None else f", improvement vs FIXED {100 * imp:+.2f}%"
@@ -521,13 +529,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="write a synthetic series to CSV")
     gen.add_argument("--out", required=True, help="output CSV path")
     # no defaults here: unset flags take the synthetic data section's
-    gen.add_argument("--length", type=int, help="raw steps including warm-up")
-    gen.add_argument("--c1", type=float)
-    gen.add_argument("--c2", type=float)
-    gen.add_argument("--omega", type=float)
-    gen.add_argument("--ar-order", type=int)
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--noise-sd", type=float)
+    for key, spec in _SYNTHETIC_KEYS.items():
+        gen.add_argument("--" + key.replace("_", "-"), **spec.flag)
     gen.set_defaults(func=cmd_generate)
 
     runp = sub.add_parser("run", help="execute strategies on one stream")
@@ -536,14 +539,10 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--strategy", action="append",
                       choices=[s.value for s in Strategy],
                       help="strategy to run (repeatable; default: all configured)")
-    runp.add_argument("--n", type=int, help="hyperparameter tuning interval (steps)")
-    runp.add_argument("--m", type=int, help="model fitting interval (steps)")
-    runp.add_argument("--eta", type=float, help="learning rate for OHL/OFFLINE_GRAD")
-    runp.add_argument("--train-window", type=int, help="training samples per fit")
-    runp.add_argument("--horizon", type=int, help="forecast horizon in steps")
-    runp.add_argument("--seed", type=int, help="random seed")
-    runp.add_argument("--out", help="output directory")
-    runp.add_argument("--format", choices=("csv", "json"), help="report format")
+    # a key of two tables (seed) has one flag
+    for key, spec in {**_SCHEDULE_KEYS, **_STRATEGY_KEYS, **_RUN_KEYS}.items():
+        if spec.flag is not None:
+            runp.add_argument("--" + key.replace("_", "-"), **spec.flag)
     runp.set_defaults(func=cmd_run)
 
     reg = sub.add_parser("regret", help="cumulative local-regret series from traces")
@@ -558,10 +557,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(f"configuration error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ConfigError, OSError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
     except DataError as e:

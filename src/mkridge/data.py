@@ -114,9 +114,9 @@ class SyntheticConfig:
     discarded before emission.
     """
 
-    c1: float
-    c2: float
-    omega: float
+    c1: float = 0.5
+    c2: float = 0.5
+    omega: float = 5.0
     ar_order: int = 20
     length: int = 1500
     seed: int = 0

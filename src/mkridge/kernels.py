@@ -639,7 +639,7 @@ class CompositeKernel:
             )
         if require_simplex:
             if not abs(float(w.sum()) - 1.0) <= SIMPLEX_TOL:  # a NaN weight fails too
-                raise ValueError(f"mixture weights must sum to 1, got {w.sum()!r}")
+                raise ValueError(f"mixture weights must sum to 1, got {float(w.sum())}")
             if np.any(w < 0):
                 raise ValueError("mixture weights must be nonnegative")
         object.__setattr__(self, "components", comps)

@@ -1,3 +1,5 @@
+import argparse
+import ast
 import csv
 import json
 import os
@@ -9,7 +11,8 @@ import numpy as np
 import pytest
 
 import mkridge
-from mkridge.cli import main, read_trace_csv, rmse_series, rmse_t, _fmt, _trajectory, _write_csv
+from mkridge.cli import (main, read_trace_csv, rmse_series, rmse_t, _build_parser, _fmt, _trajectory,
+                         _write_csv)
 
 
 def write_config(tmp_path, **overrides):
@@ -384,6 +387,30 @@ def finite_csv(tmp_path, bad_value="1.01", **binning):
                      [], 2, "ARD scale must be a number", id="ard-scale-string"),
         pytest.param({"model": {"kernel": [{"type": "ard", "scale": True}], "ridge": 1.0}},
                      [], 2, "ARD scale must be a number", id="ard-scale-bool"),
+        pytest.param({"model": {"kernel": [], "ridge": 1.0}}, [], 2,
+                     "composite kernel needs at least one component", id="kernel-empty"),
+        pytest.param({"model": {"kernel": [{"type": "se", "scale": 0.05}], "weights": [-1.0],
+                                "ridge": 1.0}},
+                     [], 2, "mixture weights must sum to 1, got -1.0", id="weights-sum-negative"),
+        # a lower bound outside its hyperparameter's domain: a step can project onto it
+        pytest.param({"bounds": {"scale": [1e-4, 10.0], "ridge": [0, 3.0]},
+                      "strategies": {"OHL": {"eta": 1e3}}},
+                     [], 2, "bad bounds section: ridge constant must be positive", id="bound-ridge-zero"),
+        pytest.param({"bounds": {"scale": [-1, 10.0], "ridge": [1e-3, 3.0]}},
+                     [], 2, "bad bounds section: scale must be nonnegative", id="bound-scale-negative"),
+        *(pytest.param({"model": {"kernel": [{"type": "periodic", "scale": 1.0, "period": 5.0}],
+                                  "ridge": 1.0},
+                        "bounds": {"scale": scale, "period": period, "ridge": [1e-3, 3.0]}},
+                       [], 2, f"bad bounds section: {needle}", id=f"bound-{name}-zero")
+          for name, scale, period, needle in (
+              ("period", [1e-4, 10.0], [0, 10.0], "period must be positive"),
+              ("periodic-scale", [0, 10.0], [2.0, 10.0], "periodic scale must be positive"),
+          )),
+        # the file's value is checked even where a flag replaces it
+        pytest.param({"seed": "x"}, ["--seed", "1"], 2, "seed must be an integer",
+                     id="seed-string-flag-set"),
+        # --eta sets every strategy's eta, and FIXED's is checked though unused
+        pytest.param({}, ["--eta", "-1"], 2, "strategy FIXED: learning rate", id="fixed-eta-flag-negative"),
         pytest.param({"bounds": {"scale": [1e-4, 10.0], "ridge": [1e-3, 3.0], "bogus": [0, 1]}},
                      [], 2, "'bogus'", id="bounds-unknown-key"),
         pytest.param({"bounds": {"scale": ["1e-4", 10.0], "ridge": [1e-3, 3.0]}},
@@ -568,3 +595,117 @@ class TestTrajectory:
     def test_empty_and_constant(self):
         assert _trajectory(_Lambdas(np.empty((0, 2)))) == []
         assert _trajectory(_Lambdas([[0.5, 2.0]] * 5)) == [[0, [0.5, 2.0]]]
+
+
+GENERATE_OPTIONS = {
+    "--out": (None, None, "output CSV path"),
+    "--length": (int, None, "raw steps including warm-up"),
+    "--c1": (float, None, None),
+    "--c2": (float, None, None),
+    "--omega": (float, None, None),
+    "--ar-order": (int, None, None),
+    "--seed": (int, None, None),
+    "--noise-sd": (float, None, None),
+}
+RUN_OPTIONS = {
+    "--config": (None, None, "JSON run configuration file"),
+    "--data": (None, None, "CSV path, or 'synthetic'"),
+    "--strategy": (None, ["OHL", "GRID", "RANDOM", "OFFLINE_GRAD", "FIXED"],
+                   "strategy to run (repeatable; default: all configured)"),
+    "--n": (int, None, "hyperparameter tuning interval (steps)"),
+    "--m": (int, None, "model fitting interval (steps)"),
+    "--eta": (float, None, "learning rate for OHL/OFFLINE_GRAD"),
+    "--train-window": (int, None, "training samples per fit"),
+    "--horizon": (int, None, "forecast horizon in steps"),
+    "--seed": (int, None, "random seed"),
+    "--out": (None, None, "output directory"),
+    "--format": (None, ("csv", "json"), "report format"),
+}
+
+
+def subcommand_options(command):
+    """Each option of a subcommand with its argparse type, choices and help."""
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.option_strings[-1]: (a.type, a.choices, a.help)
+            for a in sub.choices[command]._actions if a.option_strings[-1] != "--help"}
+
+
+@pytest.mark.parametrize("command, options", [("generate", GENERATE_OPTIONS), ("run", RUN_OPTIONS)])
+def test_command_line_options(command, options):
+    assert subcommand_options(command) == options
+
+
+def unknown_key_expected(tmp_path, capsys, **overrides):
+    """The known keys that an unknown-key message lists."""
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    return set(ast.literal_eval(err.split("expected some of ", 1)[1].rsplit(")", 1)[0]))
+
+
+def test_generate_flags_are_the_synthetic_keys(tmp_path, capsys):
+    keys = unknown_key_expected(tmp_path, capsys, data={"type": "synthetic", "bogus": 1})
+    flags = {"--" + key.replace("_", "-") for key in keys - {"type"}}
+    assert flags == set(subcommand_options("generate")) - {"--out"}
+
+
+BAD_SYNTHETIC = {"length": 0, "c1": "x", "c2": "x", "omega": 0, "ar_order": 0, "seed": -1,
+                 "noise_sd": -1}
+
+
+@pytest.mark.parametrize("key", sorted(BAD_SYNTHETIC))
+def test_bad_synthetic_value_exits_2_naming_the_key(tmp_path, capsys, key):
+    value = BAD_SYNTHETIC[key]
+    cfg = write_config(tmp_path, data={"type": "synthetic", "length": 300, key: value})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and key in err
+    flag = "--" + key.replace("_", "-")
+    try:
+        code = main(["generate", "--out", str(tmp_path / "x.csv"), flag, str(value)])
+    except SystemExit as e:  # argparse rejects a flag value that is not a number
+        code = e.code
+    err = capsys.readouterr().err
+    assert code == 2 and (key in err or flag in err)
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("strategies", [{"OHL": {"eta": 1e-4}, "RANDOM": {"draws": 2}},
+                                        {"FIXED": {}, "OHL": {"eta": 1e-4}}],
+                         ids=["without-fixed", "with-fixed"])
+def test_csv_report_bytes_match_csv_module(tmp_path, strategies):
+    cfg = write_config(tmp_path, strategies=strategies)
+    json_dir, csv_dir = tmp_path / "json", tmp_path / "csv"
+    assert main(["run", "--config", str(cfg), "--out", str(json_dir)]) == 0
+    assert main(["run", "--config", str(cfg), "--out", str(csv_dir), "--format", "csv"]) == 0
+    report = json.loads((json_dir / "report.json").read_text())
+    expected = tmp_path / "expected.csv"
+    with expected.open("w", newline="", encoding="utf-8") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(("strategy", "final_rmse", "improvement_vs_fixed", "total_fits",
+                      "tuning_fits", "prediction_fits", "jacobian_builds", "gradient_evals"))
+        for name, entry in report["strategies"].items():
+            counts, imp = entry["fit_counts"], entry["improvement_vs_fixed"]
+            tuning, prediction = counts["tuning"], counts["prediction"]
+            out.writerow((name, _fmt(entry["final_rmse"]), "" if imp is None else _fmt(imp),
+                          counts["total_fits"], tuning["fits"], prediction["fits"],
+                          tuning["jacobian_builds"] + prediction["jacobian_builds"],
+                          tuning["gradient_evals"] + prediction["gradient_evals"]))
+    assert (csv_dir / "report.csv").read_bytes() == expected.read_bytes()
+    assert ("FIXED" in strategies) == all(
+        cells[2] for cells in csv.reader(expected.read_text().splitlines()[1:])
+    )
+
+
+def test_readme_config_runs(tmp_path):
+    # the README's full config, on a shorter stream
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    start = readme.index("```json") + len("```json")
+    cfg = json.loads(readme[start : readme.index("```", start)])
+    cfg["data"]["length"], cfg["predict_steps"] = 1000, 10
+    cfg["strategies"]["RANDOM"]["draws"] = 2
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "r")]) == 0
+    assert len(read_trace_csv(tmp_path / "r" / "trace_OHL.csv")["t"]) == 10
