@@ -84,7 +84,7 @@ C-ordered array.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from itertools import islice
 from typing import Iterator, Union
 
@@ -234,19 +234,19 @@ def _on_one_grid(ts: np.ndarray, times: np.ndarray) -> bool:
     return True
 
 
-def _eval_dt(f, ts: np.ndarray, times: np.ndarray, grid: bool, out=None) -> np.ndarray:
-    """Fills ``out`` with ``f(|ts[:, None] - times[None, :]|, at)`` and returns it.
+def _eval_dt(f, ts: np.ndarray, times: np.ndarray, grid: bool, out=None, k=None) -> np.ndarray:
+    """Fills ``out`` with ``f(|ts[:, None] - times[None, :]|, kv)`` and returns it.
 
-    ``f`` is elementwise in the differences it receives; ``at`` indexes their
-    entries in the full matrix, so ``f`` can read ``k[at]`` from a matrix
-    already built. ``grid`` is :func:`_on_one_grid` of ``(ts, times)``, which
-    the caller decides once for every fill of one evaluation. On the grid
-    ``f`` runs on the first column and first row only, and the Toeplitz
-    matrix is gathered from them; without ``out`` it is returned as a
-    read-only strided view of those ``len(ts) + len(times) - 1`` values.
-    Off the grid it is filled ``_CHUNK_VALUES`` values of rows at a time,
-    into a new array if ``out`` is not given. Every element gets the bits of
-    the dense evaluation.
+    ``f`` is elementwise in the differences it receives and in ``kv``, the
+    entries of ``k`` (a matrix of the same shape, already built) at the same
+    places, or None if ``k`` is not given. ``grid`` is :func:`_on_one_grid`
+    of ``(ts, times)``, which the caller decides once for every fill of one
+    evaluation. On the grid ``f`` runs once, on the first column and first
+    row (the ``len(ts) + len(times) - 1`` distinct differences), and the
+    Toeplitz matrix is gathered from its values; without ``out`` it is
+    returned as a read-only strided view of them. Off the grid it is filled
+    ``_CHUNK_VALUES`` values of rows at a time, into a new array if ``out``
+    is not given. Every element gets the bits of the dense evaluation.
     """
     if not grid:
         if out is None:
@@ -254,20 +254,21 @@ def _eval_dt(f, ts: np.ndarray, times: np.ndarray, grid: bool, out=None) -> np.n
         step = max(1, _CHUNK_VALUES // len(times))
         for lo in range(0, len(ts), step):
             rows = slice(lo, lo + step)
-            out[rows] = f(_abs_dt(ts[rows], times), rows)
+            out[rows] = f(_abs_dt(ts[rows], times), None if k is None else k[rows])
         return out
-    col = f(np.abs(ts - times[0]), np.s_[:, 0])
-    row = f(np.abs(ts[0] - times), np.s_[0, :])
-    values = np.concatenate((col[::-1], row[1:]))
-    # entry (i, j) of the view is values[len(col) - 1 - i + j]: col[i - j]
-    # below the diagonal, row[j - i] above it. Its rows run forward through
-    # memory, which at n = 96 reads them 30 % faster than the mirrored
-    # layout. The raw constructor because at n = 96 sliding_window_view
-    # (20 us) and as_strided (15 us) cost as much as scipy's toeplitz.
+    # the first column bottom up, then the first row after its first entry
+    dt = np.concatenate((np.abs(ts[::-1] - times[0]), np.abs(ts[0] - times[1:])))
+    kv = None if k is None else np.concatenate((k[::-1, 0], k[0, 1:]))
+    values = f(dt, kv)
+    m, n = len(ts), len(times)
+    # entry (i, j) of the view is values[m - 1 - i + j]: the first column's
+    # entry i - j below the diagonal, the first row's j - i above it. Its rows
+    # run forward through memory, which at n = 96 reads them 30 % faster than
+    # the mirrored layout. The raw constructor because at n = 96
+    # sliding_window_view (20 us) and as_strided (15 us) cost as much as
+    # scipy's toeplitz.
     item = values.itemsize
-    view = np.ndarray(
-        (col.size, row.size), values.dtype, values, (col.size - 1) * item, (-item, item)
-    )
+    view = np.ndarray((m, n), values.dtype, values, (m - 1) * item, (-item, item))
     if out is None:
         view.setflags(write=False)
         return view
@@ -319,7 +320,7 @@ class PeriodicKernel:
         return self._fill(ts, times, _on_one_grid(ts, times), out)
 
     def _fill(self, ts, times, grid, out=None) -> np.ndarray:
-        return _eval_dt(lambda dt, at: self.from_dt(dt), ts, times, grid, out)
+        return _eval_dt(lambda dt, kv: self.from_dt(dt), ts, times, grid, out)
 
     def _value_and_derivs(self, dt):
         """Kernel values at ``dt`` and their scale and period derivatives: the
@@ -358,17 +359,19 @@ class PeriodicKernel:
         scratch[...] = gram
         bv = scratch @ v
         for j in range(2):
-            _eval_dt(lambda dt, at: w * self._deriv(j, dt, gram[at]), times, times, grid, scratch)
+            _eval_dt(lambda dt, kv: w * self._deriv(j, dt, kv), times, times, grid, scratch, gram)
             out[:, j] = scratch @ v
         return bv
 
-    def cross_derivs_many(self, ts, xs, times, lags, out) -> np.ndarray:
-        """Cross matrix of many queries; fills ``out[:, j]`` with its derivative
-        w.r.t. parameter ``j``, reading ``k`` from the cross matrix."""
+    def cross_derivs_many(self, ts, xs, times, lags, out, w=1.0) -> np.ndarray:
+        """Cross matrix of many queries; fills ``out[:, j]`` with ``w *`` its
+        derivative w.r.t. parameter ``j``, reading ``k`` from the cross
+        matrix. On the grid ``w`` multiplies the distinct values before the
+        gather, as in :meth:`block_contract`."""
         grid = _on_one_grid(ts, times)
         k = self._fill(ts, times, grid, np.empty((len(ts), len(times))))
         for j in range(2):
-            _eval_dt(lambda dt, at: self._deriv(j, dt, k[at]), ts, times, grid, out[:, j])
+            _eval_dt(lambda dt, kv: w * self._deriv(j, dt, kv), ts, times, grid, out[:, j], k)
         return k
 
 
@@ -421,15 +424,16 @@ class SquaredExpKernel:
         out[:, 0] = d @ v
         return gram @ v
 
-    def cross_derivs_many(self, ts, xs, times, lags, out=None) -> np.ndarray:
+    def cross_derivs_many(self, ts, xs, times, lags, out=None, w=1.0) -> np.ndarray:
         """Cross matrix of many queries from :func:`_query_sq_dists` (the
         hyper-gradient's values, which can differ in the last digit from
         :meth:`cross_many`'s ``cdist``); fills ``out[:, 0]``, if given, with
-        its scale derivative."""
+        ``w *`` its scale derivative."""
         d2 = _query_sq_dists(xs, lags)
         k = np.exp(-self.scale * d2)
         if out is not None:
-            out[:, 0] = -d2 * k
+            d = np.multiply(-d2, k, out=out[:, 0])
+            d *= w
         return k
 
 
@@ -649,7 +653,7 @@ class CompositeKernel:
     def n_components(self) -> int:
         return len(self.components)
 
-    @property
+    @cached_property  # read several times per evaluation, and the kernel is frozen
     def n_scalars(self) -> int:
         """Number of scalar kernel hyperparameters (component params + weights)."""
         return sum(c.n_params for c in self.components) + self.n_components
@@ -712,11 +716,12 @@ class CompositeKernel:
         return self.mix(self.component_blocks(times, lags))
 
     def cross_many(self, ts, xs, times, lags) -> np.ndarray:
-        # The batch predictor. The gradient and cross() take their values from
-        # the cross_contract path instead: the ARD values are the same
-        # (cross_many's), but the SE values there come from the einsum
-        # distances of cross_derivs_many, and OHL's updates can amplify a
-        # last-digit change until it shows in the forecasts.
+        # The batch predictor. The gradient, OHL's predictions and cross()
+        # take their values from the cross_contract path instead: the periodic
+        # and ARD values are the same (cross_many's), but the SE values there
+        # come from the einsum distances of cross_derivs_many, and OHL's
+        # updates can amplify a last-digit change until it shows in the
+        # forecasts. So OHL's predictions come from here when SE is present.
         return self.mix([c.cross_many(ts, xs, times, lags) for c in self.components])
 
     # -- derivatives ------------------------------------------------------
@@ -800,8 +805,7 @@ class CompositeKernel:
                 ks.append(c.cross_contract(xs, *ard[i], w, dkv[:, pos : pos + c.n_params]))
             else:
                 block = dk[:, row : row + c.n_params]
-                ks.append(c.cross_derivs_many(ts, xs, times, lags, block))
-                block *= w
+                ks.append(c.cross_derivs_many(ts, xs, times, lags, block, w))
                 rows.extend(range(pos, pos + c.n_params))
                 row += c.n_params
             pos += c.n_params

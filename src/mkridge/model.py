@@ -31,13 +31,15 @@ at its peak, and the model keeps the lag Grams and the factor. The per-step
 squared-error loss then has an exact gradient assembled from the cross
 vector, its analytic derivatives, and the cached Jacobian columns.
 
-Predictions and hyper-gradients are evaluated for a block of queries at once
-(:func:`predict_batch`, :func:`loss_hyper_gradient_batch`);
-:func:`loss_hyper_gradient` is a one-row view of the batched gradient. The
-gradient needs the cross derivatives only applied to ``theta``, and takes
-them from one ``CompositeKernel.cross_contract`` call for all its queries:
-the ARD ones are contracted on the query side, and no ``(queries, n, lags)``
-tensor is built. :func:`predict`
+Predictions and hyper-gradients are evaluated for a block of queries at once.
+:func:`predict_and_hyper_gradient_batch` returns both from one
+``CompositeKernel.cross_contract`` call for all its queries, so an OHL refit
+evaluates its window's cross matrix once: the gradient needs the cross
+derivatives only applied to ``theta``, the ARD ones are contracted on the
+query side, and no ``(queries, n, lags)`` tensor is built; the predictions
+have :func:`predict_batch`'s bits (with an SE component they are its
+values). :func:`loss_hyper_gradient_batch` is the gradients alone, and
+:func:`loss_hyper_gradient` a one-row view of those. :func:`predict`
 takes its cross vector from ``CompositeKernel.cross``, the values of a
 one-row ``cross_contract`` without its derivatives, so its value is the
 gradient's residual bit for bit. The materialized derivatives (``CompositeKernel.iter_block_derivs`` and
@@ -52,7 +54,7 @@ import numpy as np
 
 from ._compiled import scipy_routines
 from .errors import NumericalError
-from .kernels import CompositeKernel, TimedPoint, _readonly, window_arrays
+from .kernels import CompositeKernel, SquaredExpKernel, TimedPoint, _readonly, window_arrays
 
 
 def _load_lapack():
@@ -85,6 +87,7 @@ __all__ = [
     "theta_jacobian",
     "loss_hyper_gradient",
     "loss_hyper_gradient_batch",
+    "predict_and_hyper_gradient_batch",
     "training_arrays",
 ]
 
@@ -291,15 +294,28 @@ def loss_hyper_gradient(
 
 
 def loss_hyper_gradient_batch(model: TrainedModel, jac: np.ndarray, queries, targets) -> np.ndarray:
-    """Exact squared-error hyper-gradients for many queries, shape ``(m, dim)``.
+    """Exact squared-error hyper-gradients for many queries, shape ``(m, dim)``:
+    the gradients of :func:`predict_and_hyper_gradient_batch`, which computes
+    no predictions for this view."""
+    return predict_and_hyper_gradient_batch(model, jac, queries, targets, predictions=False)[1]
 
-    Row ``q`` is ``-2 r_q (dk_q theta + k_q J)`` with ``k_q`` the cross
-    vector, ``dk_q`` its derivatives (no ridge row: the cross vector does not
-    depend on the ridge), ``r_q = y_q - k_q theta`` the residual and ``J``
-    the cached Jacobian. The hyperparameters are fixed across the queries,
-    so ``k`` and ``dk theta`` of all of them come from one call of
+
+def predict_and_hyper_gradient_batch(
+    model: TrainedModel, jac: np.ndarray, queries, targets, predictions: bool = True
+):
+    """``(yhat, grads)``: :func:`predict_batch` of the queries, bit for bit,
+    and their exact squared-error hyper-gradients, shape ``(m, dim)``, from
+    one evaluation of the cross matrix. ``yhat`` is None, and not computed,
+    if ``predictions`` is false.
+
+    Row ``q`` of ``grads`` is ``-2 r_q (dk_q theta + k_q J)`` with ``k_q`` the
+    cross vector, ``dk_q`` its derivatives (no ridge row: the cross vector
+    does not depend on the ridge), ``r_q = y_q - k_q theta`` the residual and
+    ``J`` the cached Jacobian. The hyperparameters are fixed across the
+    queries, so ``k`` and ``dk theta`` of all of them come from one call of
     ``CompositeKernel.cross_contract``; the ARD part of ``dk`` is contracted
-    with ``theta`` there and never built.
+    with ``theta`` there and never built. ``yhat`` is ``k @ theta``, the
+    product :func:`predict_batch` takes of the same values.
     """
     d = model.hypers.dim
     if jac.shape != (model.n, d):
@@ -314,8 +330,8 @@ def loss_hyper_gradient_batch(model: TrainedModel, jac: np.ndarray, queries, tar
     y = np.asarray(targets, dtype=float)
     if y.shape != qt.shape:
         raise ValueError(f"got {y.size} targets for {qt.size} queries")
-    ns = model.hypers.kernel.n_scalars
-    k, dk_theta = model.hypers.kernel.cross_contract(qt, qx, model.times, model.lags, model.theta)
+    kernel, ns = model.hypers.kernel, model.hypers.kernel.n_scalars
+    k, dk_theta = kernel.cross_contract(qt, qx, model.times, model.lags, model.theta)
     # Every product is a stack of one-query products (matmul loops over the
     # leading axis with the BLAS call a single query makes), so each row is
     # bit-identical to a one-query evaluation whatever the number of queries.
@@ -326,4 +342,14 @@ def loss_hyper_gradient_batch(model: TrainedModel, jac: np.ndarray, queries, tar
     grads = np.empty((y.size, d))
     grads[:, :ns] = scale[:, None] * (dk_theta + (rows @ jac[:, :ns])[:, 0])
     grads[:, ns] = scale * (rows @ jac[:, ns])[:, 0]
-    return grads
+    if not predictions:
+        return None, grads
+    if any(isinstance(c, SquaredExpKernel) for c in kernel.components):
+        # SE's values here come from einsum distances, predict_batch's from
+        # cdist, which round differently: the predictions take cross_many's.
+        # This branch goes once SE evaluates as an ARD kernel with one tied scale.
+        del k, rows  # one (m, n) cross matrix at a time
+        k = kernel.cross_many(qt, qx, model.times, model.lags)
+    # predict_batch's one (m, n) @ (n,) product on the same values: its bits,
+    # which can differ in the last digit from the residual's stacked products
+    return k @ model.theta, grads

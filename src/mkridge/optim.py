@@ -168,34 +168,41 @@ def project_simplex(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or v.shape[-1] < 1:
         raise ValueError("expected a non-empty 1-d vector or a 2-d block of rows")
-    if v.ndim == 1:
-        return project_simplex(v[None, :])[0]
     _check_finite(v)
-    if v.shape[1] == 1:
+    return _project_simplex_rows(v)
+
+
+def _project_simplex_rows(v: np.ndarray) -> np.ndarray:
+    """:func:`project_simplex` of a vector or a block of rows that holds
+    only finite values."""
+    rows = v.reshape(-1, v.shape[-1])
+    if rows.shape[1] == 1:
         return np.ones_like(v)
-    u = np.sort(v, axis=1)[:, ::-1]
+    u = np.sort(rows, axis=1)[:, ::-1]
     css = np.cumsum(u, axis=1)
-    j = np.arange(1, v.shape[1] + 1)
+    j = np.arange(1, rows.shape[1] + 1)
     # rho is the last j that passes the test; j = 1 always passes
-    rho = v.shape[1] - np.argmax((u + (1.0 - css) / j > 0)[:, ::-1], axis=1)
-    tau = (css[np.arange(len(v)), rho - 1] - 1.0) / rho
-    out = np.maximum(v - tau[:, None], 0.0)
-    # already feasible rows stay as they are, so the projection is exactly idempotent
-    keep = (v.min(axis=1) >= 0.0) & (np.abs(v.sum(axis=1) - 1.0) <= SIMPLEX_TOL)
-    out[keep] = v[keep]
-    miss = np.abs(out.sum(axis=1) - 1.0)
-    if not (miss <= SIMPLEX_TOL).all():
+    rho = rows.shape[1] - np.argmax((u + (1.0 - css) / j > 0)[:, ::-1], axis=1)
+    tau = (css[np.arange(len(rows)), rho - 1] - 1.0) / rho
+    out = np.maximum(rows - tau[:, None], 0.0)
+    # already feasible rows stay as they are, so the projection is exactly
+    # idempotent; u's last column is each row's minimum
+    keep = (u[:, -1] >= 0.0) & (np.abs(rows.sum(axis=1) - 1.0) <= SIMPLEX_TOL)
+    np.copyto(out, rows, where=keep[:, None])
+    miss = np.abs(out.sum(axis=1) - 1.0).max()  # a NaN row's NaN fails the test too
+    if not miss <= SIMPLEX_TOL:
         raise NumericalError(
-            f"simplex projection misses the unit sum by {float(miss.max()):.3g}: "
-            f"entries up to {float(np.abs(v).max()):.3g} are too large to project"
+            f"simplex projection misses the unit sum by {float(miss):.3g}: "
+            f"entries up to {float(np.abs(rows).max()):.3g} are too large to project"
         )
-    return out
+    return out.reshape(v.shape)
 
 
 def project_C(v, feasible: FeasibleSet) -> np.ndarray:
     """Projection onto the full feasible set (box clamp + simplex block)."""
     out = project_box(v, feasible)
-    out[..., feasible.simplex] = project_simplex(out[..., feasible.simplex])
+    # project_box has checked that every entry is finite, and clamping keeps it so
+    out[..., feasible.simplex] = _project_simplex_rows(out[..., feasible.simplex])
     return out
 
 

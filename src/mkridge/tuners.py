@@ -4,9 +4,11 @@ Every strategy runs in one deployment loop, :func:`run`: predict one step
 ahead, observe the truth, refit the model on the latest training window
 every ``fit_every`` steps. Hyperparameters and the fitted model are frozen
 between refit and re-tune steps, so the loop evaluates each segment between
-two of them with one batched call; the per-step records are the same as a
-step-by-step loop would produce. Strategies differ only in how
-hyperparameters evolve:
+two of them with one batched call: :func:`predict_batch`, or for OHL
+:func:`predict_and_hyper_gradient_batch`, whose predictions and gradients
+come from one evaluation of the segment's cross matrix. The per-step records
+are the same as a step-by-step loop would produce. Strategies differ only in
+how hyperparameters evolve:
 
 * ``OHL``      - at each refit step, one lazy projected update with the
                  exact per-step hyper-gradients of the previous refit
@@ -41,6 +43,7 @@ from .model import (
     loss_hyper_gradient,  # unused here; bound so that perfbench/layers.py can wrap it
     loss_hyper_gradient_batch,
     predict,  # unused here; bound so that perfbench/layers.py can wrap it
+    predict_and_hyper_gradient_batch,
     predict_batch,
     theta_jacobian,
 )
@@ -126,8 +129,8 @@ class TunerConfig:
             raise ValueError("GRID needs at least one grid point")
         if self.draws < 1:
             raise ValueError("draws must be >= 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:  # an infinite tol would stop before every first step
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
         if self.feasible.dim != self.init.dim:
@@ -295,8 +298,10 @@ def run(config: TunerConfig, schedule: Schedule, stream: Dataset, steps: int | N
     held-out validation window. At a refit step OHL first applies its lazy
     update, built from the previous refit window's gradients (skipped at the
     first step and when ``eta`` is 0), and builds the new model's Jacobian
-    after the fit. A segment's predictions, and OHL's gradients and
-    projected-gradient norms, come from one batched call each. A re-tune
+    after the fit. A segment's predictions come from one batched call,
+    :func:`predict_batch`; OHL's come with its gradients from one call that
+    evaluates the segment's cross matrix once, and its projected-gradient
+    norms from one more. A re-tune
     inside a refit window changes the recorded hyperparameters at once but
     the model only at the next refit.
     """
@@ -349,11 +354,12 @@ def run(config: TunerConfig, schedule: Schedule, stream: Dataset, steps: int | N
                 jac = theta_jacobian(trained)
                 prediction.jacobian_builds += 1
         window = stream.slice(i, start + e)
-        yhat[s:e] = predict_batch(trained, window)
         lam = hypers.to_vector()
         lambdas[s:e] = lam
-        if ohl:
-            grads = loss_hyper_gradient_batch(trained, jac, window, window.targets)
+        if not ohl:
+            yhat[s:e] = predict_batch(trained, window)
+        else:
+            yhat[s:e], grads = predict_and_hyper_gradient_batch(trained, jac, window, window.targets)
             prediction.gradient_evals += e - s
             gradients[s:e] = grads
             grad_norms[s:e] = np.linalg.norm(grads, axis=1)

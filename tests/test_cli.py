@@ -313,6 +313,8 @@ def finite_csv(tmp_path, bad_value="1.01", **binning):
         pytest.param({"strategies": {"OFFLINE_GRAD": {"max_iters": 2.5}}}, [], 2, "max_iters",
                      id="max-iters-fraction"),
         pytest.param({"strategies": {"OFFLINE_GRAD": {"tol": "x"}}}, [], 2, "tol", id="tol-string"),
+        pytest.param({"strategies": {"OFFLINE_GRAD": {"tol": float("inf")}}}, [], 2,
+                     "strategy OFFLINE_GRAD: tol must be positive and finite, got inf", id="tol-inf"),
         pytest.param({"strategies": {"GRID": {"grid": 5}}}, [], 2, "grid must be a JSON list",
                      id="grid-not-list"),
         pytest.param({"strategies": {"GRID": {}}}, [], 2, "at least one grid point",

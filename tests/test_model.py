@@ -25,6 +25,7 @@ from mkridge.model import (
     loss_hyper_gradient,
     loss_hyper_gradient_batch,
     predict,
+    predict_and_hyper_gradient_batch,
     predict_batch,
     theta_jacobian,
 )
@@ -586,6 +587,27 @@ class TestOneSolveJacobian:
             for layout in (np.asfortranarray, np.ascontiguousarray)
         ]
         assert np.array_equal(grads[0], grads[1])
+
+
+class TestFusedPass:
+    """predict_and_hyper_gradient_batch: predict_batch's values and the
+    gradients of its view loss_hyper_gradient_batch, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(model=jacobian_model(), m=st.integers(1, 40), grid=st.booleans())
+    def test_equals_predict_batch_and_gradient_view_bitwise(self, model, m, grid):
+        rng = np.random.default_rng(m)
+        queries = random_window(rng, m, model.lags.shape[1])
+        if grid:
+            queries = on_grid(queries, origin=float(rng.integers(-50, 250)))
+        jac = theta_jacobian(model)
+        yhat, grads = predict_and_hyper_gradient_batch(model, jac, queries, queries.targets)
+        assert np.array_equal(yhat, predict_batch(model, queries))
+        assert np.array_equal(grads, loss_hyper_gradient_batch(model, jac, queries, queries.targets))
+        none, view = predict_and_hyper_gradient_batch(
+            model, jac, queries, queries.targets, predictions=False
+        )
+        assert none is None and np.array_equal(view, grads)
 
 
 class TestLossHyperGradient:

@@ -1,15 +1,18 @@
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mkridge import tuners
-from mkridge.data import BURN_IN, SyntheticConfig, build_features, generate_synthetic
-from mkridge.kernels import CompositeKernel, PeriodicKernel, SquaredExpKernel
+from mkridge.data import BURN_IN, Dataset, SyntheticConfig, build_features, generate_synthetic
+from mkridge.kernels import ArdKernel, CompositeKernel, PeriodicKernel, SquaredExpKernel
 from mkridge.model import (
     HyperParams,
     fit,
     loss_hyper_gradient,
+    loss_hyper_gradient_batch,
     predict,
     predict_batch,
     theta_jacobian,
@@ -158,6 +161,11 @@ class TestTunerConfig:
         TunerConfig(strategy=Strategy.FIXED, init=hypers, feasible=feasible)
         with pytest.raises(ValueError, match="finite bounds"):
             TunerConfig(strategy=Strategy.RANDOM, init=hypers, feasible=feasible)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.inf, np.nan])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            se_config("OFFLINE_GRAD", tol=tol)
 
 
 class TestRunOhl:
@@ -492,3 +500,84 @@ class TestModelRelease:
         run(mixed_config(strategy, **kw), schedule, make_stream(), steps=40)
         assert len(models) >= 4
         assert alive_at_fit == [0] * len(models)
+
+
+# the kernel families of an OHL run whose predictions come from its gradient
+# pass, and those (with SE) that take them from cross_many
+ONE_PASS_FAMILIES = (("periodic", "ard"), ("ard",), ("periodic", "se"), ("se",))
+
+
+@st.composite
+def ohl_run_case(draw):
+    """An OHL config, schedule and stream, on or off the unit time grid, whose
+    run ends in a partial refit window."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    families = draw(st.sampled_from(ONE_PASS_FAMILIES))
+    p, fit_every = draw(st.integers(1, 6)), draw(st.integers(2, 12))
+    train_window = draw(st.integers(3, 40))
+    steps = fit_every * draw(st.integers(0, 3)) + draw(st.integers(1, fit_every - 1))
+    total = train_window + steps
+    if draw(st.booleans()):
+        times = float(rng.integers(-50, 50)) + np.arange(total, dtype=float)
+    else:
+        times = np.cumsum(rng.uniform(0.5, 1.5, total))
+    stream = Dataset(times, rng.normal(size=(total, p)), rng.normal(size=total))
+    components = {
+        "periodic": PeriodicKernel(rng.uniform(0.05, 2.0), rng.uniform(3.0, 40.0)),
+        "se": SquaredExpKernel(rng.uniform(0.01, 1.0)),
+        "ard": ArdKernel(rng.uniform(0.01, 1.0, p)),
+    }
+    spec = CompositeKernel(
+        tuple(components[f] for f in families), rng.dirichlet(np.full(len(families), 2.0))
+    )
+    hypers = HyperParams(spec, rng.uniform(0.05, 1.5))
+    feasible = FeasibleSet.for_kinds(hypers.scalar_kinds(), BOUNDS)
+    config = TunerConfig(strategy=Strategy.OHL, init=hypers, feasible=feasible, eta=1e-3)
+    schedule = Schedule(tune_every=fit_every, fit_every=fit_every, train_window=train_window)
+    return config, schedule, stream, steps
+
+
+class TestOnePassRefit:
+    """OHL takes a refit window's predictions from its gradient pass: the
+    values predict_batch gives on the same model and window, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=ohl_run_case())
+    def test_predictions_equal_predict_batch_bitwise(self, case):
+        config, schedule, stream, steps = case
+        trace = run(config, schedule, stream, steps)
+        start, m = trace.start_index, schedule.fit_every
+        for s in range(0, steps, m):
+            i, e = start + s, min(start + s + m, len(stream))
+            hypers = config.init.from_vector(trace.lambdas[s])
+            model = fit(hypers, stream.slice(i - schedule.train_window, i))
+            window = stream.slice(i, e)
+            assert np.array_equal(trace.yhat[s : s + m], predict_batch(model, window))
+            grads = loss_hyper_gradient_batch(model, theta_jacobian(model), window, window.targets)
+            assert np.array_equal(trace.gradients[s : s + m], grads)
+
+    def test_ohl_builds_one_cross_matrix_per_refit(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(tuners, "predict_batch", counted("predict_batch", tuners.predict_batch))
+        for name in ("cross_many", "cross_contract"):
+            monkeypatch.setattr(CompositeKernel, name, counted(name, getattr(CompositeKernel, name)))
+        hypers = HyperParams(
+            CompositeKernel((PeriodicKernel(1.0, 30.0), ArdKernel(np.full(LAG, 0.05))), [0.5, 0.5]),
+            1.0,
+        )
+        feasible = FeasibleSet.for_kinds(hypers.scalar_kinds(), BOUNDS)
+        schedule = Schedule(tune_every=10, fit_every=10, train_window=50)
+        stream = make_stream()
+        run(TunerConfig(Strategy.OHL, hypers, feasible, eta=1e-3), schedule, stream, steps=45)
+        assert calls == {"cross_contract": 5}
+        calls.clear()
+        run(TunerConfig(Strategy.FIXED, hypers, feasible), schedule, stream, steps=45)
+        assert calls == {"predict_batch": 5, "cross_many": 5}
