@@ -194,10 +194,18 @@ _integer, _natural = _at_least(1), _at_least(0)
 _number = _checked(lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number",
                    float)
 _string = _checked(lambda v: isinstance(v, str), "a string")
+# a NUL character fails every file system call with a ValueError, not an OSError
+_path = _checked(lambda v: isinstance(v, str) and "\0" not in v, "a string without NUL characters")
 _object = _checked(lambda v: isinstance(v, dict), "a JSON object")
 _list = _checked(lambda v: isinstance(v, list), "a JSON list")
-_format = _checked(lambda v: v in _FORMATS, "'csv' or 'json'")
 _pair = _checked(lambda v: isinstance(v, list) and len(v) == 2, "a two-element list")
+
+
+def _one_of(*choices: str):
+    return _checked(lambda v: isinstance(v, str) and v in choices, " or ".join(map(repr, choices)))
+
+
+_format = _one_of(*_FORMATS)
 
 
 def _optional(parse):  # for a key whose null value means no value
@@ -267,7 +275,7 @@ _RUN_KEYS = {
     "model": _Key(_as_is, default=None),
     "bounds": _Key(_as_is, default=None),
     "strategies": _Key(_object, default={}),
-    "out": _Key(_string, default="results", flag=dict(help="output directory")),
+    "out": _Key(_path, default="results", flag=dict(help="output directory")),
     "format": _Key(_format, default="json", flag=dict(choices=_FORMATS, help="report format")),
 }
 
@@ -293,14 +301,14 @@ _SYNTHETIC_KEYS = {
 
 # a CSV section holds load_csv's arguments, and bin_series's when it is binned
 _CSV_KEYS = {
-    "path": _Key(_string, "csv data path", default=None),
+    "path": _Key(_path, "csv data path", default=None),
     "timestamp_column": _Key(_string),
     "value_column": _Key(_string),
 }
 _BINNING_KEYS = {
     "bin_width": _Key(_integer),
-    "aggregator": _Key(_as_is),
-    "bin_mode": _Key(_as_is, field="mode"),
+    "aggregator": _Key(_one_of("sum", "mean")),
+    "bin_mode": _Key(_one_of("strict", "lenient"), field="mode"),
 }
 
 _MODEL_KEYS = {
@@ -401,16 +409,11 @@ def _build_series(data_cfg: dict, seed: int, flags=None) -> TimeSeries:
             return generate_synthetic(SyntheticConfig(**config))  # raises on a series that overflows
         except ValueError as e:
             raise ConfigError(f"bad synthetic data section: {e}") from None
-    if kind == "csv":
-        series = load_csv(**_parse_keys(data_cfg, _CSV_KEYS, "csv data",
-                                        known=("type", *_BINNING_KEYS)))
+    if kind == "csv":  # every key is checked before the file is read
+        columns = _parse_keys(data_cfg, _CSV_KEYS, "csv data", known=("type", *_BINNING_KEYS))
         binning = _parse_keys(data_cfg, _BINNING_KEYS, "csv data", known=("type", *_CSV_KEYS))
-        if "bin_width" in binning:
-            try:
-                series = bin_series(series, **binning)
-            except ValueError as e:
-                raise ConfigError(f"bad binning settings: {e}") from None
-        return series
+        series = load_csv(**columns)
+        return bin_series(series, **binning) if "bin_width" in binning else series
     raise ConfigError(f"data section needs type 'synthetic' or 'csv', got {kind!r}")
 
 

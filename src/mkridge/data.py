@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -34,15 +34,10 @@ BURN_IN = 100  # synthetic warm-up steps discarded before the series is emitted
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """Strictly increasing integer timestamps with finite float values.
-
-    ``filled_mask`` marks forward-filled entries produced by lenient binning;
-    it is ``None`` for series without fills.
-    """
+    """Strictly increasing integer timestamps with finite float values."""
 
     timestamps: np.ndarray
     values: np.ndarray
-    filled_mask: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         ts = np.asarray(self.timestamps, dtype=np.int64)
@@ -55,11 +50,6 @@ class TimeSeries:
             raise ValueError("series values must be finite")
         object.__setattr__(self, "timestamps", _readonly(ts))
         object.__setattr__(self, "values", _readonly(vals))
-        if self.filled_mask is not None:
-            mask = np.asarray(self.filled_mask, dtype=bool)
-            if mask.shape != ts.shape:
-                raise ValueError("filled_mask must match the series length")
-            object.__setattr__(self, "filled_mask", _readonly(mask))
 
     def __len__(self) -> int:
         return self.timestamps.size
@@ -123,14 +113,16 @@ class SyntheticConfig:
     noise_sd: float = 0.0
 
     def __post_init__(self) -> None:
+        if not (np.isfinite(self.c1) and np.isfinite(self.c2)):
+            raise ValueError(f"c1 and c2 must be finite, got {self.c1} and {self.c2}")
         if self.ar_order < 1:
             raise ValueError("ar_order must be >= 1")
         if self.length <= self.ar_order:
             raise ValueError("length must exceed ar_order")
         if self.length <= BURN_IN:
             raise ValueError(f"length must exceed the {BURN_IN}-step burn-in")
-        if not self.noise_sd >= 0:  # a NaN fails too
-            raise ValueError("noise_sd must be nonnegative")
+        if not 0 <= self.noise_sd < np.inf:  # a NaN fails too
+            raise ValueError(f"noise_sd must be nonnegative and finite, got {self.noise_sd}")
         if not 0 < self.omega < np.inf:  # an infinite omega would drop the sinusoid
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
 
@@ -199,17 +191,21 @@ def _parse_timestamp(text: str) -> int:
     except ValueError:
         pass
     try:
-        return int(datetime.fromisoformat(text).timestamp())
+        instant = datetime.fromisoformat(text)
     except ValueError:
         raise ValueError(f"not an integer or ISO-8601 timestamp: {text!r}") from None
+    if instant.tzinfo is None:  # a time without an offset is UTC, not the host's local time
+        instant = instant.replace(tzinfo=timezone.utc)
+    return int(instant.timestamp())
 
 
 def load_csv(path, timestamp_column: str = "timestamp", value_column: str = "value") -> TimeSeries:
     """Read a two-column time series from a headered CSV file.
 
     Timestamps may be integers or ISO-8601 instants (converted to epoch
-    seconds). Rows with missing, malformed or non-finite fields are reported
-    together by row number; non-increasing timestamps name the first offending row.
+    seconds; an instant without a UTC offset is read as UTC). Rows with
+    missing, malformed or non-finite fields are reported together by row
+    number; non-increasing timestamps name the first offending row.
     """
     path = Path(path)
     timestamps: list[int] = []
@@ -263,8 +259,7 @@ def bin_series(series: TimeSeries, bin_width: int, aggregator: str = "mean", mod
 
     Output timestamps are the bin indices ``k = timestamp // bin_width``, so
     ``bin_width=1`` on step-indexed input is the identity. Empty interior
-    bins raise in strict mode and are forward-filled (and flagged) in lenient
-    mode.
+    bins raise in strict mode and are forward-filled in lenient mode.
     """
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
@@ -300,8 +295,4 @@ def bin_series(series: TimeSeries, bin_width: int, aggregator: str = "mean", mod
                 out[i] = last
             else:
                 last = out[i]
-    return TimeSeries(
-        np.arange(k_min, k_max + 1, dtype=np.int64),
-        out,
-        filled_mask=empty if np.any(empty) else None,
-    )
+    return TimeSeries(np.arange(k_min, k_max + 1, dtype=np.int64), out)

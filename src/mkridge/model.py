@@ -88,7 +88,6 @@ __all__ = [
     "loss_hyper_gradient",
     "loss_hyper_gradient_batch",
     "predict_and_hyper_gradient_batch",
-    "training_arrays",
 ]
 
 
@@ -111,10 +110,6 @@ class HyperParams:
     @property
     def dim(self) -> int:
         return self.kernel.n_scalars + 1
-
-    @property
-    def ridge_index(self) -> int:
-        return self.kernel.n_scalars
 
     def scalar_kinds(self) -> list[str]:
         return [*self.kernel.scalar_kinds(), "ridge"]
@@ -171,28 +166,16 @@ class TrainedModel:
         return _potrs(self.factor, b, lower=1)[0]
 
 
-def training_arrays(window) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(times, lags, targets)`` from a dataset or ``(TimedPoint, y)`` pairs."""
-    targets = getattr(window, "targets", None)
-    if targets is not None:
-        times, lags = window_arrays(window)
-        return times, lags, np.asarray(targets, dtype=float)
-    pairs = list(window)
-    if not pairs:
-        raise ValueError("training window must contain at least one pair")
-    points, ys = zip(*pairs)
-    times, lags = window_arrays(points)
-    return times, lags, np.asarray(ys, dtype=float)
-
-
 def fit(hypers: HyperParams, window) -> TrainedModel:
-    """Solve the regularized kernel system in closed form.
+    """Solve the regularized kernel system on a :class:`~mkridge.data.Dataset`
+    (or anything with its ``times``, ``lags`` and ``targets``) in closed form.
 
     Raises :class:`NumericalError` if the factorization fails despite the
     positive ridge (a numerically indefinite or non-finite system), and
     ``ValueError`` if a target is not finite.
     """
-    times, lags, y = training_arrays(window)
+    times, lags = window_arrays(window)
+    y = np.asarray(window.targets, dtype=float)
     if not np.isfinite(y).all():
         raise ValueError("training targets must be finite")
     blocks = hypers.kernel.component_blocks(times, lags)

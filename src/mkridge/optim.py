@@ -8,6 +8,9 @@ The projections and the projected-gradient map take one vector or an
 ``(m, d)`` block of rows; every operation is row by row, so each row of a
 block equals the projection of that row alone, bit for bit. A non-finite
 input raises :class:`NumericalError`.
+
+One projected step ``proj(z - eta*g)`` serves :func:`lazy_step`, the update
+of both gradient tuners, and :func:`projected_gradient`, which measures it.
 """
 
 from __future__ import annotations
@@ -216,10 +219,7 @@ def projected_gradient(z, g, eta: float, feasible: FeasibleSet) -> np.ndarray:
     if not eta > 0:
         raise ValueError(f"step size must be positive, got {eta}")
     z = np.asarray(z, dtype=float)
-    g = np.asarray(g, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails in project_C
-        step = z - eta * g
-    return (z - project_C(step, feasible)) / eta
+    return (z - _step(z, np.asarray(g, dtype=float), eta, feasible)) / eta
 
 
 def lazy_step(z, grads, eta: float, feasible: FeasibleSet) -> np.ndarray:
@@ -236,9 +236,13 @@ def lazy_step(z, grads, eta: float, feasible: FeasibleSet) -> np.ndarray:
         )
     # accumulate is sequential (a sum may be pairwise); + 0.0 turns an all -0.0 column into +0.0
     total = np.add.accumulate(grads, axis=0)[-1] + 0.0
-    z = np.asarray(z, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails in project_C
-        step = z - (eta / len(grads)) * total
+    return _step(np.asarray(z, dtype=float), total, eta / len(grads), feasible)
+
+
+def _step(z: np.ndarray, g: np.ndarray, eta: float, feasible: FeasibleSet) -> np.ndarray:
+    """``proj(z - eta*g)``; a step that overflows fails in :func:`project_C`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = z - eta * g
     return project_C(step, feasible)
 
 
@@ -252,9 +256,6 @@ class RegretTrace:
     @property
     def total(self) -> float:
         return self.totals[-1] if self.totals else 0.0
-
-    def __len__(self) -> int:
-        return len(self.sq_norms)
 
 
 def regret_update(trace: RegretTrace, z, g, eta: float, feasible: FeasibleSet) -> RegretTrace:

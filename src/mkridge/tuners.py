@@ -4,11 +4,9 @@ Every strategy runs in one deployment loop, :func:`run`: predict one step
 ahead, observe the truth, refit the model on the latest training window
 every ``fit_every`` steps. Hyperparameters and the fitted model are frozen
 between refit and re-tune steps, so the loop evaluates each segment between
-two of them with one batched call: :func:`predict_batch`, or for OHL
-:func:`predict_and_hyper_gradient_batch`, whose predictions and gradients
-come from one evaluation of the segment's cross matrix. The per-step records
-are the same as a step-by-step loop would produce. Strategies differ only in
-how hyperparameters evolve:
+two of them with one batched call: :func:`predict_batch`, or for OHL one
+gradient pass. The per-step records are the same as a step-by-step loop
+would produce. Strategies differ only in how hyperparameters evolve:
 
 * ``OHL``      - at each refit step, one lazy projected update with the
                  exact per-step hyper-gradients of the previous refit
@@ -22,6 +20,12 @@ how hyperparameters evolve:
                  offline gradient-based tuning).
 * ``FIXED``    - never tune after initialization.
 
+OHL and OFFLINE_GRAD differ only in which window supplies the gradients
+and when the step is taken: both get them from one gradient pass (a fit, its
+Jacobian, and :func:`predict_and_hyper_gradient_batch` of the queries) and
+step with :func:`lazy_step` over the block, OHL once per refit window and
+OFFLINE_GRAD once per iteration over its validation block.
+
 Every run produces a :class:`RunTrace` with per-step records and fit/build
 counters split into tuning and prediction phases; counters are the
 hardware-independent cost proxy, wall-clock is recorded but incidental.
@@ -30,6 +34,7 @@ hardware-independent cost proxy, wall-clock is recorded but incidental.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -41,7 +46,6 @@ from .model import (
     HyperParams,
     fit,
     loss_hyper_gradient,  # unused here; bound so that perfbench/layers.py can wrap it
-    loss_hyper_gradient_batch,
     predict,  # unused here; bound so that perfbench/layers.py can wrap it
     predict_and_hyper_gradient_batch,
     predict_batch,
@@ -50,7 +54,7 @@ from .model import (
 from .optim import (
     FeasibleSet,
     lazy_step,
-    project_C,
+    project_C,  # unused here; bound so that perfbench/layers.py can wrap it
     projected_gradient,
 )
 
@@ -189,6 +193,23 @@ def _fit_counted(hypers: HyperParams, window: Dataset, counters: PhaseCounters):
     return trained
 
 
+@contextmanager
+def _gradient_pass(hypers: HyperParams, window: Dataset, queries: Dataset,
+                   counters: PhaseCounters, predictions: bool = True):
+    """A block given :func:`predict_and_hyper_gradient_batch` of the queries
+    on a model fitted to ``window``; counts the fit, the Jacobian and one
+    gradient evaluation per query. The model is freed when the block ends,
+    after the caller's step: what the step keeps then lies above the model on
+    the heap, which the next fit reuses. Freed before it, the model's memory
+    goes back to the system and the next fit faults it in again (twice the
+    minor page faults per four_week OFFLINE_GRAD run)."""
+    trained = _fit_counted(hypers, window, counters)
+    jac = theta_jacobian(trained)
+    counters.jacobian_builds += 1
+    counters.gradient_evals += len(queries)
+    yield predict_and_hyper_gradient_batch(trained, jac, queries, queries.targets, predictions)
+
+
 def _backtest_rmse(
     hypers: HyperParams, fit_window: Dataset, val_window: Dataset, counters: PhaseCounters
 ) -> float:
@@ -243,30 +264,23 @@ def tune_offline_gradient(
 ) -> HyperParams:
     """Projected gradient descent on the mean validation loss.
 
-    Each iteration refits on the training window, computes the exact
-    hyper-gradient of the mean one-step-ahead validation loss, and applies
-    one projected step. Stops when the projected-gradient norm falls to
-    ``tol`` or after ``max_iters`` iterations.
+    Each iteration is one gradient pass over the validation block (a refit
+    on the training window, its Jacobian and the exact per-step
+    hyper-gradients) and one :func:`lazy_step` over those gradients, the
+    projected step on their mean. Stops when the projected-gradient norm
+    falls to ``tol`` or after ``max_iters`` iterations.
     """
     counters = counters if counters is not None else PhaseCounters()
     hypers = incumbent
     lam = incumbent.to_vector()
     for _ in range(config.max_iters):
-        trained = _fit_counted(hypers, fit_window, counters)
-        jac = theta_jacobian(trained)
-        counters.jacobian_builds += 1
-        grads = loss_hyper_gradient_batch(trained, jac, val_window, val_window.targets)
-        counters.gradient_evals += len(val_window)
-        grad = grads.sum(axis=0) / len(val_window)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails in project_C
-            step = lam - config.eta * grad
-        step = project_C(step, config.feasible)
-        # the projected-gradient norm, from the step it projects
-        if float(np.linalg.norm((lam - step) / config.eta)) <= config.tol:
-            break
-        lam = step
-        hypers = incumbent.from_vector(lam)
-        del trained, jac  # free this model's n x n matrices before the next fit
+        with _gradient_pass(hypers, fit_window, val_window, counters, predictions=False) as (_, grads):
+            step = lazy_step(lam, grads, config.eta, config.feasible)
+            # the projected-gradient norm, from the step it projects
+            if float(np.linalg.norm((lam - step) / config.eta)) <= config.tol:
+                break
+            lam = step
+            hypers = incumbent.from_vector(lam)
     return hypers
 
 
@@ -297,11 +311,11 @@ def run(config: TunerConfig, schedule: Schedule, stream: Dataset, steps: int | N
     ``tune_every``), where the strategy's tune operation runs on the
     held-out validation window. At a refit step OHL first applies its lazy
     update, built from the previous refit window's gradients (skipped at the
-    first step and when ``eta`` is 0), and builds the new model's Jacobian
-    after the fit. A segment's predictions come from one batched call,
-    :func:`predict_batch`; OHL's come with its gradients from one call that
-    evaluates the segment's cross matrix once, and its projected-gradient
-    norms from one more. A re-tune
+    first step and when ``eta`` is 0). OHL never re-tunes, so each of its
+    segments starts at a refit and is one gradient pass, which gives its
+    predictions and gradients; its projected-gradient norms come from one
+    more call. Every other strategy's segment predictions come from one
+    :func:`predict_batch` call on the model of the last refit. A re-tune
     inside a refit window changes the recorded hyperparameters at once but
     the model only at the next refit.
     """
@@ -332,7 +346,7 @@ def run(config: TunerConfig, schedule: Schedule, stream: Dataset, steps: int | N
         i = start + s
         refit = s % m == 0
         if refit:
-            trained = jac = None  # free the last window's n x n matrices before this step's fits
+            trained = None  # free the last window's n x n matrices before this step's fits
             if ohl and s > 0 and config.eta > 0:
                 hypers = config.init.from_vector(
                     lazy_step(lam, gradients[s - m : s], config.eta, config.feasible)
@@ -348,25 +362,22 @@ def run(config: TunerConfig, schedule: Schedule, stream: Dataset, steps: int | N
             else:
                 hypers = tune_offline_gradient(config, hypers, fit_window, val_window, tuning)
             tuning.wall_clock += time.perf_counter() - t0
-        if refit:
-            trained = _fit_counted(hypers, stream.slice(i - tw, i), prediction)
-            if ohl:
-                jac = theta_jacobian(trained)
-                prediction.jacobian_builds += 1
         window = stream.slice(i, start + e)
         lam = hypers.to_vector()
         lambdas[s:e] = lam
         if not ohl:
+            if refit:
+                trained = _fit_counted(hypers, stream.slice(i - tw, i), prediction)
             yhat[s:e] = predict_batch(trained, window)
         else:
-            yhat[s:e], grads = predict_and_hyper_gradient_batch(trained, jac, window, window.targets)
-            prediction.gradient_evals += e - s
-            gradients[s:e] = grads
-            grad_norms[s:e] = np.linalg.norm(grads, axis=1)
-            if config.eta > 0:
-                p = projected_gradient(lam, grads, config.eta, config.feasible)
-                # stacked one-row products: each equals the one-step p @ p bit for bit
-                proj_sq[s:e] = (p[:, None, :] @ p[:, :, None])[:, 0, 0]
+            with _gradient_pass(hypers, stream.slice(i - tw, i), window, prediction) as (pred, grads):
+                yhat[s:e] = pred
+                gradients[s:e] = grads
+                grad_norms[s:e] = np.linalg.norm(grads, axis=1)
+                if config.eta > 0:
+                    p = projected_gradient(lam, grads, config.eta, config.feasible)
+                    # stacked one-row products: each equals the one-step p @ p bit for bit
+                    proj_sq[s:e] = (p[:, None, :] @ p[:, :, None])[:, 0, 0]
     prediction.wall_clock = time.perf_counter() - clock - tuning.wall_clock
 
     return RunTrace(

@@ -145,10 +145,11 @@ def random_instance(rng: np.random.Generator, n_max: int = 50, p_max: int = 20):
     return hypers, random_window(rng, n, p)
 
 
-def run_isolated(code: str) -> str:
-    """Standard output of ``code`` run in a fresh interpreter on this mkridge."""
+def run_isolated(code: str, **environ: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on this mkridge,
+    with the variables ``environ`` added to its environment."""
     src = str(Path(mkridge.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )}
     done = subprocess.run(

@@ -1,7 +1,10 @@
 import argparse
 import ast
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import mkridge
 from mkridge.cli import (main, read_trace_csv, rmse_series, rmse_t, _build_parser, _fmt, _trajectory,
@@ -422,6 +426,18 @@ def finite_csv(tmp_path, bad_value="1.01", **binning):
         pytest.param({"bounds": {"scale": 5, "ridge": [1e-3, 3.0]}},
                      [], 2, "two-element list", id="bound-not-list"),
         pytest.param({"out": 5}, [], 2, "out must be a string", id="out-not-string"),
+        pytest.param({"out": "a\0b"}, [], 2, "out must be a string without NUL characters",
+                     id="out-nul"),
+        pytest.param({"data": {"type": "csv", "path": "a\0b"}}, [], 2,
+                     "csv data path must be a string without NUL characters", id="path-nul"),
+        # the binning keys are checked before the file is read
+        pytest.param({"data": {"type": "csv", "path": "missing.csv", "bin_width": 2,
+                               "aggregator": "median"}}, [], 2,
+                     "aggregator must be 'sum' or 'mean', got 'median'", id="bin-aggregator-before-read"),
+        pytest.param({"data": {"type": "synthetic", "length": 300, "c1": 1e999, "seed": 1}}, [], 2,
+                     "c1 and c2 must be finite", id="synthetic-c1-inf"),
+        pytest.param({"data": {"type": "synthetic", "length": 300, "noise_sd": 1e999, "seed": 1}},
+                     [], 2, "noise_sd must be nonnegative and finite, got inf", id="synthetic-noise-inf"),
         pytest.param({"binning": {"timestamp_column": 5}}, [], 2, "timestamp_column",
                      id="timestamp-column-not-string"),
         pytest.param({"binning": {"value_column": ["value"]}}, [], 2, "value_column",
@@ -711,3 +727,200 @@ def test_readme_config_runs(tmp_path):
     path.write_text(json.dumps(cfg), encoding="utf-8")
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "r")]) == 0
     assert len(read_trace_csv(tmp_path / "r" / "trace_OHL.csv")["t"]) == 10
+
+
+
+# -- generated configs ----------------------------------------------------------
+# One hypothesis strategy per _Key parser. Each draws a good value from the
+# key's own range (kept small, so a run takes milliseconds) or, once in
+# FAULT_ODDS draws, a value that the parser or the library behind it rejects;
+# a section drops a key, or gains one no table knows, as rarely. So about
+# a fifth of the configs are all good and run, and most of the rest hold
+# one fault, which must exit 2.
+
+FAULT_ODDS = 60
+NAN, INF = float("nan"), float("inf")
+
+
+def rare():  # hypothesis favours the ends of an integer range, and the first of a sample
+    return st.sampled_from([False] * (FAULT_ODDS - 1) + [True])
+
+
+def _good_or(good, bad):
+    return rare().flatmap(lambda fault: st.sampled_from(bad) if fault else good)
+
+
+def integer(lo, hi, bad=()):  # _integer: an int >= 1
+    return _good_or(st.integers(lo, hi), [0, -1, 2.5, "2", None, True, [1], *bad])
+
+
+def natural(lo, hi, bad=()):  # _natural: an int >= 0
+    return _good_or(st.integers(lo, hi), [-1, 1.5, "0", None, False, {}, *bad])
+
+
+def number(lo, hi, bad=()):  # _number: an int or a float; the library rejects NaN
+    return _good_or(st.floats(lo, hi), ["1.0", None, True, [1.0], {}, NAN, *bad])
+
+
+def string(*good, bad=()):  # _string
+    return _good_or(st.sampled_from(good), [5, None, ["a"], {}, *bad])
+
+
+def path(*good):  # _path: a _string without a NUL character
+    return string(*good, bad=["a\0b"])
+
+
+def json_object(good):  # _object
+    return _good_or(good, [[1], "x", 5, None])
+
+
+def json_list(good):  # _list
+    return _good_or(good, [5, "x", {"a": 1}, None])
+
+
+def choice(*good):  # _format, and the _one_of parsers of the binning keys
+    return _good_or(st.sampled_from(good), ["xml", 5, None, [good[0]]])
+
+
+def pair(good):  # _pair
+    return _good_or(good, [[1.0], [1.0, 2.0, 3.0], 5, None])
+
+
+def interval(lo, hi):  # _interval: a _pair of _number values
+    return pair(st.tuples(number(*lo, bad=[INF, -INF]), number(*hi, bad=[INF])).map(list))
+
+
+@st.composite
+def section(draw, keys, keep=()):
+    """A section of every key in ``keys``, drawn in order; rarely one not in
+    ``keep`` is missing (it then reads as null or its default) or a key no
+    table knows is added. The kept keys have defaults too large for the
+    small series here, which would fail the run as a data error."""
+    out = {key: draw(value) for key, value in keys.items() if key in keep or not draw(rare())}
+    if draw(rare()):
+        out["bogus"] = 1
+    return out
+
+
+SCHEDULE = {
+    "n": integer(4, 8), "m": integer(1, 4), "train_window": integer(1, 8),
+    "validation_window": natural(1, 8, bad=[0]),
+}
+SYNTHETIC = {
+    "length": integer(150, 200, bad=[50, 100]), "c1": number(0.0, 1.0, bad=[INF]),
+    "c2": number(0.0, 1.0, bad=[-INF]), "omega": number(0.5, 10.0, bad=[0.0, -1.0, INF]),
+    "ar_order": integer(1, 3, bad=[200]), "seed": natural(0, 3),
+    "noise_sd": number(0.0, 0.5, bad=[-0.1, INF]),
+}
+BINNING = {
+    "bin_width": integer(1, 2), "aggregator": choice("sum", "mean"),
+    "bin_mode": choice("strict", "lenient"),
+}
+
+
+def components(lag_order):
+    """The keys of each kernel type; an ARD scale list has one entry per lag."""
+    lags = lag_order if isinstance(lag_order, int) and lag_order > 0 else 1
+    return {
+        "periodic": {"scale": number(0.1, 1.0, bad=[0.0, INF]),
+                     "period": number(5.0, 50.0, bad=[0.0, INF])},
+        "se": {"scale": number(0.01, 1.0, bad=[-1.0, INF])},
+        "ard": {"scale": st.one_of(number(0.01, 1.0, bad=[-1.0]), json_list(
+            _good_or(st.lists(number(0.01, 1.0), min_size=lags, max_size=lags), [[0.1] * (lags + 1)])))},
+    }
+
+BOUNDS = {
+    "scale": interval((1e-4, 1e-2), (1.0, 10.0)), "period": interval((2.0, 4.0), (50.0, 100.0)),
+    "ridge": interval((1e-3, 0.05), (2.0, 3.0)),
+}
+STRATEGY_NAMES = ["OHL", "GRID", "RANDOM", "OFFLINE_GRAD", "FIXED"]
+
+
+def strategy_keys(grid):
+    return {
+        "eta": number(0.0, 1e-2, bad=[-1.0, INF]), "tol": number(1e-9, 1e-3, bad=[0.0, INF]),
+        "draws": integer(1, 3), "max_iters": natural(0, 3), "seed": natural(0, 3),
+        "grid": json_list(st.lists(grid, min_size=1, max_size=2)),
+    }
+
+
+def model(kinds, lag_order):
+    """A model section whose kernel has one component of each of ``kinds``."""
+    keys = components(lag_order)
+    parts = [section({"type": _good_or(st.just(kind), ["rbf", 5]), **keys[kind]}) for kind in kinds]
+    weights = [1.0 / len(kinds)] * len(kinds)
+    return section({
+        "kernel": json_list(st.tuples(*parts).map(list)),
+        "weights": st.one_of(st.none(), json_list(_good_or(st.just(weights), [[2.0], [-1.0], [NAN]]))),
+        "ridge": number(0.05, 2.0, bad=[0.0, INF]),
+    })
+
+
+@st.composite
+def run_config(draw, csv_path):
+    kinds = draw(st.lists(st.sampled_from(["periodic", "se", "ard"]), min_size=1, max_size=3))
+    lag_order = draw(integer(1, 3))
+    data = st.one_of(
+        section({"type": st.just("synthetic"), **SYNTHETIC}),
+        section({"type": st.just("csv"), "path": path(csv_path, "missing.csv"),
+                 "timestamp_column": string("timestamp"), "value_column": string("value"),
+                 **BINNING}),
+    )
+    names = st.lists(_good_or(st.sampled_from(STRATEGY_NAMES), ["SGD", ""]),
+                     min_size=1, max_size=3, unique=True)
+    strategy = json_object(section(strategy_keys(model(kinds, lag_order))))
+    return draw(section({
+        "data": _good_or(data, [None, [1], {"type": "xml"}]), "lag_order": st.just(lag_order),
+        "horizon": integer(1, 2), "seed": natural(0, 3),
+        "predict_steps": st.one_of(st.none(), integer(1, 4)),
+        "schedule": json_object(section(SCHEDULE, keep=("train_window", "validation_window"))),
+        "model": json_object(model(kinds, lag_order)),
+        "bounds": json_object(section(BOUNDS)),
+        "strategies": json_object(names.flatmap(
+            lambda keys: st.tuples(*(strategy for _ in keys)).map(lambda v: dict(zip(keys, v))))),
+        "out": path("out", "out_a", "out-b"), "format": choice("csv", "json"),
+    }, keep=("schedule",)))
+
+
+def test_generated_keys_cover_every_key_table():
+    import mkridge.cli as cli
+
+    assert SCHEDULE.keys() == cli._SCHEDULE_KEYS.keys()
+    assert SYNTHETIC.keys() == cli._SYNTHETIC_KEYS.keys()
+    assert BINNING.keys() == cli._BINNING_KEYS.keys()
+    assert BOUNDS.keys() == cli._BOUNDS_KEYS.keys()
+    assert strategy_keys(st.none()).keys() == cli._STRATEGY_KEYS.keys()
+    assert {k: v[1].keys() for k, v in cli._COMPONENTS.items()} == {
+        k: v.keys() for k, v in components(1).items()}
+    assert set(STRATEGY_NAMES) == {s.value for s in mkridge.tuners.Strategy}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_generated_configs_run_or_exit_2_before_reading_data(tmp_path, monkeypatch, data):
+    """Every config built from the key tables runs, or exits 2 with one stderr
+    line and no traceback before any series is loaded or generated."""
+    import mkridge.cli as cli
+
+    csv_path = tmp_path / "series.csv"
+    if not csv_path.exists():
+        rows = "".join(f"{t},{1.0 + math.sin(t / 5.0)!r}\n" for t in range(150))
+        csv_path.write_text("timestamp,value\n" + rows, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    loaded = []
+    for name in ("load_csv", "generate_synthetic"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, real=real, **kw: loaded.append(real(*a, **kw)) or loaded[-1])
+    config = data.draw(run_config(str(csv_path)), label="config")
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["run", "--config", "config.json"])
+    err = err.getvalue()
+    event(f"exit {code}")
+    if code != 0:
+        assert code == 2, err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert loaded == [], err

@@ -226,6 +226,21 @@ class TestLoadCsv(object):
         series = load_csv(path)
         assert series.timestamps[1] - series.timestamps[0] == 900
 
+    def test_naive_iso_timestamps_are_utc_in_every_time_zone(self, tmp_path):
+        # POSIX rules, which need no time zone database: New York and Tokyo
+        # in winter, with New York crossing into daylight saving time
+        path = self.write(
+            tmp_path,
+            "timestamp,value\n2024-01-01T00:00:00,1.0\n2024-03-10T06:30:00,2.0\n"
+            "2024-03-10T07:30:00,3.0\n2024-03-10T18:00:00+01:00,4.0\n",
+        )
+        code = f"from mkridge.data import load_csv; print(load_csv({str(path)!r}).timestamps.tolist())"
+        seen = {
+            tz: _run_isolated(code, TZ=tz)
+            for tz in ("UTC", "EST+5EDT,M3.2.0/2,M11.1.0", "JST-9")
+        }
+        assert set(seen.values()) == {"[1704067200, 1710052200, 1710055800, 1710090000]"}, seen
+
 
 class TestBinSeries:
     def test_one_day_of_minutes_into_quarter_hours(self):
@@ -255,11 +270,10 @@ class TestBinSeries:
         with pytest.raises(DataError, match="empty bins"):
             bin_series(series, 10)
 
-    def test_lenient_mode_forward_fills_and_flags(self):
+    def test_lenient_mode_forward_fills(self):
         series = TimeSeries([0, 1, 30, 31], [1.0, 2.0, 3.0, 4.0])
         out = bin_series(series, 10, aggregator="mean", mode="lenient")
         assert np.array_equal(out.values, [1.5, 1.5, 1.5, 3.5])
-        assert np.array_equal(out.filled_mask, [False, True, True, False])
 
     def test_strict_bin_count(self):
         # aligned input with no empty bins: ceil(span / width) outputs

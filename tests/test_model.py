@@ -100,11 +100,9 @@ class TestFit:
             model.solve(np.ones(2))
 
     def test_solves_leave_their_inputs_unchanged(self):
-        # point pairs give fit a writeable target array of its own
         rng = np.random.default_rng(15)
         hypers, window = random_instance(rng, n_max=30, p_max=4)
-        pairs = [(TimedPoint(t, x), y) for t, x, y in zip(window.times, window.lags, window.targets)]
-        model = fit(hypers, pairs)
+        model = fit(hypers, window)
         assert np.array_equal(model.targets, window.targets)
         b = rng.normal(size=model.n)
         kept = b.copy()
@@ -113,7 +111,7 @@ class TestFit:
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
-            fit(se_hypers(), [])
+            fit(se_hypers(), Dataset(np.empty(0), np.empty((0, 1)), np.empty(0)))
 
     def test_non_finite_gram_raises_numerical_error(self):
         # a NaN lag leaves NaN in the Gram's off-diagonal entries
@@ -174,9 +172,8 @@ class TestFit:
         assert np.array_equal(solves[1], residual)
         assert np.array_equal(model.theta, theta + cho_solve(factor, residual))
 
-    def test_accepts_point_pairs(self):
-        pairs = [(TimedPoint(0.0, [0.0]), 2.0)]
-        model = fit(se_hypers(), pairs)
+    def test_single_point_window(self):
+        model = fit(se_hypers(), Dataset([0.0], [[0.0]], [2.0]))
         assert model.theta[0] == pytest.approx(1.0, rel=1e-14)
 
 
@@ -241,7 +238,7 @@ class TestThetaJacobian:
         model, _ = single_point_model()
         jac = theta_jacobian(model)
         assert jac.shape == (1, model.hypers.dim)
-        assert jac[0, model.hypers.ridge_index] == pytest.approx(-0.5, rel=1e-14)
+        assert jac[0, model.hypers.kernel.n_scalars] == pytest.approx(-0.5, rel=1e-14)
 
     def test_weight_column_single_component(self):
         # with one component the weight derivative of the system matrix is K itself
@@ -419,7 +416,7 @@ class TestContractedJacobian:
             for i, owner in enumerate(scalar_owners(model.hypers.kernel)):
                 if not isinstance(owner, ArdKernel):
                     assert np.array_equal(jac[:, i], materialized_column(model, window, i))
-            ridge = model.hypers.ridge_index
+            ridge = model.hypers.kernel.n_scalars
             assert np.array_equal(jac[:, ridge], model.solve(-model.theta))
 
     def test_builds_no_ard_derivative_matrix(self, monkeypatch):
@@ -626,7 +623,7 @@ class TestLossHyperGradient:
         model, _ = single_point_model()
         jac = theta_jacobian(model)
         grad = loss_hyper_gradient(model, jac, TimedPoint(0.0, [0.0]), 0.0)
-        assert grad[model.hypers.ridge_index] == pytest.approx(-1.0, rel=1e-13)
+        assert grad[model.hypers.kernel.n_scalars] == pytest.approx(-1.0, rel=1e-13)
 
     def test_matches_refit_finite_differences(self):
         # >= 100 random instances against the full-refit FD oracle

@@ -581,3 +581,93 @@ class TestOnePassRefit:
         calls.clear()
         run(TunerConfig(Strategy.FIXED, hypers, feasible), schedule, stream, steps=45)
         assert calls == {"predict_batch": 5, "cross_many": 5}
+
+
+def offline_gradient_reference(config, incumbent, fit_window, val_window):
+    """OFFLINE_GRAD's tune event from the model functions: per iteration a
+    refit, its Jacobian, the validation block's gradients and one lazy_step
+    over them, stopping once ``||(lam - lam+) / eta|| <= tol``."""
+    lam, hypers = incumbent.to_vector(), incumbent
+    for _ in range(config.max_iters):
+        model = fit(hypers, fit_window)
+        grads = loss_hyper_gradient_batch(model, theta_jacobian(model), val_window, val_window.targets)
+        step = lazy_step(lam, grads, config.eta, config.feasible)
+        if np.linalg.norm((lam - step) / config.eta) <= config.tol:
+            break
+        lam = step
+        hypers = incumbent.from_vector(lam)
+    return lam
+
+
+@st.composite
+def offline_tune_case(draw):
+    """An OFFLINE_GRAD config and its fit and validation windows, on one or
+    more kernel families."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    families = draw(st.sampled_from(ONE_PASS_FAMILIES + (("periodic",), ("periodic", "se", "ard"))))
+    p, n_fit, n_val = draw(st.integers(1, 5)), draw(st.integers(3, 30)), draw(st.integers(1, 30))
+    total = n_fit + n_val
+    times = float(rng.integers(0, 50)) + np.arange(total, dtype=float)
+    stream = Dataset(times, rng.normal(size=(total, p)), rng.normal(size=total))
+    components = {
+        "periodic": PeriodicKernel(rng.uniform(0.05, 2.0), rng.uniform(3.0, 40.0)),
+        "se": SquaredExpKernel(rng.uniform(0.01, 1.0)),
+        "ard": ArdKernel(rng.uniform(0.01, 1.0, p)),
+    }
+    spec = CompositeKernel(
+        tuple(components[f] for f in families), rng.dirichlet(np.full(len(families), 2.0))
+    )
+    hypers = HyperParams(spec, rng.uniform(0.05, 1.5))
+    config = TunerConfig(
+        strategy=Strategy.OFFLINE_GRAD, init=hypers,
+        feasible=FeasibleSet.for_kinds(hypers.scalar_kinds(), BOUNDS),
+        eta=draw(st.sampled_from([1e-3, 1e-2, 0.1])),
+        tol=draw(st.sampled_from([1e-12, 1e-3, 1e-1, 1.0, 10.0])),
+        max_iters=draw(st.integers(0, 5)),
+    )
+    return config, stream.slice(0, n_fit), stream.slice(n_fit, total)
+
+
+class TestOfflineGradientStep:
+    """OFFLINE_GRAD takes OHL's step: one gradient pass and one lazy_step
+    over the validation block per iteration."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=offline_tune_case())
+    def test_lambda_equals_reference_loop_bitwise(self, case):
+        config, fit_w, val_w = case
+        out = tune_offline_gradient(config, config.init, fit_w, val_w)
+        assert np.array_equal(out.to_vector(), offline_gradient_reference(config, config.init, fit_w, val_w))
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 4])
+    def test_counts_per_iteration(self, monkeypatch, max_iters):
+        steps = []
+        real_step = tuners.lazy_step
+
+        def counted(*args):
+            steps.append(args)
+            return real_step(*args)
+
+        monkeypatch.setattr(tuners, "lazy_step", counted)
+        stream = make_stream()
+        config = mixed_config("OFFLINE_GRAD", eta=1e-3, tol=1e-300, max_iters=max_iters)
+        counters = PhaseCounters()
+        out = tune_offline_gradient(config, config.init, stream.slice(0, 50), stream.slice(50, 80), counters)
+        assert not np.array_equal(out.to_vector(), config.init.to_vector())
+        assert counters.fits == counters.jacobian_builds == max_iters
+        assert counters.gradient_evals == 30 * max_iters
+        assert len(steps) == max_iters
+        assert all(grads.shape == (30, config.init.dim) for _, grads, _, _ in steps)
+
+    def test_ohl_counts_unchanged(self, monkeypatch):
+        steps = []
+        real_step = tuners.lazy_step
+        monkeypatch.setattr(tuners, "lazy_step", lambda *args: steps.append(args) or real_step(*args))
+        schedule = Schedule(tune_every=10, fit_every=10, train_window=50)
+        trace = run(mixed_config("OHL", eta=1e-3), schedule, make_stream(), steps=45)
+        assert fit_count_report(trace)["tuning"] == {
+            "fits": 0, "jacobian_builds": 0, "gradient_evals": 0, "wall_clock_s": 0.0
+        }
+        assert (trace.prediction.fits, trace.prediction.jacobian_builds) == (5, 5)
+        assert trace.prediction.gradient_evals == 45
+        assert len(steps) == 4
