@@ -7,6 +7,7 @@ classic rolling tuners (grid, random, offline gradient, fixed) to benchmark
 against.
 """
 
+from . import _compiled
 from .data import Dataset, SyntheticConfig, TimeSeries, bin_series, build_features, generate_synthetic, load_csv
 from .errors import ConfigError, DataError, NumericalError
 from .kernels import (
@@ -55,5 +56,8 @@ from .tuners import (
     tune_offline_gradient,
     tune_random,
 )
+
+# process-wide: the rolling loop's freed working set stays on the heap
+_compiled.keep_freed_heap()
 
 __version__ = "0.1.0"

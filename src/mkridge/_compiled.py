@@ -1,18 +1,54 @@
-"""Routines of scipy's compiled modules, loaded without their packages' init.
+"""Glue to compiled libraries: scipy's compiled modules and the C allocator.
 
 The package inits of ``scipy.linalg`` and ``scipy.spatial`` import scipy's
 array-API layer, which costs more time and memory than the rest of
-``import mkridge``; mkridge calls only a few of their compiled routines.
+``import mkridge``; mkridge calls only a few of their compiled routines,
+which :func:`scipy_routines` loads from their files.
+
+The rolling loop frees its working set at every refit and allocates it
+again at the next; :func:`keep_freed_heap` keeps glibc's malloc from
+giving those pages back to the kernel in between.
 """
 
 from __future__ import annotations
 
+import ctypes
 import importlib.machinery
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
 import scipy
+
+# glibc's <malloc.h> option numbers, and the values its dynamic thresholds
+# rise to at most on 64-bit systems
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
+
+
+def keep_freed_heap() -> None:
+    """Have glibc's malloc keep up to 64 MiB of freed heap, process-wide.
+
+    By default glibc serves each block above 128 KiB with its own ``mmap``
+    and trims the heap's free top above 128 KiB, and raises both thresholds
+    only when a block that was itself mapped is freed. A refit's Grams,
+    Jacobian and gradient temporaries are then unmapped or trimmed when
+    freed and faulted in again, page by page, at the next refit. Blocks up
+    to 32 MiB now come from the heap, and up to 64 MiB of free top stays
+    mapped. Does nothing off glibc, or if ``mallopt`` cannot be found.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ValueError, OSError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 def scipy_routines(subpackage: str, module: str, names: tuple[str, ...]) -> tuple | None:

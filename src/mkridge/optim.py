@@ -80,6 +80,23 @@ class FeasibleSet:
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "log_sample", log_sample)
         object.__setattr__(self, "simplex", slice(start, stop))
+        # what sample_many maps its draws with: the box coordinates, their
+        # log-sampled ones with those bounds, and the (log-)interval of each
+        box = np.ones(d, dtype=bool)
+        box[self.simplex] = False
+        log = log_sample[box]
+        lo, hi = lower[box], upper[box]
+        a, b = lo.copy(), hi.copy()
+        # a log-sampled lower bound <= 0 gives a non-finite span, which
+        # sample_many rejects
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a[log], b[log] = np.log(lo[log]), np.log(hi[log])
+            span = b - a
+        object.__setattr__(self, "_box", box)
+        object.__setattr__(self, "_log", log)
+        object.__setattr__(self, "_log_bounds", (lo[log], hi[log]))
+        object.__setattr__(self, "_a", a)
+        object.__setattr__(self, "_span", span)
 
     @property
     def dim(self) -> int:
@@ -125,24 +142,35 @@ class FeasibleSet:
                 log_sample[i] = True
         return cls(lower, upper, slice(mix[0], mix[-1] + 1), log_sample)
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw one feasible vector: uniform (or log-uniform) boxes, uniform simplex."""
-        v = np.empty(self.dim)
-        box = np.ones(self.dim, dtype=bool)
-        box[self.simplex] = False
-        lo, hi, log = self.lower[box], self.upper[box], self.log_sample[box]
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise ValueError("cannot sample from an unbounded box coordinate")
-        a, b = lo.copy(), hi.copy()
-        a[log], b[log] = np.log(lo[log]), np.log(hi[log])
-        # one draw per box coordinate, in index order: the stream of a
-        # per-coordinate loop of rng.uniform calls
-        u = rng.uniform(a, b)
-        u[log] = np.clip(np.exp(u[log]), lo[log], hi[log])
-        v[box] = u
-        m = self.simplex.stop - self.simplex.start
-        v[self.simplex] = project_simplex(rng.uniform(0.0, 1.0, m))
+    def sample_many(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """Draw ``k`` feasible vectors, the rows of a ``(k, dim)`` array:
+        uniform (or log-uniform) boxes, uniform simplex.
+
+        One ``rng.random`` call draws every row, its box coordinates in index
+        order and then its simplex block, and maps them as ``rng.uniform``
+        does (``a + (b - a) * u``). So the rows and the generator's state
+        afterwards equal those of ``k`` successive :meth:`sample` calls, bit
+        for bit.
+        """
+        if k < 1:
+            raise ValueError(f"expected k >= 1 draws, got {k}")
+        if not np.isfinite(self._span).all():
+            raise ValueError(
+                "cannot sample from an unbounded box coordinate, "
+                "or from a log-sampled one whose lower bound is not positive"
+            )
+        n_box = self._span.size
+        u = rng.random((k, n_box + self.simplex.stop - self.simplex.start))
+        x = self._a + self._span * u[:, :n_box]
+        x[:, self._log] = np.clip(np.exp(x[:, self._log]), *self._log_bounds)
+        v = np.empty((k, self.dim))
+        v[:, self._box] = x
+        v[:, self.simplex] = _project_simplex_rows(u[:, n_box:])
         return v
+
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """Draw one feasible vector: one row of :meth:`sample_many`."""
+        return self.sample_many(rng, 1)[0]
 
 
 def _check_finite(v: np.ndarray) -> None:
@@ -234,8 +262,12 @@ def lazy_step(z, grads, eta: float, feasible: FeasibleSet) -> np.ndarray:
         raise ValueError(
             f"expected a non-empty (m, {feasible.dim}) block of gradients, got shape {grads.shape}"
         )
-    # accumulate is sequential (a sum may be pairwise); + 0.0 turns an all -0.0 column into +0.0
-    total = np.add.accumulate(grads, axis=0)[-1] + 0.0
+    # Along axis 0 of a C-ordered block numpy adds one row after another into
+    # one output row; along a contiguous axis, as a column-major block has
+    # it, it sums pairwise. A lone column is summed pairwise too: it is a
+    # one-weight simplex, which the step maps to 1 whenever the sum is finite.
+    # + 0.0 turns an all -0.0 column into the +0.0 a sum from zero gives.
+    total = np.add.reduce(np.ascontiguousarray(grads), axis=0) + 0.0
     return _step(np.asarray(z, dtype=float), total, eta / len(grads), feasible)
 
 

@@ -34,7 +34,6 @@ hardware-independent cost proxy, wall-clock is recorded but incidental.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -193,21 +192,16 @@ def _fit_counted(hypers: HyperParams, window: Dataset, counters: PhaseCounters):
     return trained
 
 
-@contextmanager
 def _gradient_pass(hypers: HyperParams, window: Dataset, queries: Dataset,
                    counters: PhaseCounters, predictions: bool = True):
-    """A block given :func:`predict_and_hyper_gradient_batch` of the queries
-    on a model fitted to ``window``; counts the fit, the Jacobian and one
-    gradient evaluation per query. The model is freed when the block ends,
-    after the caller's step: what the step keeps then lies above the model on
-    the heap, which the next fit reuses. Freed before it, the model's memory
-    goes back to the system and the next fit faults it in again (twice the
-    minor page faults per four_week OFFLINE_GRAD run)."""
+    """:func:`predict_and_hyper_gradient_batch` of the queries on a model
+    fitted to ``window``; counts the fit, the Jacobian and one gradient
+    evaluation per query."""
     trained = _fit_counted(hypers, window, counters)
     jac = theta_jacobian(trained)
     counters.jacobian_builds += 1
     counters.gradient_evals += len(queries)
-    yield predict_and_hyper_gradient_batch(trained, jac, queries, queries.targets, predictions)
+    return predict_and_hyper_gradient_batch(trained, jac, queries, queries.targets, predictions)
 
 
 def _backtest_rmse(
@@ -249,9 +243,8 @@ def tune_random(
     counters: PhaseCounters | None = None,
 ) -> HyperParams:
     """Backtest the incumbent plus ``draws`` random feasible configurations."""
-    candidates = [incumbent]
-    for _ in range(config.draws):
-        candidates.append(incumbent.from_vector(config.feasible.sample(rng)))
+    draws = config.feasible.sample_many(rng, config.draws)
+    candidates = [incumbent] + [incumbent.from_vector(v) for v in draws]
     return tune_grid(candidates, fit_window, val_window, counters)
 
 
@@ -274,13 +267,13 @@ def tune_offline_gradient(
     hypers = incumbent
     lam = incumbent.to_vector()
     for _ in range(config.max_iters):
-        with _gradient_pass(hypers, fit_window, val_window, counters, predictions=False) as (_, grads):
-            step = lazy_step(lam, grads, config.eta, config.feasible)
-            # the projected-gradient norm, from the step it projects
-            if float(np.linalg.norm((lam - step) / config.eta)) <= config.tol:
-                break
-            lam = step
-            hypers = incumbent.from_vector(lam)
+        _, grads = _gradient_pass(hypers, fit_window, val_window, counters, predictions=False)
+        step = lazy_step(lam, grads, config.eta, config.feasible)
+        # the projected-gradient norm, from the step it projects
+        if float(np.linalg.norm((lam - step) / config.eta)) <= config.tol:
+            break
+        lam = step
+        hypers = incumbent.from_vector(lam)
     return hypers
 
 
@@ -370,14 +363,13 @@ def run(config: TunerConfig, schedule: Schedule, stream: Dataset, steps: int | N
                 trained = _fit_counted(hypers, stream.slice(i - tw, i), prediction)
             yhat[s:e] = predict_batch(trained, window)
         else:
-            with _gradient_pass(hypers, stream.slice(i - tw, i), window, prediction) as (pred, grads):
-                yhat[s:e] = pred
-                gradients[s:e] = grads
-                grad_norms[s:e] = np.linalg.norm(grads, axis=1)
-                if config.eta > 0:
-                    p = projected_gradient(lam, grads, config.eta, config.feasible)
-                    # stacked one-row products: each equals the one-step p @ p bit for bit
-                    proj_sq[s:e] = (p[:, None, :] @ p[:, :, None])[:, 0, 0]
+            yhat[s:e], grads = _gradient_pass(hypers, stream.slice(i - tw, i), window, prediction)
+            gradients[s:e] = grads
+            grad_norms[s:e] = np.linalg.norm(grads, axis=1)
+            if config.eta > 0:
+                p = projected_gradient(lam, grads, config.eta, config.feasible)
+                # stacked one-row products: each equals the one-step p @ p bit for bit
+                proj_sq[s:e] = (p[:, None, :] @ p[:, :, None])[:, 0, 0]
     prediction.wall_clock = time.perf_counter() - clock - tuning.wall_clock
 
     return RunTrace(

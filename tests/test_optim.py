@@ -335,6 +335,41 @@ class TestLazyStep:
         got = lazy_step(z, grads, eta, fs)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 400),
+        d=st.integers(1, 30),
+        layout=st.sampled_from(["C", "F", "row-strided", "column-strided", "both-strided", "reversed"]),
+    )
+    def test_sum_equals_running_sum_on_every_layout(self, seed, m, d, layout):
+        """The block's sum is the running sum from zero whatever the block's
+        memory layout and shape. The set is one open box per column but the
+        last, a one-weight simplex, so every summed column but that one shows
+        in the step."""
+        rng = np.random.default_rng(seed)
+        fs = FeasibleSet(np.full(d, -np.inf), np.full(d, np.inf), slice(d - 1, d))
+        grads = rng.normal(0.0, 1.0, (m, d)) * 10.0 ** rng.uniform(-8, 8, (m, d))
+        grads[:, rng.random(d) < 0.2] = -0.0
+        if layout == "F":
+            grads = np.asfortranarray(grads)
+        elif layout == "row-strided":
+            grads = np.repeat(grads, 2, axis=0)[1::2]
+        elif layout == "column-strided":
+            grads = np.repeat(grads, 3, axis=1)[:, ::3]
+        elif layout == "reversed":
+            grads = grads[::-1].copy()[::-1]
+        elif layout == "both-strided":
+            grads = np.repeat(np.repeat(grads, 2, axis=0), 2, axis=1)[::2, 1::2]
+        total = np.zeros(d)
+        for g in grads:
+            total = total + g
+        z = np.zeros(d)
+        z[-1] = 1.0
+        want = project_C(z - (0.5 / m) * total, fs)
+        got = lazy_step(z, grads, 0.5, fs)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_malformed_block_rejected(self):
         fs = standard_set()
         z = np.zeros(fs.dim)
@@ -452,6 +487,36 @@ class TestFeasibleSet:
             assert fs.contains(v, tol=0.0)
         if lower[1] == upper[1] == 0.1:
             assert v[1] == 0.1 and np.exp(np.log(0.1)) != 0.1
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 60),
+        before=st.integers(0, 3),
+        m=st.integers(1, 5),
+        after=st.integers(0, 3),
+        log_frac=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_sample_many_equals_successive_samples(self, seed, k, before, m, after, log_frac):
+        """Row i of one ``sample_many`` call is the i-th of k ``sample`` calls,
+        bit for bit, and both leave the generator in the same state."""
+        rng = np.random.default_rng(seed)
+        d = before + m + after
+        lower = rng.uniform(1e-6, 1.0, d) * 10.0 ** rng.integers(-3, 3, d)
+        upper = lower * rng.uniform(1.0, 1e3, d) * (rng.random(d) > 0.1)
+        upper = np.maximum(upper, lower)  # some zero-width boxes
+        fs = FeasibleSet(lower, upper, slice(before, before + m), rng.random(d) < log_frac)
+        many, one = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        rows = fs.sample_many(many, k)
+        assert rows.shape == (k, d)
+        want = np.array([fs.sample(one) for _ in range(k)])
+        assert np.array_equal(rows.view(np.int64), want.view(np.int64))
+        assert many.bit_generator.state == one.bit_generator.state
+        assert all(fs.contains(v, tol=0.0) for v in rows)
+
+    def test_sample_many_rejects_no_draws(self):
+        with pytest.raises(ValueError):
+            standard_set().sample_many(np.random.default_rng(0), 0)
 
     def test_sample_rejects_unbounded_box_coordinate(self):
         fs = FeasibleSet(np.array([0.0, -np.inf]), np.array([1.0, 1.0]), slice(0, 1))

@@ -1,3 +1,4 @@
+import os
 import weakref
 from collections import Counter
 
@@ -31,6 +32,8 @@ from mkridge.tuners import (
     tune_offline_gradient,
     tune_random,
 )
+
+from helpers import run_isolated
 
 LAG = 5
 BOUNDS = {"scale": (1e-4, 10.0), "period": (2.0, 100.0), "ridge": (1e-3, 3.0)}
@@ -500,6 +503,57 @@ class TestModelRelease:
         run(mixed_config(strategy, **kw), schedule, make_stream(), steps=40)
         assert len(models) >= 4
         assert alive_at_fit == [0] * len(models)
+
+
+def on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+# one four_week-shaped tune event (periodic + ARD-20, train window 96,
+# validation window 336) after one warm-up event, in a fresh process: the
+# minor page faults of the second
+TUNE_EVENT_FAULTS = """
+import resource
+import numpy as np
+from mkridge import (ArdKernel, CompositeKernel, FeasibleSet, HyperParams, PeriodicKernel,
+                     SyntheticConfig, TunerConfig, build_features, generate_synthetic,
+                     tune_offline_gradient, tune_random)
+from mkridge.data import BURN_IN
+
+series = generate_synthetic(
+    SyntheticConfig(0.5, 0.5, 5.0, length=BURN_IN + 20 + 432, seed=1, noise_sd=0.1))
+stream = build_features(series, 20)
+fit_window, val_window = stream.slice(0, 96), stream.slice(96, 432)
+init = HyperParams(
+    CompositeKernel((PeriodicKernel(1.5e-3, 96.0), ArdKernel(np.full(20, 1e-3))), [0.5, 0.5]), 0.3)
+feasible = FeasibleSet.for_kinds(
+    init.scalar_kinds(), {{"scale": (1.5e-6, 1.5e-2), "period": (48.0, 672.0), "ridge": (0.03, 3.0)}})
+if "{strategy}" == "RANDOM":
+    config = TunerConfig("RANDOM", init, feasible, draws=50)
+    event = lambda: tune_random(config, init, fit_window, val_window, np.random.default_rng(0))
+else:
+    config = TunerConfig("OFFLINE_GRAD", init, feasible, eta=1e-4, tol=1e-12, max_iters=10)
+    event = lambda: tune_offline_gradient(config, init, fit_window, val_window)
+event()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+event()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestHeapReuse:
+    """A tune event reuses the heap its predecessor freed: glibc's malloc no
+    longer gives a refit's working set back to the kernel between refits
+    (thousands of faults per event without ``mkridge._compiled.keep_freed_heap``)."""
+
+    @pytest.mark.skipif(not on_glibc(), reason="the malloc settings are glibc's")
+    @pytest.mark.parametrize("strategy", ["OFFLINE_GRAD", "RANDOM"])
+    def test_warm_tune_event_takes_few_minor_faults(self, strategy):
+        code = TUNE_EVENT_FAULTS.format(strategy=strategy)
+        assert int(run_isolated(code, OPENBLAS_NUM_THREADS="1")) < 200
 
 
 # the kernel families of an OHL run whose predictions come from its gradient
