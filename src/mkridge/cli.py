@@ -479,11 +479,12 @@ def cmd_run(args) -> int:
     for name, tuner_cfg in strategies.items():
         try:
             traces[name] = run(tuner_cfg, schedule, stream, cfg["predict_steps"])
+            # the trace's diagnostic series are computed here, and may overflow
+            write_trace_csv(out_dir / f"trace_{name}.csv", traces[name])
         except ValueError as e:
             raise DataError(f"strategy {name}: {e}") from None
         except NumericalError as e:
             raise NumericalError(f"strategy {name}: {e}") from None
-        write_trace_csv(out_dir / f"trace_{name}.csv", traces[name])
 
     report = build_report(traces)
     report_path = _write_report(report, out_dir, cfg["format"])

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .kernels import TimedPoint, _readonly
+from .kernels import TimedPoint, _readonly, grid_step
 
 __all__ = [
     "TimeSeries",
@@ -62,11 +62,18 @@ class Dataset:
     Row ``k`` holds the target's timestamp, the ``p`` observations preceding
     it (oldest first, ending ``horizon`` steps before the target), and the
     target value itself.
+
+    ``grid_step`` is the step of the one integer time grid the whole stream
+    lies on, decided once by :func:`build_features`
+    (:func:`~mkridge.kernels.grid_step`) and passed on by :meth:`slice`; it
+    is None for a dataset built from arrays, whose periodic evaluations test
+    their times each call.
     """
 
     times: np.ndarray
     lags: np.ndarray
     targets: np.ndarray
+    grid_step: float | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
@@ -88,7 +95,9 @@ class Dataset:
         return self.lags.shape[1]
 
     def slice(self, start: int, stop: int) -> "Dataset":
-        return Dataset(self.times[start:stop], self.lags[start:stop], self.targets[start:stop])
+        part = Dataset(self.times[start:stop], self.lags[start:stop], self.targets[start:stop])
+        object.__setattr__(part, "grid_step", self.grid_step)  # a slice of a grid lies on it
+        return part
 
     def query(self, i: int) -> TimedPoint:
         return TimedPoint(self.times[i], self.lags[i])
@@ -163,7 +172,8 @@ def generate_synthetic(config: SyntheticConfig) -> TimeSeries:
 
 def build_features(series: TimeSeries, lag_order: int, horizon: int = 1) -> Dataset:
     """Lagged feature construction: target at ``t`` gets the ``lag_order``
-    values ending ``horizon`` steps earlier, oldest first."""
+    values ending ``horizon`` steps earlier, oldest first. The stream's time
+    grid is decided here, once (``Dataset.grid_step``)."""
     if lag_order < 1:
         raise ValueError("lag_order must be >= 1")
     if horizon < 1:
@@ -177,11 +187,13 @@ def build_features(series: TimeSeries, lag_order: int, horizon: int = 1) -> Data
     windows = np.lib.stride_tricks.sliding_window_view(series.values, lag_order)
     first = lag_order + horizon - 1
     n = len(series) - first
-    return Dataset(
+    stream = Dataset(
         series.timestamps[first:].astype(float),
         windows[:n],
         series.values[first:],
     )
+    object.__setattr__(stream, "grid_step", grid_step(stream.times))
+    return stream
 
 
 def _parse_timestamp(text: str) -> int:

@@ -68,9 +68,11 @@ Every periodic matrix but the oracle's is filled by :func:`_eval_dt`. On a
 uniform integer time grid (a synthetic stream, a binned CSV) the matrix is
 Toeplitz, and ``sin`` and ``exp`` run on the distinct differences only;
 off the grid it is filled a chunk of rows at a time. Each evaluator call
-decides once which of the two applies. The derivatives read their ``k``
-factor from the values already built. Every path gives the bits of the
-dense evaluation.
+decides once which of the two applies, unless its caller passes the
+decision as ``grid``: the model functions pass True for windows cut from a
+stream that :func:`grid_step` found on one grid (``Dataset.grid_step``,
+decided once per stream). The derivatives read their ``k`` factor from the
+values already built. Every path gives the bits of the dense evaluation.
 
 ``CompositeKernel.component_blocks``, the Grams a fitted model keeps, holds
 a periodic Gram on the grid as :meth:`PeriodicKernel.compact_block`'s
@@ -106,6 +108,7 @@ __all__ = [
     "cross_vector",
     "cross_matrix",
     "gram_derivative",
+    "grid_step",
     "window_arrays",
 ]
 
@@ -234,6 +237,22 @@ def _on_one_grid(ts: np.ndarray, times: np.ndarray) -> bool:
     return True
 
 
+def grid_step(times: np.ndarray) -> float | None:
+    """The step of the one integer grid that :func:`_on_one_grid` finds all
+    of ``times`` on, or None if it finds none or there are fewer than two
+    times. Every slice of such times lies on the same grid, and any two of
+    them lie on one grid together."""
+    if len(times) < 2 or not _on_one_grid(times, times):
+        return None
+    return float(times[1] - times[0])
+
+
+def _decide(grid: bool | None, ts: np.ndarray, times: np.ndarray) -> bool:
+    """``grid`` where the caller knows it (a stream's :func:`grid_step`),
+    else :func:`_on_one_grid` of ``(ts, times)``."""
+    return _on_one_grid(ts, times) if grid is None else grid
+
+
 def _eval_dt(f, ts: np.ndarray, times: np.ndarray, grid: bool, out=None, k=None) -> np.ndarray:
     """Fills ``out`` with ``f(|ts[:, None] - times[None, :]|, kv)`` and returns it.
 
@@ -309,15 +328,15 @@ class PeriodicKernel:
     def block(self, times, lags) -> np.ndarray:
         return self.cross_many(times, lags, times, lags)
 
-    def compact_block(self, times, lags) -> np.ndarray:
+    def compact_block(self, times, lags, grid=None) -> np.ndarray:
         """The Gram :meth:`block` returns, with its bits, but on the time grid
         a read-only strided view of its ``2n - 1`` distinct values: O(n)
         memory instead of ``n x n``. Off the grid it is ``block``'s array."""
-        return self._fill(times, times, _on_one_grid(times, times))
+        return self._fill(times, times, _decide(grid, times, times))
 
-    def cross_many(self, ts, xs, times, lags) -> np.ndarray:
+    def cross_many(self, ts, xs, times, lags, grid=None) -> np.ndarray:
         out = np.empty((len(ts), len(times)))
-        return self._fill(ts, times, _on_one_grid(ts, times), out)
+        return self._fill(ts, times, _decide(grid, ts, times), out)
 
     def _fill(self, ts, times, grid, out=None) -> np.ndarray:
         return _eval_dt(lambda dt, kv: self.from_dt(dt), ts, times, grid, out)
@@ -343,7 +362,7 @@ class PeriodicKernel:
         yield d_scale
         yield d_period
 
-    def block_contract(self, times, lags, gram, v, w, out, scratch) -> np.ndarray:
+    def block_contract(self, times, lags, gram, v, w, out, scratch, grid=None) -> np.ndarray:
         """Fills ``out[:, j]`` with ``(w * dB/d p_j) @ v`` and returns ``B @ v``,
         given ``gram``, :meth:`block` or :meth:`compact_block` of the window.
 
@@ -355,7 +374,7 @@ class PeriodicKernel:
         ``from_dt``'s bits, so every element has the bits of ``w *`` the
         matrix :meth:`iter_block_derivs` yields.
         """
-        grid = _on_one_grid(times, times)
+        grid = _decide(grid, times, times)
         scratch[...] = gram
         bv = scratch @ v
         for j in range(2):
@@ -363,12 +382,12 @@ class PeriodicKernel:
             out[:, j] = scratch @ v
         return bv
 
-    def cross_derivs_many(self, ts, xs, times, lags, out, w=1.0) -> np.ndarray:
+    def cross_derivs_many(self, ts, xs, times, lags, out, w=1.0, grid=None) -> np.ndarray:
         """Cross matrix of many queries; fills ``out[:, j]`` with ``w *`` its
         derivative w.r.t. parameter ``j``, reading ``k`` from the cross
         matrix. On the grid ``w`` multiplies the distinct values before the
         gather, as in :meth:`block_contract`."""
-        grid = _on_one_grid(ts, times)
+        grid = _decide(grid, ts, times)
         k = self._fill(ts, times, grid, np.empty((len(ts), len(times))))
         for j in range(2):
             _eval_dt(lambda dt, kv: w * self._deriv(j, dt, kv), ts, times, grid, out[:, j], k)
@@ -468,7 +487,7 @@ class ArdKernel:
         s = np.atleast_1d(np.asarray(self.scales, dtype=float))
         if s.ndim != 1 or s.size < 1:
             raise ValueError("ARD scales must be a non-empty 1-d array")
-        if not np.all((0 <= s) & (s < np.inf)):
+        if not ((0 <= s) & (s < np.inf)).all():
             raise ValueError("ARD scales must be nonnegative and finite")
         object.__setattr__(self, "scales", _readonly(s))
 
@@ -561,9 +580,11 @@ class ArdKernel:
             d = col[:, None] - col[None, :]
             yield -(d * d) * base
 
-    def block_contract(self, times, lags, gram, v, w, out, scratch) -> np.ndarray:
+    def block_contract(self, times, lags, gram, v, w, out, scratch, moments=None) -> np.ndarray:
         """Fills ``out[:, j]`` with ``(w * dB/d s_j) @ v`` and returns ``B @ v``,
-        given ``gram = block(times, lags)``.
+        given ``gram = block(times, lags)``. ``moments``, if given, is a
+        function that returns the window's ``_lag_moments(lags, v)``; it is
+        called where they are needed, after the copy below.
 
         ``dB/d s_j = -(x_j - x_j')^2 * B`` expands to
         ``-(X_j^2 * (B v) - 2 X_j * (B (v * X_j)) + B (v * X_j^2))``, so every
@@ -577,8 +598,8 @@ class ArdKernel:
         bv = gram @ v
         scratch[...] = gram
         np.fill_diagonal(scratch, 0.0)
-        mean, moments = _lag_moments(lags, v)
-        _expand_contraction(lags - mean, scratch @ moments, w, out)
+        mean, products = _lag_moments(lags, v) if moments is None else moments()
+        _expand_contraction(lags - mean, scratch @ products, w, out)
         return bv
 
     def cross_contract(self, xs, mean, terms, moments, w, out) -> np.ndarray:
@@ -619,6 +640,19 @@ def _expand_contraction(xq: np.ndarray, kx: np.ndarray, w: float, out: np.ndarra
 KernelComponent = Union[PeriodicKernel, SquaredExpKernel, ArdKernel]
 
 
+def _facts(c: KernelComponent, grid: bool | None, moments=None) -> dict:
+    """The keywords that pass what a caller knows of a window to component
+    ``c``'s evaluators: a periodic kernel takes ``grid`` (True if the window
+    and the queries lie on one stream's grid, :func:`grid_step`; None to test
+    their times), ARD's ``block_contract`` a function ``moments`` that
+    returns the window's :func:`_lag_moments`, if the caller keeps them."""
+    if isinstance(c, PeriodicKernel):
+        return {"grid": grid}
+    if isinstance(c, ArdKernel) and moments is not None:
+        return {"moments": moments}
+    return {}
+
+
 @dataclass(frozen=True, eq=False)
 class CompositeKernel:
     """Convex combination of base kernels.
@@ -644,7 +678,7 @@ class CompositeKernel:
         if require_simplex:
             if not abs(float(w.sum()) - 1.0) <= SIMPLEX_TOL:  # a NaN weight fails too
                 raise ValueError(f"mixture weights must sum to 1, got {float(w.sum())}")
-            if np.any(w < 0):
+            if (w < 0).any():
                 raise ValueError("mixture weights must be nonnegative")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "weights", _readonly(w))
@@ -703,26 +737,30 @@ class CompositeKernel:
                 out[lo : lo + step] += w * b[lo : lo + step]
         return out
 
-    def component_blocks(self, times, lags) -> list[np.ndarray]:
+    def component_blocks(self, times, lags, grid=None) -> list[np.ndarray]:
         """The component Grams of a window. A periodic one is
         :meth:`PeriodicKernel.compact_block`, on the time grid a read-only
         view of O(n) values; every other is a new C-ordered array."""
         return [
-            c.compact_block(times, lags) if isinstance(c, PeriodicKernel) else c.block(times, lags)
+            c.compact_block(times, lags, grid)
+            if isinstance(c, PeriodicKernel)
+            else c.block(times, lags)
             for c in self.components
         ]
 
     def block(self, times, lags) -> np.ndarray:
         return self.mix(self.component_blocks(times, lags))
 
-    def cross_many(self, ts, xs, times, lags) -> np.ndarray:
+    def cross_many(self, ts, xs, times, lags, grid=None) -> np.ndarray:
         # The batch predictor. The gradient, OHL's predictions and cross()
         # take their values from the cross_contract path instead: the periodic
         # and ARD values are the same (cross_many's), but the SE values there
         # come from the einsum distances of cross_derivs_many, and OHL's
         # updates can amplify a last-digit change until it shows in the
         # forecasts. So OHL's predictions come from here when SE is present.
-        return self.mix([c.cross_many(ts, xs, times, lags) for c in self.components])
+        return self.mix(
+            [c.cross_many(ts, xs, times, lags, **_facts(c, grid)) for c in self.components]
+        )
 
     # -- derivatives ------------------------------------------------------
 
@@ -734,16 +772,18 @@ class CompositeKernel:
         for c in self.components:
             yield c.block(times, lags)
 
-    def block_contract(self, times, lags, blocks, v) -> np.ndarray:
+    def block_contract(self, times, lags, blocks, v, grid=None, moments=None) -> np.ndarray:
         """Every Gram derivative applied to ``v``, shape ``(len(times), n_scalars)``.
 
         ``blocks`` are the component Grams of the window,
-        ``component_blocks(times, lags)``; no Gram is built here. Column ``i``
-        is ``(dA/d lam_i) v`` in flat scalar order. The periodic
-        and SE columns are the matrix-vector products of the matrices
-        :meth:`iter_block_derivs` yields, and each weight column is
-        ``block @ v``, so all of these are bit-identical to the materialized
-        path; only the ARD columns are contracted differently.
+        ``component_blocks(times, lags)``; no Gram is built here. ``grid`` and
+        ``moments`` pass what the caller knows of the window to the
+        components (:func:`_facts`). Column ``i`` is ``(dA/d lam_i) v`` in
+        flat scalar order. The periodic and SE columns are the matrix-vector
+        products of the matrices :meth:`iter_block_derivs` yields, and each
+        weight column is ``block @ v``, so all of these are bit-identical to
+        the materialized path; only the ARD columns are contracted
+        differently.
 
         One ``(n, n)`` scratch array is allocated here and lent to each
         component in turn, which writes its derivative matrices (or, for ARD,
@@ -756,19 +796,25 @@ class CompositeKernel:
         scratch = np.empty((n, n))
         pos = 0
         for i, (w, c, b) in enumerate(zip(self.weights, self.components, blocks)):
-            value = c.block_contract(times, lags, b, v, w, out[:, pos : pos + c.n_params], scratch)
+            cols, facts = out[:, pos : pos + c.n_params], _facts(c, grid, moments)
+            value = c.block_contract(times, lags, b, v, w, cols, scratch, **facts)
             out[:, self.n_scalars - self.n_components + i] = value
             pos += c.n_params
         return out
 
-    def cross_contract(self, ts, xs, times, lags, v) -> tuple[np.ndarray, np.ndarray]:
+    def cross_contract(
+        self, ts, xs, times, lags, v, grid=None, moments=None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Cross vectors of many queries, and ``dkv[q, i] = (dk_q/d lam_i) @ v``.
 
         The ARD columns come from :meth:`ArdKernel.cross_contract`, without
-        the ``(queries, n, p)`` tensor; the window's lag moments and each ARD
-        component's :meth:`ArdKernel.window_terms` are computed once here for
-        every block of queries. Every other column (the periodic and SE
-        derivatives of ``cross_derivs_many``, then the component cross values)
+        the ``(queries, n, p)`` tensor; the window's lag moments
+        (:meth:`lag_moments`, or the caller's function ``moments`` that
+        returns them) and each ARD component's :meth:`ArdKernel.window_terms`
+        are computed once here for every block of queries. ``grid`` goes to
+        the periodic components (:func:`_facts`). Every other column (the
+        periodic and SE derivatives of ``cross_derivs_many``, then the
+        component cross values)
         is one row of a ``(queries, rows, n)`` tensor, applied to ``v`` as
         stacked one-query products, so row ``q`` does not depend on the other
         queries. The queries go in blocks whose tensor holds at most
@@ -777,11 +823,12 @@ class CompositeKernel:
         n_rows = self.n_components + sum(
             c.n_params for c in self.components if not isinstance(c, ArdKernel)
         )
+        lag_moments = self.lag_moments(lags, v) if moments is None else moments()
         ard = {}
-        if any(isinstance(c, ArdKernel) for c in self.components):
-            mean, moments = _lag_moments(lags, v)
+        if lag_moments is not None:
+            mean, products = lag_moments
             ard = {
-                i: (mean, c.window_terms(lags, mean), moments)
+                i: (mean, c.window_terms(lags, mean), products)
                 for i, c in enumerate(self.components)
                 if isinstance(c, ArdKernel)
             }
@@ -790,10 +837,17 @@ class CompositeKernel:
         step = max(1, _BLOCK_VALUES // (n_rows * len(times)))
         for lo in range(0, len(ts), step):
             q = slice(lo, lo + step)
-            self._contract_block(ts[q], xs[q], times, lags, v, ard, n_rows, k[q], dkv[q])
+            self._contract_block(ts[q], xs[q], times, lags, v, ard, grid, n_rows, k[q], dkv[q])
         return k, dkv
 
-    def _contract_block(self, ts, xs, times, lags, v, ard, n_rows, k, dkv) -> None:
+    def lag_moments(self, lags, v) -> tuple[np.ndarray, np.ndarray] | None:
+        """``_lag_moments(lags, v)``, the window side of every ARD contraction
+        with ``v``, or None if no component is ARD."""
+        if any(isinstance(c, ArdKernel) for c in self.components):
+            return _lag_moments(lags, v)
+        return None
+
+    def _contract_block(self, ts, xs, times, lags, v, ard, grid, n_rows, k, dkv) -> None:
         """:meth:`cross_contract` of one block of queries, into ``k`` and
         ``dkv``; ``ard`` maps each ARD component's index to its window-side
         arguments of :meth:`ArdKernel.cross_contract`."""
@@ -805,7 +859,7 @@ class CompositeKernel:
                 ks.append(c.cross_contract(xs, *ard[i], w, dkv[:, pos : pos + c.n_params]))
             else:
                 block = dk[:, row : row + c.n_params]
-                ks.append(c.cross_derivs_many(ts, xs, times, lags, block, w))
+                ks.append(c.cross_derivs_many(ts, xs, times, lags, block, w, **_facts(c, grid)))
                 rows.extend(range(pos, pos + c.n_params))
                 row += c.n_params
             pos += c.n_params

@@ -28,7 +28,9 @@ OFFLINE_GRAD once per iteration over its validation block.
 
 Every run produces a :class:`RunTrace` with per-step records and fit/build
 counters split into tuning and prediction phases; counters are the
-hardware-independent cost proxy, wall-clock is recorded but incidental.
+hardware-independent cost proxy, wall-clock is recorded but incidental. Its
+diagnostic series (gradient and projected-gradient norms) are views of the
+records, computed only when read.
 """
 
 from __future__ import annotations
@@ -36,11 +38,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .data import Dataset
+from .errors import NumericalError
 from .model import (
     HyperParams,
     fit,
@@ -162,7 +166,15 @@ class PhaseCounters:
 
 @dataclass
 class RunTrace:
-    """Everything one run produced: per-step records plus phase counters."""
+    """Everything one run produced: per-step records plus phase counters.
+
+    The diagnostic series ``grad_norms`` and ``proj_grad_sq`` are views of
+    the records, computed on first read from ``lambdas``, ``gradients``,
+    ``eta`` and ``feasible``; the first read of ``proj_grad_sq`` projects
+    every step and may raise :class:`NumericalError` there (a step that
+    overflows). Both are NaN without gradients (every strategy but OHL),
+    and ``proj_grad_sq`` is NaN at ``eta`` 0 too.
+    """
 
     strategy: str
     start_index: int
@@ -171,15 +183,33 @@ class RunTrace:
     y: np.ndarray
     yhat: np.ndarray
     lambdas: np.ndarray
-    grad_norms: np.ndarray
-    proj_grad_sq: np.ndarray
     gradients: np.ndarray | None
+    feasible: FeasibleSet
     tuning: PhaseCounters
     prediction: PhaseCounters
     final_hypers: HyperParams
 
     def __len__(self) -> int:
         return self.y.size
+
+    @cached_property
+    def grad_norms(self) -> np.ndarray:
+        """Each step's hyper-gradient norm."""
+        if self.gradients is None:
+            return np.full(len(self), np.nan)
+        return np.linalg.norm(self.gradients, axis=1)
+
+    @cached_property
+    def proj_grad_sq(self) -> np.ndarray:
+        """Each step's squared projected-gradient norm ``|G|^2``, ``G`` the
+        :func:`projected_gradient` of its gradient at its λ. One call
+        projects every step: row by row, so each row has the bits of a
+        one-step call."""
+        if self.gradients is None or self.eta == 0:
+            return np.full(len(self), np.nan)
+        p = projected_gradient(self.lambdas, self.gradients, self.eta, self.feasible)
+        # stacked one-row products: each equals the one-step p @ p bit for bit
+        return (p[:, None, :] @ p[:, :, None])[:, 0, 0]
 
     def sq_errors(self) -> np.ndarray:
         e = self.y - self.yhat
@@ -306,8 +336,10 @@ def run(config: TunerConfig, schedule: Schedule, stream: Dataset, steps: int | N
     update, built from the previous refit window's gradients (skipped at the
     first step and when ``eta`` is 0). OHL never re-tunes, so each of its
     segments starts at a refit and is one gradient pass, which gives its
-    predictions and gradients; its projected-gradient norms come from one
-    more call. Every other strategy's segment predictions come from one
+    predictions and gradients; a non-finite gradient raises
+    :class:`NumericalError` unless ``eta`` is 0. The trace's diagnostic
+    series are computed when first read (:class:`RunTrace`). Every other
+    strategy's segment predictions come from one
     :func:`predict_batch` call on the model of the last refit. A re-tune
     inside a refit window changes the recorded hyperparameters at once but
     the model only at the next refit.
@@ -323,8 +355,6 @@ def run(config: TunerConfig, schedule: Schedule, stream: Dataset, steps: int | N
     hypers = config.init
     yhat = np.empty(n_steps)
     lambdas = np.empty((n_steps, d))
-    grad_norms = np.full(n_steps, np.nan)
-    proj_sq = np.full(n_steps, np.nan)
     gradients = np.empty((n_steps, d)) if ohl else None
     prediction = PhaseCounters()
     tuning = PhaseCounters()
@@ -364,12 +394,11 @@ def run(config: TunerConfig, schedule: Schedule, stream: Dataset, steps: int | N
             yhat[s:e] = predict_batch(trained, window)
         else:
             yhat[s:e], grads = _gradient_pass(hypers, stream.slice(i - tw, i), window, prediction)
+            # the step these gradients feed would fail on them; in the last
+            # segment no step follows, so the test is made here for every one
+            if config.eta > 0 and not np.isfinite(grads).all():
+                raise NumericalError(f"non-finite hyper-gradient in the refit window at step {i}")
             gradients[s:e] = grads
-            grad_norms[s:e] = np.linalg.norm(grads, axis=1)
-            if config.eta > 0:
-                p = projected_gradient(lam, grads, config.eta, config.feasible)
-                # stacked one-row products: each equals the one-step p @ p bit for bit
-                proj_sq[s:e] = (p[:, None, :] @ p[:, :, None])[:, 0, 0]
     prediction.wall_clock = time.perf_counter() - clock - tuning.wall_clock
 
     return RunTrace(
@@ -380,9 +409,8 @@ def run(config: TunerConfig, schedule: Schedule, stream: Dataset, steps: int | N
         y=stream.targets[start:].copy(),
         yhat=yhat,
         lambdas=lambdas,
-        grad_norms=grad_norms,
-        proj_grad_sq=proj_sq,
         gradients=gradients,
+        feasible=config.feasible,
         tuning=tuning,
         prediction=prediction,
         final_hypers=hypers,

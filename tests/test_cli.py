@@ -486,6 +486,16 @@ def finite_csv(tmp_path, bad_value="1.01", **binning):
                        [], 4, f"strategy {name}: cannot project a vector with non-finite entries",
                        id=f"{name.lower()}-step-inf")
           for name in ("OHL", "OFFLINE_GRAD")),
+        # one refit window: no step follows it, and the overflow shows where
+        # the trace's projected-gradient norms are written
+        pytest.param({"predict_steps": 10,
+                      "model": {"kernel": [{"type": "periodic", "scale": 1.0, "period": 5.0},
+                                           {"type": "se", "scale": 0.05}], "ridge": 1.0},
+                      "bounds": {"scale": [1e-4, 10.0], "period": [2.0, 100.0],
+                                 "ridge": [1e-3, 3.0]},
+                      "strategies": {"OHL": {"eta": 1e308}}},
+                     [], 4, "strategy OHL: cannot project a vector with non-finite entries",
+                     id="ohl-one-window-step-inf"),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, capsys, overrides, flags, code, needle):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import mkridge.kernels
 from helpers import run_isolated as _run_isolated
 from mkridge.data import (
     BURN_IN,
@@ -13,6 +15,8 @@ from mkridge.data import (
     load_csv,
 )
 from mkridge.errors import DataError
+from mkridge.kernels import _on_one_grid
+from mkridge.model import _on_grid
 
 
 class TestTimeSeries:
@@ -177,6 +181,64 @@ class TestBuildFeatures:
         q = part.query(0)
         assert q.t == ds.times[1]
         assert np.array_equal(q.x, ds.lags[1])
+
+
+@st.composite
+def stream_case(draw):
+    """A feature stream on one integer grid (any step and origin), past
+    2**52, or with a gap in its timestamps."""
+    kind = draw(st.sampled_from(["grid", "beyond-2**52", "gap"]))
+    n = draw(st.integers(4, 60))
+    step = draw(st.sampled_from([1, 2, 7, 300]))
+    origin = 2**52 if kind == "beyond-2**52" else draw(st.integers(-10**6, 10**6))
+    timestamps = origin + step * np.arange(n, dtype=np.int64)
+    if kind == "gap":
+        timestamps[draw(st.integers(1, n - 1)):] += step * draw(st.integers(1, 20))
+    lag = draw(st.integers(1, 3))
+    return build_features(TimeSeries(timestamps, np.arange(float(n))), lag)
+
+
+@st.composite
+def slice_of(draw, stream):
+    lo = draw(st.integers(0, len(stream) - 1))
+    return stream.slice(lo, draw(st.integers(lo + 1, len(stream))))
+
+
+class TestStreamGrid:
+    """build_features decides once whether the stream lies on one integer
+    time grid; its slices carry that fact, which never claims a grid that
+    the per-call test would reject."""
+
+    def test_one_decision_per_stream(self, monkeypatch):
+        calls = []
+        real = mkridge.kernels._on_one_grid
+        monkeypatch.setattr(mkridge.kernels, "_on_one_grid", lambda *a: calls.append(a) or real(*a))
+        ds = build_features(TimeSeries(300 * np.arange(50), np.arange(50.0)), 3)
+        assert len(calls) == 1 and ds.grid_step == 300.0
+        part = ds.slice(5, 20).slice(2, 9)
+        assert len(calls) == 1 and part.grid_step == 300.0
+
+    @pytest.mark.parametrize("timestamps", [[0, 1, 2, 3, 4, 6, 7], [0, 1, 2, 3]], ids=["gap", "short"])
+    def test_no_fact_off_the_grid(self, timestamps):
+        # the features' times are (3, 4, 6, 7) and (3,): the short stream has
+        # no step to find
+        ds = build_features(TimeSeries(timestamps, np.ones(len(timestamps))), 3)
+        assert ds.grid_step is None
+        assert ds.slice(0, 2).grid_step is None  # uniform, and tested per call
+
+    def test_arrays_carry_no_fact(self):
+        ds = Dataset(np.arange(5.0), np.ones((5, 1)), np.ones(5))
+        assert ds.grid_step is None and ds.slice(1, 3).grid_step is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), first=stream_case(), second=stream_case())
+    def test_claims_only_what_the_test_accepts(self, data, first, second):
+        a = data.draw(slice_of(first))
+        for b in (a, data.draw(slice_of(first)), data.draw(slice_of(second))):
+            if _on_grid(a, b):
+                assert _on_one_grid(a.times, b.times)
+        found = len(first) > 1 and _on_one_grid(first.times, first.times)
+        assert (first.grid_step is not None) == found
 
 
 class TestLoadCsv(object):

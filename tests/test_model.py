@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import _flapack, cho_factor, cho_solve, get_lapack_funcs
 
 import mkridge.model
-from mkridge.data import Dataset
+from mkridge.data import Dataset, TimeSeries, build_features
 from mkridge.errors import NumericalError
 from mkridge.kernels import (
     ArdKernel,
@@ -553,6 +553,53 @@ class TestCompactGram:
         for c, b in zip(hypers.kernel.components, model.blocks):
             assert not b.flags.writeable
             assert np.array_equal(b, c.block(window.times, window.lags))
+
+
+class TestGappedStream:
+    """A stream with a gap in its timestamps carries no grid fact, so the
+    periodic evaluators test every window and query block themselves, also
+    where a slice happens to be uniform: every periodic Gram, cross matrix and
+    contraction the model functions evaluate equals the dense evaluation bit
+    for bit."""
+
+    def test_periodic_evaluations_match_dense_bitwise(self):
+        rng = np.random.default_rng(11)
+        timestamps = np.concatenate([np.arange(0, 70), np.arange(83, 160)])
+        stream = build_features(TimeSeries(timestamps, rng.normal(size=timestamps.size)), 3)
+        assert stream.grid_step is None
+        kernel = PeriodicKernel(0.7, 24.0)
+        spec = CompositeKernel((kernel,), [1.0])
+        hypers = HyperParams(spec, 0.5)
+        # stream rows 66 and 67 straddle the gap
+        for (lo, mid, hi) in ((10, 40, 50), (70, 100, 110), (40, 66, 76), (50, 80, 90)):
+            window, queries = stream.slice(lo, mid), stream.slice(mid, hi)
+            model = fit(hypers, window)
+            grid = mkridge.model._on_grid(model, queries)
+            assert grid is None and mkridge.model._on_grid(model) is None
+            times, ts = window.times, queries.times
+
+            k, d_scale, d_period = kernel._value_and_derivs(np.abs(times[:, None] - times))
+            assert np.array_equal(model.blocks[0], k)
+            contracted = spec.block_contract(times, window.lags, model.blocks, model.theta, grid)
+            dense = np.column_stack([d @ model.theta for d in (d_scale, d_period, k)])
+            assert np.array_equal(contracted, dense)
+
+            k, d_scale, d_period = kernel._value_and_derivs(np.abs(ts[:, None] - times))
+            assert np.array_equal(spec.cross_many(ts, queries.lags, times, window.lags, grid), k)
+            kq, dkv = spec.cross_contract(ts, queries.lags, times, window.lags, model.theta, grid)
+            assert np.array_equal(kq, k)
+            assert np.array_equal(dkv, np.stack([d_scale, d_period, k], axis=1) @ model.theta)
+
+            # and the model functions give the bits of the same windows as arrays
+            plain = fit(hypers, Dataset(times, window.lags, window.targets))
+            jac = theta_jacobian(model)
+            assert np.array_equal(jac, theta_jacobian(plain))
+            assert np.array_equal(predict_batch(model, queries), predict_batch(plain, queries))
+            for a, b in zip(
+                predict_and_hyper_gradient_batch(model, jac, queries, queries.targets),
+                predict_and_hyper_gradient_batch(plain, jac, queries, queries.targets),
+            ):
+                assert np.array_equal(a, b)
 
 
 class TestOneSolveJacobian:

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import weakref
 from collections import Counter
@@ -6,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mkridge.kernels
 from mkridge import tuners
 from mkridge.data import BURN_IN, Dataset, SyntheticConfig, build_features, generate_synthetic
+from mkridge.errors import NumericalError
 from mkridge.kernels import ArdKernel, CompositeKernel, PeriodicKernel, SquaredExpKernel
 from mkridge.model import (
     HyperParams,
@@ -725,3 +728,109 @@ class TestOfflineGradientStep:
         assert (trace.prediction.fits, trace.prediction.jacobian_builds) == (5, 5)
         assert trace.prediction.gradient_evals == 45
         assert len(steps) == 4
+
+
+def in_loop_diagnostics(trace, config, fit_every):
+    """``grad_norms`` and ``proj_grad_sq`` as the rolling loop used to record
+    them: one refit window at a time, at the window's λ."""
+    norms, sq = np.full(len(trace), np.nan), np.full(len(trace), np.nan)
+    for s in range(0, len(trace), fit_every):
+        grads = trace.gradients[s : s + fit_every]
+        norms[s : s + fit_every] = np.linalg.norm(grads, axis=1)
+        if config.eta > 0:
+            p = projected_gradient(trace.lambdas[s], grads, config.eta, config.feasible)
+            sq[s : s + fit_every] = (p[:, None, :] @ p[:, :, None])[:, 0, 0]
+    return norms, sq
+
+
+def counting(monkeypatch, calls, owner, name):
+    """Replace ``owner.name`` with a wrapper that counts its calls in ``calls``."""
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+class TestLazyDiagnostics:
+    """OHL's diagnostic series are views of the trace: computed at the first
+    read, with the bits the rolling loop used to record."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=ohl_run_case(), eta=st.sampled_from([0.0, 1e-4, 1e-2, 1.0]))
+    def test_equal_in_loop_formulas_bitwise(self, case, eta):
+        config, schedule, stream, steps = case
+        config = dataclasses.replace(config, eta=eta)
+        try:
+            trace = run(config, schedule, stream, steps)
+        except NumericalError:  # a large step can leave the kernel system indefinite
+            return
+        try:
+            norms, sq = in_loop_diagnostics(trace, config, schedule.fit_every)
+        except NumericalError:
+            with pytest.raises(NumericalError):
+                trace.proj_grad_sq
+            return
+        assert np.array_equal(trace.grad_norms, norms)
+        assert np.array_equal(trace.proj_grad_sq, sq, equal_nan=True)
+        assert np.isnan(trace.proj_grad_sq).all() == (eta == 0)
+
+    def test_run_computes_none_of_them(self, monkeypatch):
+        # a four-week-shaped model on a stream from build_features: one lag
+        # moment computation per refit, no time-grid test and no projection
+        hypers = HyperParams(
+            CompositeKernel((PeriodicKernel(1.0, 30.0), ArdKernel(np.full(LAG, 0.05))), [0.5, 0.5]),
+            1.0,
+        )
+        config = TunerConfig(
+            Strategy.OHL, hypers, FeasibleSet.for_kinds(hypers.scalar_kinds(), BOUNDS), eta=1e-3
+        )
+        stream = make_stream()
+        calls = Counter()
+        counting(monkeypatch, calls, mkridge.kernels, "_on_one_grid")
+        counting(monkeypatch, calls, mkridge.kernels, "_lag_moments")
+        counting(monkeypatch, calls, tuners, "projected_gradient")
+        trace = run(config, Schedule(tune_every=10, fit_every=10, train_window=50), stream, steps=45)
+        assert calls == {"_lag_moments": 5}
+        calls.clear()
+        first, norms = trace.proj_grad_sq, trace.grad_norms
+        assert calls == {"projected_gradient": 1}
+        calls.clear()
+        assert trace.proj_grad_sq is first and trace.grad_norms is norms
+        assert not calls
+        assert np.array_equal(first, in_loop_diagnostics(trace, config, 10)[1])
+
+    @pytest.mark.parametrize("strategy", ["OHL", "FIXED", "GRID", "RANDOM", "OFFLINE_GRAD"])
+    def test_no_time_grid_test_on_a_built_stream(self, monkeypatch, strategy):
+        # the stream's grid was decided once, by build_features
+        stream = make_stream()
+        calls = Counter()
+        counting(monkeypatch, calls, mkridge.kernels, "_on_one_grid")
+        schedule = Schedule(tune_every=15, fit_every=10, train_window=60, validation_window=40)
+        run(mixed_config(strategy, **PER_STEP_KW[strategy]), schedule, stream, steps=25)
+        assert not calls
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-3])
+    def test_non_finite_gradient_in_last_window(self, monkeypatch, eta):
+        # no step follows the last refit window; its gradients are still tested
+        real = tuners.predict_and_hyper_gradient_batch
+        passes = []
+
+        def poisoned(*args, **kwargs):
+            yhat, grads = real(*args, **kwargs)
+            passes.append(None)
+            if len(passes) == 5:  # the last of 45 steps' refit windows
+                grads[-1, 0] = np.inf
+            return yhat, grads
+
+        monkeypatch.setattr(tuners, "predict_and_hyper_gradient_batch", poisoned)
+        schedule = Schedule(tune_every=10, fit_every=10, train_window=50)
+        config = mixed_config("OHL", eta=eta)
+        if eta > 0:
+            with pytest.raises(NumericalError, match="non-finite"):
+                run(config, schedule, make_stream(), steps=45)
+        else:  # zero-rate OHL takes no step, as FIXED does, and records the gradient
+            trace = run(config, schedule, make_stream(), steps=45)
+            assert np.isinf(trace.grad_norms[-1]) and np.isnan(trace.proj_grad_sq).all()
