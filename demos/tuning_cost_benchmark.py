@@ -7,9 +7,11 @@ refit window, and the baselines pay extra fits for every backtest trial or
 gradient iteration inside each weekly tuning phase. The online learner pays
 nothing there - its hyper-gradients are byproducts of prediction.
 
-Also prints the local-regret rate R_T/T (cumulative squared projected
-gradients) of the online run and the within-window gradient-variation
-diagnostic that justifies applying one averaged update per window.
+Also prints two regret series of the online run, both read from its trace:
+the per-step one (the running total of each step's squared projected
+gradient) and the w-local regret of Hazan, Singh & Zhang (2017) with w = 96,
+one term per lazy update: the squared projected gradient of the window's
+averaged loss.
 
 Run:  python3 demos/tuning_cost_benchmark.py
 """
@@ -22,7 +24,6 @@ from mkridge import (
     FeasibleSet,
     HyperParams,
     PeriodicKernel,
-    RegretTrace,
     Schedule,
     Strategy,
     SyntheticConfig,
@@ -30,12 +31,9 @@ from mkridge import (
     build_features,
     fit_count_report,
     generate_synthetic,
-    regret_update,
     run,
-    variation_m,
 )
 from mkridge.data import BURN_IN
-from mkridge.model import fit, loss_hyper_gradient, theta_jacobian
 
 LAGS = 20
 STEPS = 2688  # four weeks of 96 observations/day
@@ -81,34 +79,13 @@ for name, config in configs.items():
           f"{counts['total_fits']:>6}  {rmse:>10.3f}  {wall:>7.1f}")
 
 ohl = traces["OHL"]
-regret = RegretTrace()
-for step in range(len(ohl)):
-    regret = regret_update(regret, ohl.lambdas[step], ohl.gradients[step],
-                           configs["OHL"].eta, feasible)
-totals = np.asarray(regret.totals)
-print("\nlocal regret rate R_T/T of the online run (should not grow):")
-for t in (672, 1344, 2016, 2688):
-    print(f"  T={t:>4}: {totals[t - 1] / t:.2f}")
-
-# within-window gradient variation: evaluate one refit window's losses at a
-# few feasible probe points and measure their spread around the window mean
-rng = np.random.default_rng(0)
-probes = [feasible.sample(rng) for _ in range(5)]
-window_start = len(stream) - STEPS
 m = schedule.fit_every
-fields = []
-for offset in range(m):
-    i = window_start + offset
-    grads = []
-    for z in probes:
-        hypers = init.from_vector(z)
-        model = fit(hypers, stream.slice(i - TRAIN_WINDOW, i))
-        jac = theta_jacobian(model)
-        grads.append(loss_hyper_gradient(model, jac, stream.query(i),
-                                         float(stream.targets[i])))
-    fields.append(grads)
-spread = variation_m(np.asarray(fields))
-norms = np.linalg.norm(np.asarray(fields), axis=2)
-print(f"\ngradient variation over one {m}-step window at 5 probe points: {spread:.3g}")
-print(f"(per-step gradient norms there span {norms.min():.3g}..{norms.max():.3g}; "
-      "bounded variation is what makes one averaged update per window sound)")
+per_step = np.cumsum(ohl.proj_grad_sq)
+local = np.cumsum(ohl.local_proj_grad_sq)
+print(f"\nregret of the online run through step T: per step, and w-local (w = {m}) "
+      "over the updates made from windows that end by T")
+print(f"{'T':>6}  {'per-step':>10}  {'R_T/T':>9}  {'updates':>7}  {'w-local':>10}")
+for t in (672, 1344, 2016, 2688):
+    k = min(t // m, local.size)
+    print(f"{t:>6}  {per_step[t - 1]:>10.4g}  {per_step[t - 1] / t:>9.4g}  {k:>7}  "
+          f"{local[k - 1]:>10.4g}")

@@ -41,7 +41,6 @@ from .optim import (
     project_simplex,
     projected_gradient,
     regret_update,
-    variation_m,
 )
 from .tuners import (
     RunTrace,

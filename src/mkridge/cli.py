@@ -5,8 +5,8 @@ Subcommands
 ``generate``  write a synthetic series to CSV
 ``run``       execute configured strategies on one stream and write per-step
               trace CSVs plus a report
-``regret``    turn trace files into cumulative squared projected-gradient
-              (local regret) series
+``regret``    turn trace files into cumulative per-step squared
+              projected-gradient (per-step regret) series
 
 Runs are configured by a JSON file plus flag overrides. Per-step trace CSVs
 hold one row per prediction step with columns
@@ -118,33 +118,35 @@ def _trajectory(trace: RunTrace) -> list[list]:
     return [[int(s), lam[s].tolist()] for s in (0, *changed)]
 
 
+def _running_total(sq) -> list[float] | None:
+    return None if sq is None or np.isnan(sq).any() else np.cumsum(sq).tolist()
+
+
 def build_report(traces: dict[str, RunTrace]) -> dict:
-    """Assemble the run report: accuracy, improvement vs FIXED, costs, regret."""
-    fixed_rmse = None
-    if Strategy.FIXED.value in traces:
-        fixed_rmse = float(rmse_series(traces[Strategy.FIXED.value].sq_errors())[-1])
+    """Assemble the run report: accuracy, improvement vs FIXED (null without
+    FIXED or where its RMSE is 0), costs, and the running totals of the
+    trace's two regret views."""
+    series = {name: rmse_series(trace.sq_errors()) for name, trace in traces.items()}
+    fixed = series.get(Strategy.FIXED.value)
+    fixed_rmse = None if fixed is None or fixed[-1] == 0 else float(fixed[-1])
     report: dict = {"strategies": {}}
     for name, trace in traces.items():
-        sq = trace.sq_errors()
-        series = rmse_series(sq)
-        final = float(series[-1])
-        entry = {
+        final = float(series[name][-1])
+        report["strategies"][name] = {
             "final_rmse": final,
             "improvement_vs_fixed": None
             if fixed_rmse is None
             else (fixed_rmse - final) / fixed_rmse,
-            "rmse_series": [float(v) for v in series],
+            "rmse_series": series[name].tolist(),
             "fit_counts": fit_count_report(trace),
             "wall_clock_s": {
                 "tuning": trace.tuning.wall_clock,
                 "prediction": trace.prediction.wall_clock,
             },
-            "regret_series": None
-            if np.any(np.isnan(trace.proj_grad_sq))
-            else [float(v) for v in np.cumsum(trace.proj_grad_sq)],
+            "regret_series": _running_total(trace.proj_grad_sq),
+            "local_regret_series": _running_total(trace.local_proj_grad_sq),
             "hyperparameter_trajectory": _trajectory(trace),
         }
-        report["strategies"][name] = entry
     return report
 
 
@@ -549,7 +551,7 @@ def _build_parser() -> argparse.ArgumentParser:
             runp.add_argument("--" + key.replace("_", "-"), **spec.flag)
     runp.set_defaults(func=cmd_run)
 
-    reg = sub.add_parser("regret", help="cumulative local-regret series from traces")
+    reg = sub.add_parser("regret", help="cumulative per-step regret series from traces")
     reg.add_argument("traces", nargs="+", help="trace CSV files")
     reg.add_argument("--out", help="output directory (default: next to each trace)")
     reg.set_defaults(func=cmd_regret)

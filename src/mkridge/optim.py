@@ -32,7 +32,6 @@ __all__ = [
     "projected_gradient",
     "lazy_step",
     "regret_update",
-    "variation_m",
 ]
 
 
@@ -80,23 +79,6 @@ class FeasibleSet:
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "log_sample", log_sample)
         object.__setattr__(self, "simplex", slice(start, stop))
-        # what sample_many maps its draws with: the box coordinates, their
-        # log-sampled ones with those bounds, and the (log-)interval of each
-        box = np.ones(d, dtype=bool)
-        box[self.simplex] = False
-        log = log_sample[box]
-        lo, hi = lower[box], upper[box]
-        a, b = lo.copy(), hi.copy()
-        # a log-sampled lower bound <= 0 gives a non-finite span, which
-        # sample_many rejects
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a[log], b[log] = np.log(lo[log]), np.log(hi[log])
-            span = b - a
-        object.__setattr__(self, "_box", box)
-        object.__setattr__(self, "_log", log)
-        object.__setattr__(self, "_log_bounds", (lo[log], hi[log]))
-        object.__setattr__(self, "_a", a)
-        object.__setattr__(self, "_span", span)
 
     @property
     def dim(self) -> int:
@@ -154,18 +136,27 @@ class FeasibleSet:
         """
         if k < 1:
             raise ValueError(f"expected k >= 1 draws, got {k}")
-        if not np.isfinite(self._span).all():
+        # the box coordinates, their log-sampled ones, and the (log-)interval of each
+        box = np.ones(self.dim, dtype=bool)
+        box[self.simplex] = False
+        log = self.log_sample[box]
+        lo, hi = self.lower[box], self.upper[box]
+        a, b = lo.copy(), hi.copy()
+        # a log-sampled lower bound <= 0 gives a non-finite span
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a[log], b[log] = np.log(lo[log]), np.log(hi[log])
+            span = b - a
+        if not np.isfinite(span).all():
             raise ValueError(
                 "cannot sample from an unbounded box coordinate, "
                 "or from a log-sampled one whose lower bound is not positive"
             )
-        n_box = self._span.size
-        u = rng.random((k, n_box + self.simplex.stop - self.simplex.start))
-        x = self._a + self._span * u[:, :n_box]
-        x[:, self._log] = np.clip(np.exp(x[:, self._log]), *self._log_bounds)
+        u = rng.random((k, span.size + self.simplex.stop - self.simplex.start))
+        x = a + span * u[:, : span.size]
+        x[:, log] = np.clip(np.exp(x[:, log]), lo[log], hi[log])
         v = np.empty((k, self.dim))
-        v[:, self._box] = x
-        v[:, self.simplex] = _project_simplex_rows(u[:, n_box:])
+        v[:, box] = x
+        v[:, self.simplex] = _project_simplex_rows(u[:, span.size :])
         return v
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
@@ -280,7 +271,8 @@ def _step(z: np.ndarray, g: np.ndarray, eta: float, feasible: FeasibleSet) -> np
 
 @dataclass
 class RegretTrace:
-    """Per-step squared projected-gradient norms and their running total."""
+    """Per-step squared projected-gradient norms and their running total,
+    one step at a time: of a run, ``np.cumsum(RunTrace.proj_grad_sq)``."""
 
     sq_norms: list[float] = field(default_factory=list)
     totals: list[float] = field(default_factory=list)
@@ -298,21 +290,3 @@ def regret_update(trace: RegretTrace, z, g, eta: float, feasible: FeasibleSet) -
     trace.totals.append(trace.total + s)
     return trace
 
-
-def variation_m(gradients) -> float:
-    """Largest within-window gradient variation over a grid of probe points.
-
-    ``gradients[i][k]`` is the gradient of the i-th loss in the window at
-    probe point k (a vector, or a scalar for 1-d problems). Returns
-    ``max_k sum_i ||gradients[i][k] - mean_i gradients[i][k]||^2``.
-    """
-    g = np.asarray(gradients, dtype=float)
-    if g.ndim == 2:
-        g = g[:, :, None]
-    if g.ndim != 3 or g.shape[0] < 1:
-        raise ValueError("expected gradients with shape (window, grid, dim)")
-    if g.shape[1] < 1:
-        raise ValueError("probe grid must be non-empty")
-    dev = g - g.mean(axis=0, keepdims=True)
-    per_point = np.einsum("mgd,mgd->g", dev, dev)
-    return float(per_point.max())

@@ -29,8 +29,8 @@ OFFLINE_GRAD once per iteration over its validation block.
 Every run produces a :class:`RunTrace` with per-step records and fit/build
 counters split into tuning and prediction phases; counters are the
 hardware-independent cost proxy, wall-clock is recorded but incidental. Its
-diagnostic series (gradient and projected-gradient norms) are views of the
-records, computed only when read.
+diagnostic series (gradient and projected-gradient norms, per step and per
+lazy update) are views of the records, computed only when read.
 """
 
 from __future__ import annotations
@@ -168,17 +168,18 @@ class PhaseCounters:
 class RunTrace:
     """Everything one run produced: per-step records plus phase counters.
 
-    The diagnostic series ``grad_norms`` and ``proj_grad_sq`` are views of
-    the records, computed on first read from ``lambdas``, ``gradients``,
-    ``eta`` and ``feasible``; the first read of ``proj_grad_sq`` projects
-    every step and may raise :class:`NumericalError` there (a step that
-    overflows). Both are NaN without gradients (every strategy but OHL),
-    and ``proj_grad_sq`` is NaN at ``eta`` 0 too.
+    The diagnostic series ``grad_norms``, ``proj_grad_sq`` and
+    ``local_proj_grad_sq`` are views of the records, computed on first read;
+    the first read of ``proj_grad_sq`` projects every step and may raise
+    :class:`NumericalError` there (a step that overflows). Without
+    gradients (every strategy but OHL) the first two are NaN and the last
+    None; at ``eta`` 0 ``proj_grad_sq`` is NaN and the last None too.
     """
 
     strategy: str
     start_index: int
     eta: float
+    fit_every: int
     times: np.ndarray
     y: np.ndarray
     yhat: np.ndarray
@@ -209,6 +210,20 @@ class RunTrace:
             return np.full(len(self), np.nan)
         p = projected_gradient(self.lambdas, self.gradients, self.eta, self.feasible)
         # stacked one-row products: each equals the one-step p @ p bit for bit
+        return (p[:, None, :] @ p[:, :, None])[:, 0, 0]
+
+    @cached_property
+    def local_proj_grad_sq(self) -> np.ndarray | None:
+        """Each lazy update's ``|(λ_k - λ_{k+1}) / eta|^2``, ``λ_k`` the λ of
+        refit window k: as ``λ_{k+1} = lazy_step(λ_k, G_k)``, the squared
+        projected gradient of the window's averaged loss at ``λ_k``, read off
+        the records. It is the w-local regret term of Hazan, Singh & Zhang
+        (2017), w = ``fit_every``, at the window's last step. No update
+        follows the last window, so a one-window run gives an empty series."""
+        if self.gradients is None or self.eta == 0:
+            return None
+        lam = self.lambdas[:: self.fit_every]
+        p = (lam[:-1] - lam[1:]) / self.eta
         return (p[:, None, :] @ p[:, :, None])[:, 0, 0]
 
     def sq_errors(self) -> np.ndarray:
@@ -405,6 +420,7 @@ def run(config: TunerConfig, schedule: Schedule, stream: Dataset, steps: int | N
         strategy=config.strategy.value,
         start_index=start,
         eta=config.eta,
+        fit_every=m,
         times=stream.times[start:].copy(),
         y=stream.targets[start:].copy(),
         yhat=yhat,

@@ -167,6 +167,23 @@ class TestRun:
             recomputed = rmse_t(columns["sq_err"])
             assert abs(recomputed - report["strategies"][name]["final_rmse"]) <= 1e-9
 
+    def test_all_zero_series_reports_no_improvement(self, tmp_path, capsys):
+        # FIXED's RMSE is 0, so no improvement relative to it is defined
+        data = tmp_path / "zero.csv"
+        data.write_text("timestamp,value\n" + "".join(f"{t},0\n" for t in range(300)),
+                        encoding="utf-8")
+        cfg = write_config(tmp_path, data={"type": "csv", "path": str(data)},
+                           strategies={"FIXED": {}, "OHL": {"eta": 1e-3}})
+        out_dir = tmp_path / "results"
+        for fmt in ("json", "csv"):
+            assert main(["run", "--config", str(cfg), "--out", str(out_dir), "--format", fmt]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((out_dir / "report.json").read_text())
+        for entry in report["strategies"].values():
+            assert entry["final_rmse"] == 0.0 and entry["improvement_vs_fixed"] is None
+        rows = list(csv.DictReader(io.StringIO((out_dir / "report.csv").read_text())))
+        assert [row["improvement_vs_fixed"] for row in rows] == ["", ""]
+
     def test_counter_summaries_in_report(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -576,6 +593,23 @@ class TestRegret:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert str(trace) in err and "line 3" in err
+
+    def test_matches_report_regret_series(self, tmp_path):
+        # a partial last refit window: 85 steps, refit every 10
+        cfg = write_config(tmp_path, strategies={"FIXED": {}, "OHL": {"eta": 1e-2}},
+                           predict_steps=85)
+        out_dir = tmp_path / "results"
+        assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 0
+        assert main(["regret", str(out_dir / "trace_OHL.csv"), "--out", str(tmp_path)]) == 0
+        regret = np.loadtxt(tmp_path / "regret_trace_OHL.csv", delimiter=",", skiprows=1)
+        report = json.loads((out_dir / "report.json").read_text())["strategies"]
+        # they differ only by the sqrt round trip of the trace's proj_grad_norm
+        np.testing.assert_allclose(regret[:, 1], report["OHL"]["regret_series"], rtol=1e-15, atol=0)
+        local = report["OHL"]["local_regret_series"]
+        assert len(local) == 8  # one per lazy update: none follows the last window
+        assert all(b >= a >= 0 for a, b in zip(local, local[1:]))
+        assert report["FIXED"]["regret_series"] is None
+        assert report["FIXED"]["local_regret_series"] is None
 
     def test_trace_without_gradients_is_data_error(self, tmp_path):
         cfg = write_config(tmp_path)

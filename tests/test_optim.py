@@ -12,7 +12,6 @@ from mkridge.optim import (
     project_simplex,
     projected_gradient,
     regret_update,
-    variation_m,
 )
 
 from helpers import brute_force_simplex
@@ -410,29 +409,6 @@ class TestRegret:
             trace = regret_update(trace, z, rng.normal(0, 3, fs.dim), 0.2, fs)
             assert trace.total >= prev
             prev = trace.total
-
-
-class TestVariation:
-    def test_identical_losses(self):
-        grads = np.tile(np.array([[1.0, -2.0], [0.5, 0.5]]), (4, 1, 1))
-        assert variation_m(grads) == 0.0
-
-    def test_single_window(self):
-        assert variation_m(np.array([[[3.0, 1.0]]])) == 0.0
-
-    def test_two_quadratics_hand_value(self):
-        # f1(z) = z^2, f2(z) = (z-1)^2 probed at z=0: gradients 0 and -2
-        grads = np.array([[[0.0]], [[-2.0]]])
-        assert variation_m(grads) == pytest.approx(2.0, abs=0)
-
-    def test_max_over_grid(self):
-        # two probe points, deviations larger at the second one
-        grads = np.array([[[0.0], [0.0]], [[-1.0], [-4.0]]])
-        assert variation_m(grads) == pytest.approx(8.0)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            variation_m(np.empty((2, 0, 1)))
 
 
 class TestFeasibleSet:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mkridge.kernels
+import mkridge.optim
 from mkridge import tuners
 from mkridge.data import BURN_IN, Dataset, SyntheticConfig, build_features, generate_synthetic
 from mkridge.errors import NumericalError
@@ -21,7 +22,7 @@ from mkridge.model import (
     predict_batch,
     theta_jacobian,
 )
-from mkridge.optim import FeasibleSet, lazy_step, projected_gradient
+from mkridge.optim import FeasibleSet, RegretTrace, lazy_step, projected_gradient, regret_update
 from mkridge.tuners import (
     PhaseCounters,
     Schedule,
@@ -743,6 +744,18 @@ def in_loop_diagnostics(trace, config, fit_every):
     return norms, sq
 
 
+def per_window_local(trace, config, fit_every):
+    """Each lazy update's squared projected gradient of its window's averaged
+    loss, from one ``lazy_step`` per window at the window's λ."""
+    out = []
+    for s in range(fit_every, len(trace), fit_every):
+        z = trace.lambdas[s - fit_every]
+        step = lazy_step(z, trace.gradients[s - fit_every : s], config.eta, config.feasible)
+        p = (z - step) / config.eta
+        out.append(float(p @ p))
+    return out
+
+
 def counting(monkeypatch, calls, owner, name):
     """Replace ``owner.name`` with a wrapper that counts its calls in ``calls``."""
     real = getattr(owner, name)
@@ -776,6 +789,57 @@ class TestLazyDiagnostics:
         assert np.array_equal(trace.grad_norms, norms)
         assert np.array_equal(trace.proj_grad_sq, sq, equal_nan=True)
         assert np.isnan(trace.proj_grad_sq).all() == (eta == 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=ohl_run_case(), eta=st.sampled_from([0.0, 1e-4, 1e-2, 1.0]),
+           full_last_window=st.booleans())
+    def test_local_view_equals_per_window_lazy_steps_bitwise(self, case, eta, full_last_window):
+        config, schedule, stream, steps = case
+        config, m = dataclasses.replace(config, eta=eta), schedule.fit_every
+        if full_last_window and steps > m:
+            steps -= steps % m
+        try:
+            trace = run(config, schedule, stream, steps)
+        except NumericalError:  # a large step can leave the kernel system indefinite
+            return
+        if eta == 0:
+            assert trace.local_proj_grad_sq is None
+            return
+        local = trace.local_proj_grad_sq
+        assert local.shape == (-(-steps // m) - 1,)  # one per update; none after the last window
+        assert np.array_equal(local, per_window_local(trace, config, m))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=ohl_run_case(), eta=st.sampled_from([1e-4, 1e-2, 1.0]))
+    def test_regret_trace_totals_equal_cumsum_bitwise(self, case, eta):
+        config, schedule, stream, steps = case
+        config = dataclasses.replace(config, eta=eta)
+        try:
+            trace = run(config, schedule, stream, steps)
+            sq = trace.proj_grad_sq
+        except NumericalError:  # an indefinite kernel system, or a step that overflows
+            return
+        regret = RegretTrace()
+        for lam, g in zip(trace.lambdas, trace.gradients):
+            regret = regret_update(regret, lam, g, eta, config.feasible)
+        assert np.array_equal(regret.sq_norms, sq)
+        assert np.array_equal(regret.totals, np.cumsum(sq))
+
+    def test_local_view_projects_nothing(self, monkeypatch):
+        schedule = Schedule(tune_every=10, fit_every=10, train_window=50)
+        trace = run(mixed_config("OHL", eta=1e-3), schedule, make_stream(), steps=45)
+        one_window = run(mixed_config("OHL", eta=1e-3), schedule, make_stream(), steps=10)
+        fixed = run(mixed_config("FIXED"), schedule, make_stream(), steps=45)
+        calls = Counter()
+        for name in ("_step", "project_C", "projected_gradient", "lazy_step"):
+            counting(monkeypatch, calls, mkridge.optim, name)
+        for name in ("projected_gradient", "lazy_step", "predict_and_hyper_gradient_batch"):
+            counting(monkeypatch, calls, tuners, name)
+        local = trace.local_proj_grad_sq
+        assert local.shape == (4,) and trace.local_proj_grad_sq is local
+        assert one_window.local_proj_grad_sq.shape == (0,)
+        assert fixed.local_proj_grad_sq is None
+        assert not calls
 
     def test_run_computes_none_of_them(self, monkeypatch):
         # a four-week-shaped model on a stream from build_features: one lag
