@@ -59,7 +59,7 @@ fixed = run_rolling(
     schedule, stream, steps=STEPS,
 )
 
-weight_cols = slice(init.kernel.n_scalars - 2, init.kernel.n_scalars)
+weight_cols = init.kernel.slices[-1]
 print("mixture weight trajectory (periodic, lag-based)")
 for t in (0, 100, 250, 500, 750, 999):
     w = online.lambdas[t, weight_cols]

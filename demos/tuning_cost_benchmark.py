@@ -16,7 +16,17 @@ averaged loss.
 Run:  python3 demos/tuning_cost_benchmark.py
 """
 
-import numpy as np
+import os
+import sys
+
+# The table prints wall clock: one BLAS thread, as the benchmark runs. The
+# variables act only if set before numpy is imported; one the shell sets stays.
+if "numpy" not in sys.modules:
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+
+import numpy as np  # noqa: E402
 
 from mkridge import (
     ArdKernel,

@@ -17,7 +17,9 @@ with convex weights; every base kernel equals 1 on identical inputs, so a
 composite Gram matrix has ``sum(weights)`` on its diagonal.
 
 All scalar kernel hyperparameters are addressable through one flat index
-(component parameters in declaration order, then the mixture weights).
+(component parameters in declaration order, then the mixture weights), whose
+layout has one home, :attr:`CompositeKernel.slices`; each component's
+``param_kinds`` states its parameters' count and kinds.
 Every base kernel has four evaluators, and the composite mixes the same
 four:
 
@@ -87,7 +89,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from functools import cache, cached_property, partial
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Iterator, Union
 
 import numpy as np
@@ -309,10 +311,6 @@ class PeriodicKernel:
             raise ValueError(f"period must be positive and finite, got {self.period}")
 
     @property
-    def n_params(self) -> int:
-        return 2
-
-    @property
     def param_kinds(self) -> tuple[str, ...]:
         return ("scale", "period")
 
@@ -405,10 +403,6 @@ class SquaredExpKernel:
             raise ValueError(f"scale must be nonnegative and finite, got {self.scale}")
 
     @property
-    def n_params(self) -> int:
-        return 1
-
-    @property
     def param_kinds(self) -> tuple[str, ...]:
         return ("scale",)
 
@@ -492,10 +486,6 @@ class ArdKernel:
         object.__setattr__(self, "scales", _readonly(s))
 
     @property
-    def n_params(self) -> int:
-        return self.scales.size
-
-    @property
     def param_kinds(self) -> tuple[str, ...]:
         return ("scale",) * self.scales.size
 
@@ -575,7 +565,7 @@ class ArdKernel:
 
     def iter_block_derivs(self, times, lags) -> Iterator[np.ndarray]:
         base = self.block(None, lags)
-        for j in range(self.n_params):
+        for j in range(self.scales.size):
             col = lags[:, j]
             d = col[:, None] - col[None, :]
             yield -(d * d) * base
@@ -683,21 +673,18 @@ class CompositeKernel:
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "weights", _readonly(w))
 
-    @property
-    def n_components(self) -> int:
-        return len(self.components)
-
     @cached_property  # read several times per evaluation, and the kernel is frozen
+    def slices(self) -> tuple[slice, ...]:
+        """The flat scalar vector's layout, its one home: one slice per
+        component over its ``param_kinds``, in order, then the weights'."""
+        sizes = [len(c.param_kinds) for c in self.components] + [len(self.components)]
+        ends = list(accumulate(sizes, initial=0))
+        return tuple(slice(a, b) for a, b in zip(ends, ends[1:]))
+
+    @property
     def n_scalars(self) -> int:
         """Number of scalar kernel hyperparameters (component params + weights)."""
-        return sum(c.n_params for c in self.components) + self.n_components
-
-    def scalar_kinds(self) -> list[str]:
-        kinds: list[str] = []
-        for c in self.components:
-            kinds.extend(c.param_kinds)
-        kinds.extend(["mixture"] * self.n_components)
-        return kinds
+        return self.slices[-1].stop
 
     def scalars(self) -> np.ndarray:
         """Flat hyperparameter vector: component params in order, then weights."""
@@ -709,13 +696,8 @@ class CompositeKernel:
         values = np.asarray(values, dtype=float)
         if values.shape != (self.n_scalars,):
             raise ValueError(f"expected {self.n_scalars} scalars, got {values.shape}")
-        comps = []
-        pos = 0
-        for c in self.components:
-            comps.append(c.with_params(values[pos : pos + c.n_params]))
-            pos += c.n_params
-        w = values[pos:]
-        return CompositeKernel(tuple(comps), w, require_simplex=require_simplex)
+        comps = [c.with_params(values[s]) for c, s in zip(self.components, self.slices)]
+        return CompositeKernel(comps, values[self.slices[-1]], require_simplex=require_simplex)
 
     # -- evaluation -------------------------------------------------------
 
@@ -794,12 +776,11 @@ class CompositeKernel:
         n = len(times)
         out = np.empty((n, self.n_scalars))
         scratch = np.empty((n, n))
-        pos = 0
-        for i, (w, c, b) in enumerate(zip(self.weights, self.components, blocks)):
-            cols, facts = out[:, pos : pos + c.n_params], _facts(c, grid, moments)
-            value = c.block_contract(times, lags, b, v, w, cols, scratch, **facts)
-            out[:, self.n_scalars - self.n_components + i] = value
-            pos += c.n_params
+        *parts, weights = self.slices
+        weight_cols = out[:, weights]
+        for i, (w, c, b, s) in enumerate(zip(self.weights, self.components, blocks, parts)):
+            facts = _facts(c, grid, moments)
+            weight_cols[:, i] = c.block_contract(times, lags, b, v, w, out[:, s], scratch, **facts)
         return out
 
     def cross_contract(
@@ -820,9 +801,6 @@ class CompositeKernel:
         queries. The queries go in blocks whose tensor holds at most
         ``_BLOCK_VALUES`` values, which for the same reason changes no bits.
         """
-        n_rows = self.n_components + sum(
-            c.n_params for c in self.components if not isinstance(c, ArdKernel)
-        )
         lag_moments = self.lag_moments(lags, v) if moments is None else moments()
         ard = {}
         if lag_moments is not None:
@@ -834,10 +812,10 @@ class CompositeKernel:
             }
         k = np.empty((len(ts), len(times)))
         dkv = np.empty((len(ts), self.n_scalars))
-        step = max(1, _BLOCK_VALUES // (n_rows * len(times)))
+        step = max(1, _BLOCK_VALUES // (len(self._tensor_columns) * len(times)))
         for lo in range(0, len(ts), step):
             q = slice(lo, lo + step)
-            self._contract_block(ts[q], xs[q], times, lags, v, ard, grid, n_rows, k[q], dkv[q])
+            self._contract_block(ts[q], xs[q], times, lags, v, ard, grid, k[q], dkv[q])
         return k, dkv
 
     def lag_moments(self, lags, v) -> tuple[np.ndarray, np.ndarray] | None:
@@ -847,25 +825,33 @@ class CompositeKernel:
             return _lag_moments(lags, v)
         return None
 
-    def _contract_block(self, ts, xs, times, lags, v, ard, grid, n_rows, k, dkv) -> None:
+    @cached_property
+    def _tensor_columns(self) -> list[int]:
+        """The flat columns of :meth:`_contract_block`'s ``(queries, rows, n)``
+        tensor, in row order: the periodic and SE parameters, then the
+        weights (the ARD columns are contracted without it)."""
+        *parts, weights = self.slices
+        kept = [s for c, s in zip(self.components, parts) if not isinstance(c, ArdKernel)]
+        return [j for s in (*kept, weights) for j in range(s.start, s.stop)]
+
+    def _contract_block(self, ts, xs, times, lags, v, ard, grid, k, dkv) -> None:
         """:meth:`cross_contract` of one block of queries, into ``k`` and
         ``dkv``; ``ard`` maps each ARD component's index to its window-side
         arguments of :meth:`ArdKernel.cross_contract`."""
-        dk = np.empty((len(ts), n_rows, len(times)))
-        rows, ks = [], []
-        pos = row = 0
-        for i, (w, c) in enumerate(zip(self.weights, self.components)):
+        columns = self._tensor_columns
+        dk = np.empty((len(ts), len(columns), len(times)))
+        ks = []
+        for i, (w, c, s) in enumerate(zip(self.weights, self.components, self.slices)):
             if i in ard:
-                ks.append(c.cross_contract(xs, *ard[i], w, dkv[:, pos : pos + c.n_params]))
+                ks.append(c.cross_contract(xs, *ard[i], w, dkv[:, s]))
             else:
-                block = dk[:, row : row + c.n_params]
+                row = columns.index(s.start)
+                block = dk[:, row : row + s.stop - s.start]
                 ks.append(c.cross_derivs_many(ts, xs, times, lags, block, w, **_facts(c, grid)))
-                rows.extend(range(pos, pos + c.n_params))
-                row += c.n_params
-            pos += c.n_params
+        row = len(columns) - len(ks)  # the weights' rows come last
         for i, ki in enumerate(ks):
             dk[:, row + i] = ki
-        dkv[:, rows + list(range(pos, self.n_scalars))] = dk @ v
+        dkv[:, columns] = dk @ v
         self.mix(ks, out=k)
 
     def cross(self, t, x, times, lags) -> np.ndarray:

@@ -102,8 +102,8 @@ __all__ = [
 class HyperParams:
     """Full hyperparameter vector: composite kernel scalars plus the ridge constant.
 
-    The flat ordering is kernel component parameters, then mixture weights,
-    then ``ridge`` last.
+    The flat ordering is the kernel's (``CompositeKernel.slices``), then
+    ``ridge`` last.
     """
 
     kernel: CompositeKernel
@@ -119,7 +119,8 @@ class HyperParams:
         return self.kernel.n_scalars + 1
 
     def scalar_kinds(self) -> list[str]:
-        return [*self.kernel.scalar_kinds(), "ridge"]
+        comps = self.kernel.components
+        return [*(k for c in comps for k in c.param_kinds), *["mixture"] * len(comps), "ridge"]
 
     def to_vector(self) -> np.ndarray:
         return np.concatenate([self.kernel.scalars(), [self.ridge]])

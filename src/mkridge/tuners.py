@@ -151,7 +151,10 @@ class TunerConfig:
                 raise ValueError("random search needs finite bounds on every box coordinate")
         if not self.feasible.contains(self.init.to_vector()):
             raise ValueError("initial hyperparameters lie outside the feasible set")
+        layout = [type(c) for c in self.init.kernel.components], self.init.scalar_kinds()
         for g in self.grid:
+            if ([type(c) for c in g.kernel.components], g.scalar_kinds()) != layout:
+                raise ValueError("grid point's kernel layout differs from the initial one")
             if not self.feasible.contains(g.to_vector()):
                 raise ValueError("grid point lies outside the feasible set")
 

@@ -480,6 +480,18 @@ def finite_csv(tmp_path, bad_value="1.01", **binning):
         pytest.param({"strategies": {"GRID": {"grid": [{"kernel": [{"type": "se", "scale": 0.05}],
                                                         "ridge": 1.0, "ridg": 2.0}]}}},
                      [], 2, "unknown keys for grid point: ['ridg']", id="grid-point-unknown-key"),
+        # a grid point in another kernel layout: its period 1.5 is below the
+        # bound 2, but read in the model's order it is an in-bounds SE scale
+        pytest.param({"model": {"kernel": [{"type": "periodic", "scale": 1.0, "period": 5.0},
+                                           {"type": "se", "scale": 0.05}], "ridge": 1.0},
+                      "bounds": {"scale": [1e-4, 10.0], "period": [2.0, 100.0],
+                                 "ridge": [1e-3, 3.0]},
+                      "strategies": {"GRID": {"grid": [
+                          {"kernel": [{"type": "se", "scale": 2.5},
+                                      {"type": "periodic", "scale": 3.0, "period": 1.5}],
+                           "ridge": 1.0}]}}},
+                     [], 2, "strategy GRID: grid point's kernel layout differs",
+                     id="grid-point-layout"),
         pytest.param({"data": {"type": "synthetic", "lenght": 300, "seed": 1}}, [], 2,
                      "unknown keys for synthetic data: ['lenght']", id="synthetic-unknown-key"),
         pytest.param({"binning": {"bin_widht": 2}}, [], 2, "unknown keys for csv data: ['bin_widht']",

@@ -184,6 +184,30 @@ class TestCompositeSpec:
         rebuilt = spec.with_scalars(spec.scalars())
         assert np.array_equal(rebuilt.scalars(), spec.scalars())
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 6))
+    def test_layout(self, seed, p):
+        """``slices`` partition the flat vector: each component's
+        ``param_kinds`` in order, then the weights; the flat vector
+        round-trips bit for bit."""
+        rng = np.random.default_rng(seed)
+        spec = random_spec(rng, p)
+        hypers = HyperParams(spec, float(rng.uniform(0.01, 3.0)))
+        assert [j for s in spec.slices for j in range(s.start, s.stop)] == list(range(spec.n_scalars))
+        sizes = [len(c.param_kinds) for c in spec.components] + [len(spec.components)]
+        assert [s.stop - s.start for s in spec.slices] == sizes
+        kinds = [k for c in spec.components for k in c.param_kinds]
+        assert hypers.scalar_kinds() == kinds + ["mixture"] * len(spec.components) + ["ridge"]
+        scalars = spec.scalars()
+        for c, s in zip(spec.components, spec.slices):
+            assert scalars[s].tobytes() == c.params().tobytes()
+        rebuilt = spec.with_scalars(scalars)
+        assert [type(c) for c in rebuilt.components] == [type(c) for c in spec.components]
+        assert rebuilt.scalars().tobytes() == scalars.tobytes()
+        assert rebuilt.weights.tobytes() == spec.weights.tobytes()
+        vector = hypers.to_vector()
+        assert hypers.from_vector(vector).to_vector().tobytes() == vector.tobytes()
+
 
 class TestGram:
     def test_degenerate_mixture_equals_first_component(self):
@@ -701,7 +725,7 @@ class TestScratchContraction:
             SquaredExpKernel(float(rng.uniform(0.0, 2.0))),
         ):
             gram = kernel.block(times, lags)
-            out = np.empty((n, kernel.n_params))
+            out = np.empty((n, len(kernel.param_kinds)))
             scratch = np.full((n, n), np.nan)
             assert np.array_equal(kernel.block_contract(times, lags, gram, v, w, out, scratch), gram @ v)
             for j, d in enumerate(kernel.iter_block_derivs(times, lags)):

@@ -362,8 +362,8 @@ def materialized_column(model, window, which):
 
 def scalar_owners(spec):
     """The component (or ``"weight"``) each flat kernel scalar belongs to."""
-    owners = [c for c in spec.components for _ in range(c.n_params)]
-    return owners + ["weight"] * spec.n_components
+    owners = [c for c in spec.components for _ in c.param_kinds]
+    return owners + ["weight"] * len(spec.components)
 
 
 def contracted_instance(rng, case):

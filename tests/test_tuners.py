@@ -160,6 +160,22 @@ class TestTunerConfig:
         with pytest.raises(ValueError, match="grid"):
             se_config("GRID", grid=(bad,))
 
+    @pytest.mark.parametrize(
+        "components",
+        [
+            # read in the model's order, the period 1.5 (below its bound 2)
+            # would pass as an SE scale
+            (SquaredExpKernel(2.5), PeriodicKernel(3.0, 1.5)),
+            # the model's scalar kinds, from other component types
+            (PeriodicKernel(1.0, 30.0), ArdKernel([0.05])),
+        ],
+        ids=["swapped", "same-kinds"],
+    )
+    def test_grid_points_must_share_the_layout(self, components):
+        bad = HyperParams(CompositeKernel(components, [0.5, 0.5]), 1.0)
+        with pytest.raises(ValueError, match="grid point's kernel layout differs"):
+            mixed_config("GRID", grid=(bad,))
+
     def test_random_needs_finite_box(self):
         hypers = HyperParams(CompositeKernel((SquaredExpKernel(0.05),), [1.0]), 1.0)
         feasible = FeasibleSet.for_kinds(
