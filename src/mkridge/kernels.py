@@ -24,15 +24,16 @@ Every base kernel has four evaluators, and the composite mixes the same
 four:
 
 * ``block(times, lags)``: the Gram matrix of a window;
-* ``block_contract(times, lags, gram, v, ..., scratch)``: every Gram
+* ``block_contract(times, lags, gram, v, ..., rows)``: every Gram
   derivative applied to a vector, ``(dA/d lam_i) v``, from the Gram
   ``block`` already built for the same window. The composite lends every
-  component one ``(n, n)`` scratch array: the periodic and SE kernels write
-  each derivative matrix there and apply it before the next overwrites it,
-  and the ARD kernel copies its Gram there without the diagonal, for the
-  one matrix product all its columns come from
-  (:meth:`ArdKernel.block_contract`). Every product sees the matrix a fresh
-  C-ordered array would hold, so the scratch changes no bits;
+  component a buffer of :func:`_row_step` rows: the periodic kernel writes
+  its Gram and each derivative matrix there a block of rows at a time and
+  applies it, and the ARD kernel copies its Gram's rows there without the
+  diagonal (:meth:`ArdKernel.block_contract`). Only SE, which mirrors
+  ``pdist``'s distances, needs an ``(n, n)`` scratch array, whose first rows
+  the others then use. Every block's product with a vector has the bits of
+  the whole matrix's;
 * ``iter_block_derivs(times, lags)``: the Gram derivatives themselves, in
   flat order; the materialized path, kept as the one oracle of the
   derivative code and the finite-difference tests;
@@ -115,9 +116,29 @@ __all__ = [
 ]
 
 SIMPLEX_TOL = 1e-12
-_BLOCK_VALUES = 1 << 17  # float64 values per block of a query tensor or a mix (1 MB)
+_BLOCK_VALUES = 1 << 17  # float64 values per block of queries' cross values or tensor (1 MB)
 _CHUNK_VALUES = 1 << 12  # float64 values per chunk of an off-grid periodic matrix
-_CACHE_VALUES = 1 << 15  # float64 values per row block of an ARD Gram's elementwise passes
+_CACHE_VALUES = 1 << 15  # float64 values per row block of an n x n matrix or a mix (256 kB)
+
+
+def _row_step(rows: int, cols: int, budget: int) -> int:
+    """Rows per block of a ``(rows, cols)`` matrix that is built and applied to
+    a vector one block of rows at a time: all rows if they fit in ``budget``
+    values, else a multiple of 8 rows holding at most ``budget`` values (at
+    least 8), grown by 8 while it would leave one row for the last block.
+
+    Every block's product then has the bits of the whole matrix's. OpenBLAS's
+    single-thread gemv takes a C-ordered matrix's rows in groups of 8, so
+    blocks that start on a multiple of 8 rows group them as the whole product
+    does; numpy computes a product of one row as a dot product, which rounds
+    differently.
+    """
+    if rows * cols <= budget or rows == 1:
+        return rows
+    step = max(8, budget // cols // 8 * 8)
+    while rows % step == 1:
+        step += 8
+    return min(step, rows)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -360,24 +381,37 @@ class PeriodicKernel:
         yield d_scale
         yield d_period
 
-    def block_contract(self, times, lags, gram, v, w, out, scratch, grid=None) -> np.ndarray:
+    def block_contract(self, times, lags, gram, v, w, out, rows, grid=None) -> np.ndarray:
         """Fills ``out[:, j]`` with ``(w * dB/d p_j) @ v`` and returns ``B @ v``,
         given ``gram``, :meth:`block` or :meth:`compact_block` of the window.
 
-        ``gram`` is copied into ``scratch``, an ``(n, n)`` array the caller
-        owns, for ``B @ v``: matmul on the Toeplitz view's negative stride
-        skips BLAS and rounds differently. Then each ``w * dB/d p_j`` is
-        filled into ``scratch`` and applied to ``v`` before the next one
-        overwrites it. Its ``k`` factor is read from ``gram``, which holds
-        ``from_dt``'s bits, so every element has the bits of ``w *`` the
-        matrix :meth:`iter_block_derivs` yields.
+        One block of ``r`` rows at a time, ``r = len(rows)`` from
+        :func:`_row_step`, ``gram``'s rows are copied into ``rows``, a
+        C-ordered array the caller owns, for ``B @ v`` (matmul on the Toeplitz
+        view's negative stride skips BLAS and rounds differently), then each
+        ``w * dB/d p_j``'s rows are written there and applied to ``v``: on the
+        grid gathered from its ``2n - 1`` distinct values, computed once. The
+        ``k`` factor is read from ``gram``, which holds ``from_dt``'s bits, so
+        every element has the bits of ``w *`` the matrix
+        :meth:`iter_block_derivs` yields.
         """
         grid = _decide(grid, times, times)
-        scratch[...] = gram
-        bv = scratch @ v
-        for j in range(2):
-            _eval_dt(lambda dt, kv: w * self._deriv(j, dt, kv), times, times, grid, scratch, gram)
-            out[:, j] = scratch @ v
+        derivs = [lambda dt, kv, j=j: w * self._deriv(j, dt, kv) for j in range(2)]
+        if grid:
+            derivs = [_eval_dt(f, times, times, True, k=gram) for f in derivs]
+        n, step = len(times), len(rows)
+        bv = np.empty(n)
+        for lo in range(0, n, step):
+            r = slice(lo, lo + step)
+            block = rows[: min(step, n - lo)]
+            block[...] = gram[r]
+            bv[r] = block @ v
+            for j, d in enumerate(derivs):
+                if grid:
+                    block[...] = d[r]
+                else:
+                    _eval_dt(d, times[r], times, False, block, gram[r])
+                out[r, j] = block @ v
         return bv
 
     def cross_derivs_many(self, ts, xs, times, lags, out, w=1.0, grid=None) -> np.ndarray:
@@ -413,10 +447,16 @@ class SquaredExpKernel:
         return SquaredExpKernel(float(values[0]))
 
     def block(self, times, lags) -> np.ndarray:
-        return np.exp(-self.scale * _sq_dists(lags))
+        return self._from_sq_dists(_sq_dists(lags))
 
     def cross_many(self, ts, xs, times, lags) -> np.ndarray:
-        return np.exp(-self.scale * _sq_dists(xs, lags))
+        return self._from_sq_dists(_sq_dists(xs, lags))
+
+    def _from_sq_dists(self, d2) -> np.ndarray:
+        """``exp(-scale * d2)``, computed in ``d2``'s own array: no second
+        matrix of its size."""
+        np.multiply(d2, -self.scale, out=d2)
+        return np.exp(d2, out=d2)
 
     def iter_block_derivs(self, times, lags) -> Iterator[np.ndarray]:
         d2 = _sq_dists(lags)
@@ -570,26 +610,33 @@ class ArdKernel:
             d = col[:, None] - col[None, :]
             yield -(d * d) * base
 
-    def block_contract(self, times, lags, gram, v, w, out, scratch, moments=None) -> np.ndarray:
+    def block_contract(self, times, lags, gram, v, w, out, rows, moments=None) -> np.ndarray:
         """Fills ``out[:, j]`` with ``(w * dB/d s_j) @ v`` and returns ``B @ v``,
         given ``gram = block(times, lags)``. ``moments``, if given, is a
-        function that returns the window's ``_lag_moments(lags, v)``; it is
-        called where they are needed, after the copy below.
+        function that returns the window's ``_lag_moments(lags, v)``.
 
         ``dB/d s_j = -(x_j - x_j')^2 * B`` expands to
         ``-(X_j^2 * (B v) - 2 X_j * (B (v * X_j)) + B (v * X_j^2))``, so every
-        column comes from one ``(n, n) @ (n, 2p + 1)`` product. Two things
-        keep the three terms small where they cancel: the product uses ``B``
-        without its diagonal, which ``dB/d s_j`` does not have either, and the
-        lag columns are centred, which leaves every difference unchanged.
-        ``B`` without its diagonal is copied into ``scratch``, an ``(n, n)``
-        array the caller owns; the caller keeps ``gram``, diagonal included.
+        column comes from ``B``'s product with one ``(n, 2p + 1)`` array. Two
+        things keep the three terms small where they cancel: the product uses
+        ``B`` without its diagonal, which ``dB/d s_j`` does not have either,
+        and the lag columns are centred, which leaves every difference
+        unchanged. ``B``'s rows are copied into ``rows``, a C-ordered array
+        the caller owns, ``len(rows)`` rows at a time, and their diagonal
+        entries zeroed there; the caller keeps ``gram``, diagonal included.
+        Each block's product is a gemm, whose row blocks keep the whole
+        product's bits at some shapes only (at n = 1344, p = 20 they do).
         """
         bv = gram @ v
-        scratch[...] = gram
-        np.fill_diagonal(scratch, 0.0)
         mean, products = _lag_moments(lags, v) if moments is None else moments()
-        _expand_contraction(lags - mean, scratch @ products, w, out)
+        n, step = len(lags), len(rows)
+        kx = np.empty(products.shape)
+        for lo in range(0, n, step):
+            block = rows[: min(step, n - lo)]
+            block[...] = gram[lo : lo + step]
+            np.fill_diagonal(block[:, lo:], 0.0)
+            np.matmul(block, products, out=kx[lo : lo + step])
+        _expand_contraction(lags - mean, kx, w, out)
         return bv
 
     def cross_contract(self, xs, mean, terms, moments, w, out) -> np.ndarray:
@@ -697,7 +744,13 @@ class CompositeKernel:
         if values.shape != (self.n_scalars,):
             raise ValueError(f"expected {self.n_scalars} scalars, got {values.shape}")
         comps = [c.with_params(values[s]) for c, s in zip(self.components, self.slices)]
-        return CompositeKernel(comps, values[self.slices[-1]], require_simplex=require_simplex)
+        kernel = CompositeKernel(comps, values[self.slices[-1]], require_simplex=require_simplex)
+        # the same component types in the same order: the same layout, so the
+        # new kernel takes the cached layout properties this one has computed
+        for name in ("slices", "_tensor_columns"):
+            if name in self.__dict__:
+                kernel.__dict__[name] = self.__dict__[name]
+        return kernel
 
     # -- evaluation -------------------------------------------------------
 
@@ -706,14 +759,14 @@ class CompositeKernel:
         ``out``, a new C-ordered array if it is not given.
 
         The first weighted component is written into ``out`` and every other
-        one is added in place, ``_BLOCK_VALUES`` values of rows at a time, so
+        one is added in place, ``_CACHE_VALUES`` values of rows at a time, so
         no temporary of the full size is made. The work is elementwise: every
         entry has the bits of ``w0 * b0 + w1 * b1 + ...``.
         """
         if out is None:
             out = np.empty(blocks[0].shape)
         np.multiply(self.weights[0], blocks[0], out=out)
-        step = max(1, _BLOCK_VALUES // out.shape[-1])
+        step = max(1, _CACHE_VALUES // out.shape[-1])
         for w, b in zip(self.weights[1:], blocks[1:]):
             for lo in range(0, len(out), step):
                 out[lo : lo + step] += w * b[lo : lo + step]
@@ -767,20 +820,25 @@ class CompositeKernel:
         the materialized path; only the ARD columns are contracted
         differently.
 
-        One ``(n, n)`` scratch array is allocated here and lent to each
-        component in turn, which writes its derivative matrices (or, for ARD,
-        its Gram without the diagonal) there and contracts them before the
-        next component reuses it. Each product sees the same C-ordered matrix
-        a fresh array would hold, so the bits do not depend on the scratch.
+        One buffer of :func:`_row_step` rows (about ``_CACHE_VALUES`` values)
+        is lent to the periodic and ARD components in turn, which contract
+        their matrices a block of rows at a time there. SE needs the full
+        square of ``pdist``'s distances: with an SE component the buffer is
+        its ``(n, n)`` scratch, and the others use its first rows. Each
+        product sees the rows a fresh C-ordered array would hold, so the bits
+        do not depend on the buffer.
         """
         n = len(times)
         out = np.empty((n, self.n_scalars))
-        scratch = np.empty((n, n))
+        step = _row_step(n, n, _CACHE_VALUES)
+        se = any(isinstance(c, SquaredExpKernel) for c in self.components)
+        scratch = np.empty((n if se else step, n))
         *parts, weights = self.slices
         weight_cols = out[:, weights]
         for i, (w, c, b, s) in enumerate(zip(self.weights, self.components, blocks, parts)):
             facts = _facts(c, grid, moments)
-            weight_cols[:, i] = c.block_contract(times, lags, b, v, w, out[:, s], scratch, **facts)
+            rows = scratch if isinstance(c, SquaredExpKernel) else scratch[:step]
+            weight_cols[:, i] = c.block_contract(times, lags, b, v, w, out[:, s], rows, **facts)
         return out
 
     def cross_contract(

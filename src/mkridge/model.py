@@ -18,22 +18,30 @@ where ``dA/d lam_i`` is the analytic Gram derivative for kernel
 hyperparameters and the identity for the ridge constant. The Jacobian
 columns are contracted, not materialized: the products
 ``(dA/d lam_i) theta`` come from the kernel directly
-(``CompositeKernel.block_contract``), which holds each derivative matrix it
-needs in one ``n x n`` scratch array, in turn; all columns then come from
-one multi-right-hand-side solve. A
-:class:`TrainedModel` keeps the Gram of each kernel component that
+(``CompositeKernel.block_contract``), which fills and applies each
+derivative matrix one row block at a time (only SE takes an ``n x n``
+scratch array); all columns then come from one multi-right-hand-side
+solve. A :class:`TrainedModel` keeps the Gram of each kernel component that
 ``fit`` built, and ``block_contract`` works from those, so each component
 Gram is built once per fit. On a uniform integer time grid the periodic
 Gram is kept as a read-only Toeplitz view of its ``2n - 1`` distinct values,
 and ``fit`` mixes the system ``K + ridge*I`` into one buffer without a
-temporary per component: it holds the lag Grams, the system and the factor
-at its peak, and the model keeps the lag Grams and the factor. The per-step
+temporary per component. A system larger than one row block (about
+``_CACHE_VALUES`` values) is factored in place, and the refinement residual
+mixes its rows again from the Grams a block at a time: ``fit`` holds the
+lag Grams and the system, which becomes the factor, plus a row block, and
+the model keeps the lag Grams and the factor. The per-step
 squared-error loss then has an exact gradient assembled from the cross
 vector, its analytic derivatives, and the cached Jacobian columns.
 
-Predictions and hyper-gradients are evaluated for a block of queries at once.
+Row blocks are ``kernels._row_step``'s, so each blocked matrix-vector
+product (the residual, the periodic Jacobian columns, the predictions) has
+the bits of the whole one.
+
+Predictions and hyper-gradients are evaluated for a block of queries at
+once, in blocks whose cross values hold at most ``_BLOCK_VALUES`` values.
 :func:`predict_and_hyper_gradient_batch` returns both from one
-``CompositeKernel.cross_contract`` call for all its queries, so an OHL refit
+``CompositeKernel.cross_contract`` call per block, so an OHL refit
 evaluates its window's cross matrix once: the gradient needs the cross
 derivatives only applied to ``theta``, the ARD ones are contracted on the
 query side, and no ``(queries, n, lags)`` tensor is built; the predictions
@@ -62,6 +70,7 @@ import numpy as np
 from ._compiled import scipy_routines
 from .errors import NumericalError
 from .kernels import CompositeKernel, SquaredExpKernel, TimedPoint, _readonly, window_arrays
+from .kernels import _BLOCK_VALUES, _CACHE_VALUES, _row_step
 
 
 def _load_lapack():
@@ -143,9 +152,11 @@ class TrainedModel:
     on the time grid is a strided Toeplitz view of ``2n - 1`` values, every
     other Gram an ``n x n`` array. With the factor that is one ``n x n``
     matrix per lag component, and per periodic component off the grid, plus
-    one. ``factor`` is Fortran-ordered and holds the Cholesky factor of
-    ``K + ridge*I`` in its lower triangle (its upper triangle is not
-    cleaned). ``grid_step`` is the training window's ``Dataset.grid_step``
+    one: two for an on-grid periodic + ARD model. ``factor`` is
+    Fortran-ordered and holds the Cholesky factor of ``K + ridge*I`` in its
+    lower triangle (its upper triangle is not cleaned); beyond one row block
+    it is the buffer ``fit`` mixed the system into, factored in place.
+    ``grid_step`` is the training window's ``Dataset.grid_step``
     (None for a window without one).
     """
 
@@ -200,9 +211,12 @@ def fit(hypers: HyperParams, window) -> TrainedModel:
     a = hypers.kernel.mix(blocks)
     a.flat[:: y.size + 1] += hypers.ridge
     # a is exactly symmetric, so a.T is the same matrix already in Fortran
-    # order: potrf copies it without transposing, and a stays intact for the
-    # refinement residual.
-    factor, info = _potrf(a.T, lower=1, clean=0)
+    # order. Beyond one row block it is factored in place, and the refinement
+    # residual mixes its rows again from the blocks; a smaller system is
+    # copied without transposing and stays intact for the residual. The
+    # factor has the same bits either way.
+    step = _row_step(y.size, y.size, _CACHE_VALUES)
+    factor, info = _potrf(a.T, lower=1, clean=0, overwrite_a=int(step < y.size))
     # Nothing scans the n x n system for NaN or inf, and the Cholesky routine
     # may carry a NaN through instead of failing. A non-finite entry of the
     # lower triangle ends on the diagonal of its row (or fails the
@@ -213,7 +227,7 @@ def fit(hypers: HyperParams, window) -> TrainedModel:
             f"kernel system factorization failed at ridge={hypers.ridge!r} (n={y.size})"
         )
     theta = _potrs(factor, y, lower=1)[0]
-    residual = y - a @ theta
+    residual = y - (a @ theta if step == y.size else _system_product(hypers, blocks, theta, step))
     if np.linalg.norm(residual) > 1e-10 * max(1.0, np.linalg.norm(y)):
         # a single refinement pass keeps the residual bound on ill-conditioned systems
         theta = theta + _potrs(factor, residual, lower=1, overwrite_b=1)[0]
@@ -231,6 +245,22 @@ def fit(hypers: HyperParams, window) -> TrainedModel:
         factor=factor,
         grid_step=getattr(window, "grid_step", None),
     )
+
+
+def _system_product(hypers: HyperParams, blocks, v: np.ndarray, step: int) -> np.ndarray:
+    """``(K + ridge*I) @ v`` with the bits of the mixed system's product, from
+    the component Grams ``blocks`` alone: each block of ``step`` rows
+    (:func:`~mkridge.kernels._row_step`) is mixed again, gets the ridge on its
+    diagonal entries and is applied to ``v``, so no more than ``step`` rows
+    of the system exist at a time."""
+    n = v.size
+    out = np.empty(n)
+    rows = np.empty((step, n))
+    for lo in range(0, n, step):
+        block = hypers.kernel.mix([b[lo : lo + step] for b in blocks], rows[: min(step, n - lo)])
+        block.reshape(-1)[lo :: n + 1] += hypers.ridge  # entries (i, lo + i)
+        out[lo : lo + step] = block @ v
+    return out
 
 
 def _on_grid(*windows) -> bool | None:
@@ -265,7 +295,19 @@ def predict_batch(model: TrainedModel, queries) -> np.ndarray:
     qt, qx = window_arrays(queries)
     _check_query(model, qx)
     grid = _on_grid(model, queries)
-    return model.hypers.kernel.cross_many(qt, qx, model.times, model.lags, grid) @ model.theta
+    kernel, yhat = model.hypers.kernel, np.empty(qt.size)
+    for q in _query_blocks(qt.size, model.n):
+        yhat[q] = kernel.cross_many(qt[q], qx[q], model.times, model.lags, grid) @ model.theta
+    return yhat
+
+
+def _query_blocks(m: int, n: int) -> list[slice]:
+    """Slices of ``m`` queries against ``n`` rows whose cross matrices hold at
+    most ``_BLOCK_VALUES`` values each (:func:`~mkridge.kernels._row_step`),
+    so each block's product with ``theta`` has the bits of one
+    ``(m, n) @ (n,)`` product."""
+    step = _row_step(m, n, _BLOCK_VALUES)
+    return [slice(lo, lo + step) for lo in range(0, m, step)]
 
 
 def loss(y_true: float, y_pred: float) -> float:
@@ -279,13 +321,10 @@ def theta_jacobian(model: TrainedModel) -> np.ndarray:
     Column ``i`` solves the cached system against ``-(dA/d lam_i) theta``;
     the final column is the ridge direction with ``dA/d ridge = I``. The
     right-hand sides come from one kernel contraction of the model's
-    component Grams, which builds no Gram and allocates one ``n x n``
-    scratch array, and all columns come from one solve. The result is
-    C-contiguous.
+    component Grams, which builds no Gram and allocates no ``n x n`` array
+    but an SE component's scratch, and all columns come from one solve. The
+    result is C-contiguous.
     """
-    # The ARD contraction asks for the lag moments after it copies its Gram:
-    # made before the periodic fills stream through the cache, they cost the
-    # n = 1344 Jacobian about 10 % more.
     contracted = model.hypers.kernel.block_contract(
         model.times, model.lags, model.blocks, model.theta, _on_grid(model),
         lambda: model.lag_moments,
@@ -348,27 +387,31 @@ def predict_and_hyper_gradient_batch(
         raise ValueError(f"got {y.size} targets for {qt.size} queries")
     kernel, ns = model.hypers.kernel, model.hypers.kernel.n_scalars
     grid = _on_grid(model, queries)
-    k, dk_theta = kernel.cross_contract(
-        qt, qx, model.times, model.lags, model.theta, grid, lambda: model.lag_moments
-    )
-    # Every product is a stack of one-query products (matmul loops over the
-    # leading axis with the BLAS call a single query makes), so each row is
-    # bit-identical to a one-query evaluation whatever the number of queries.
-    # One (m, n) @ (n,) product would round differently, and OHL's updates can
-    # amplify a last-digit difference until it shows in the forecasts.
-    rows = k[:, None, :]
-    scale = -2.0 * (y - (rows @ model.theta)[:, 0])
+    se = any(isinstance(c, SquaredExpKernel) for c in kernel.components)
     grads = np.empty((y.size, d))
-    grads[:, :ns] = scale[:, None] * (dk_theta + (rows @ jac[:, :ns])[:, 0])
-    grads[:, ns] = scale * (rows @ jac[:, ns])[:, 0]
-    if not predictions:
-        return None, grads
-    if any(isinstance(c, SquaredExpKernel) for c in kernel.components):
-        # SE's values here come from einsum distances, predict_batch's from
-        # cdist, which round differently: the predictions take cross_many's.
-        # This branch goes once SE evaluates as an ARD kernel with one tied scale.
-        del k, rows  # one (m, n) cross matrix at a time
-        k = kernel.cross_many(qt, qx, model.times, model.lags, grid)
-    # predict_batch's one (m, n) @ (n,) product on the same values: its bits,
-    # which can differ in the last digit from the residual's stacked products
-    return k @ model.theta, grads
+    yhat = np.empty(y.size) if predictions else None
+    for q in _query_blocks(y.size, model.n):
+        k, dk_theta = kernel.cross_contract(
+            qt[q], qx[q], model.times, model.lags, model.theta, grid, lambda: model.lag_moments
+        )
+        # Every product is a stack of one-query products (matmul loops over the
+        # leading axis with the BLAS call a single query makes), so each row is
+        # bit-identical to a one-query evaluation whatever the number of queries.
+        # One (m, n) @ (n,) product would round differently, and OHL's updates can
+        # amplify a last-digit difference until it shows in the forecasts.
+        rows = k[:, None, :]
+        scale = -2.0 * (y[q] - (rows @ model.theta)[:, 0])
+        grads[q, :ns] = scale[:, None] * (dk_theta + (rows @ jac[:, :ns])[:, 0])
+        grads[q, ns] = scale * (rows @ jac[:, ns])[:, 0]
+        if not predictions:
+            continue
+        if se:
+            # SE's values here come from einsum distances, predict_batch's from
+            # cdist, which round differently: the predictions take cross_many's.
+            # This branch goes once SE evaluates as an ARD kernel with one tied scale.
+            del k, rows  # one block's cross matrix at a time
+            k = kernel.cross_many(qt[q], qx[q], model.times, model.lags, grid)
+        # predict_batch's product on the same values and blocks: its bits,
+        # which can differ in the last digit from the residual's stacked products
+        yhat[q] = k @ model.theta
+    return yhat, grads

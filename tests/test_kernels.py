@@ -18,6 +18,7 @@ from mkridge.kernels import (
     TimedPoint,
     _distance_routines,
     _on_one_grid,
+    _row_step,
     _sq_dists,
     cross_matrix,
     cross_vector,
@@ -207,6 +208,25 @@ class TestCompositeSpec:
         assert rebuilt.weights.tobytes() == spec.weights.tobytes()
         vector = hypers.to_vector()
         assert hypers.from_vector(vector).to_vector().tobytes() == vector.tobytes()
+
+    def test_with_scalars_hands_over_the_layout(self, monkeypatch):
+        # the returned kernel has the template's component types in order, so
+        # it takes the layout the template computed instead of computing it
+        rng = np.random.default_rng(3)
+        spec = CompositeKernel(
+            (PeriodicKernel(0.5, 7.0), ArdKernel(rng.uniform(0.1, 1.0, 3)), SquaredExpKernel(0.3)),
+            [0.2, 0.3, 0.5],
+        )
+        slices, columns = spec.slices, spec._tensor_columns
+
+        def refuse(self):
+            raise AssertionError("the layout must be handed over, not computed")
+
+        for name in ("slices", "_tensor_columns"):
+            monkeypatch.setattr(CompositeKernel.__dict__[name], "func", refuse)
+        rebuilt = spec.with_scalars(spec.scalars() * 1.5, require_simplex=False)
+        assert rebuilt.slices is slices and rebuilt._tensor_columns is columns
+        assert rebuilt.with_scalars(spec.scalars()).slices is slices
 
 
 class TestGram:
@@ -746,6 +766,68 @@ class TestScratchContraction:
             kernel.block_contract(times, None, gram, v, w, out, np.full((n, n), np.nan))
         assert np.array_equal(out[:, 0], (w * d_scale) @ v)
         assert np.array_equal(out[:, 1], (w * d_period) @ v)
+
+
+class TestRowBlockContraction:
+    """The periodic and ARD contractions take their matrices' rows one block
+    of a multiple of 8 rows at a time: the periodic columns keep the bits of
+    the whole matrices' products, the ARD ones match them to rounding."""
+
+    @pytest.mark.parametrize("grid", [True, False], ids=["on-grid", "off-grid"])
+    @pytest.mark.parametrize("n, r", [(100, 8), (400, 24), (400, 80), (1000, 32)])
+    def test_matches_materialized(self, n, r, grid):
+        rng = np.random.default_rng(n + r)
+        times = np.arange(n, dtype=float) if grid else np.sort(rng.uniform(0.0, 3.0 * n, n))
+        lags = rng.normal(size=(n, 20))
+        v, w = rng.normal(size=n), 0.3
+        rows = np.full((r, n), np.nan)
+        periodic = PeriodicKernel(0.8, 23.7)
+        k, d_scale, d_period = dense_periodic(periodic, times, times)
+        out = np.empty((n, 2))
+        gram = periodic.compact_block(times, None)
+        assert np.array_equal(periodic.block_contract(times, None, gram, v, w, out, rows), k @ v)
+        assert np.array_equal(out[:, 0], (w * d_scale) @ v)
+        assert np.array_equal(out[:, 1], (w * d_period) @ v)
+
+        ard = ArdKernel(rng.uniform(0.01, 0.1, 20))
+        gram = ard.block(None, lags)
+        out = np.empty((n, 20))
+        assert np.array_equal(ard.block_contract(None, lags, gram, v, w, out, rows), gram @ v)
+        want = np.column_stack([(w * d) @ v for d in ard.iter_block_derivs(None, lags)])
+        assert np.abs(out - want).max() <= 1e-10 * np.abs(want).max()
+
+
+# one BLAS thread, as the benchmark runs: blocks of _row_step rows (a multiple
+# of 8, and never a last block of one row) reproduce the whole gemv bit for bit
+ROW_BLOCK_GEMV = """
+import numpy as np
+from mkridge.kernels import _row_step
+
+rng = np.random.default_rng(0)
+broken = []
+for n in [*range(2, 300, 7), 337, 400, 673, 777, 1009, 1344, 1345]:
+    a, v = rng.normal(size=(n, n)), rng.normal(size=n)
+    for budget in (1 << 10, 1 << 12, 1 << 15, 1 << 17):
+        step = _row_step(n, n, budget)
+        assert step == n or (step % 8 == 0 and n % step != 1)
+        blocked = np.concatenate([a[lo : lo + step] @ v for lo in range(0, n, step)])
+        if blocked.tobytes() != (a @ v).tobytes():
+            broken.append((n, step))
+print(broken)
+"""
+
+
+class TestRowStep:
+    def test_blocks_hold_the_budget_in_multiples_of_8_rows(self):
+        assert _row_step(96, 96, 1 << 15) == 96  # one block: the whole matrix
+        assert _row_step(1344, 1344, 1 << 15) == 24
+        assert _row_step(400, 400, 1 << 15) == 80
+        assert _row_step(336, 1344, 1 << 17) == 96
+        assert _row_step(105, 1000, 8000) == 16  # 8 rows would leave one for the last block
+        assert _row_step(1, 10**6, 1 << 15) == 1
+
+    def test_blocked_gemv_keeps_the_whole_products_bits(self):
+        assert run_isolated(ROW_BLOCK_GEMV, OPENBLAS_NUM_THREADS="1") == "[]"
 
 
 def se_cross_derivs_per_query(kernel, xs, lags):

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import _flapack, cho_factor, cho_solve, get_lapack_funcs
 
 import mkridge.model
@@ -16,6 +16,7 @@ from mkridge.kernels import (
     SquaredExpKernel,
     TimedPoint,
     _BLOCK_VALUES,
+    _CACHE_VALUES,
     gram_derivative,
 )
 from mkridge.model import (
@@ -43,6 +44,23 @@ from helpers import (
 def on_grid(window, origin=0.0):
     """The same window on the unit time grid starting at ``origin``."""
     return Dataset(origin + np.arange(len(window), dtype=float), window.lags, window.targets)
+
+
+def split_instance(lag_kernel, grid, n=400, p=20, ill_conditioned=False):
+    """A periodic + ARD or periodic + SE model's hyperparameters and window of
+    ``n`` rows, on or off the unit time grid: at ``n = 400`` several row
+    blocks of fit's residual and the Jacobian's contractions. Ill-conditioned
+    (small scales, ridge 1e-9), fit refines theta with its residual."""
+    rng = np.random.default_rng(7)
+    times = np.arange(n, dtype=float) if grid else np.sort(rng.uniform(0.0, 3.0 * n, n))
+    window = Dataset(times, rng.normal(size=(n, p)), rng.normal(size=n))
+    scale, ridge = (1e-3, 1e-9) if ill_conditioned else (None, 0.3)
+    if lag_kernel == "ard":
+        other = ArdKernel(np.full(p, scale) if scale else rng.uniform(0.01, 0.1, p))
+    else:
+        other = SquaredExpKernel(scale or 0.05)
+    spec = CompositeKernel((PeriodicKernel(scale or 0.5, 24.0), other), np.array([0.5, 0.5]))
+    return HyperParams(spec, ridge), window
 
 
 def se_hypers(scale=1.0, ridge=1.0):
@@ -130,21 +148,35 @@ class TestFit:
         # the model mixes its stored component Grams and adds the ridge to the
         # diagonal in place; both give the bits of one composite Gram build
         # and the solve of gram + ridge * I
+        # (and beyond one row block, the factor made in place and the residual
+        # mixed a block at a time give the bits of the copy and the whole product)
         rng = np.random.default_rng(13)
+        cases = []
         for case in range(60):
             hypers, window = random_instance(rng, n_max=40, p_max=8)
             if case % 2:
                 window = on_grid(window, origin=float(rng.integers(-50, 50)))
+            cases.append((hypers, window))
+        cases += [
+            split_instance(lag_kernel, grid, p=3, ill_conditioned=True)
+            for lag_kernel in ("ard", "se")
+            for grid in (True, False)
+        ]
+        refined = 0
+        for hypers, window in cases:
             model = fit(hypers, window)
             gram = hypers.kernel.block(window.times, window.lags)
             assert np.array_equal(model.gram, gram)
             a = gram + hypers.ridge * np.eye(len(window))
             factor = cho_factor(a, lower=True)
+            assert np.array_equal(model.factor, factor[0])
             theta = cho_solve(factor, window.targets)
             residual = window.targets - a @ theta
             if np.linalg.norm(residual) > 1e-10 * max(1.0, np.linalg.norm(window.targets)):
                 theta = theta + cho_solve(factor, residual)
+                refined += len(window) == 400
             assert np.array_equal(model.theta, theta)
+        assert refined == 4
 
     def test_refinement_pass_on_ill_conditioned_system(self, monkeypatch):
         # nearly identical SE rows and a tiny ridge (condition number ~4e10):
@@ -272,8 +304,9 @@ class TestThetaJacobian:
 
 
 class TestJacobianMemory:
-    """theta_jacobian holds one n x n scratch array next to the model's Grams
-    and factor; everything else it allocates is O(n (p + d))."""
+    """theta_jacobian allocates no n x n array next to the model's Grams and
+    factor but SE's one scratch array: the periodic and ARD contractions take
+    one row block at a time. Everything else it allocates is O(n (p + d))."""
 
     @pytest.mark.parametrize("grid", [True, False], ids=["on-grid", "off-grid"])
     @pytest.mark.parametrize("lag_kernel", ["ard", "se"])
@@ -294,29 +327,23 @@ class TestJacobianMemory:
         finally:
             tracemalloc.stop()
         assert jac.shape == (n, d)
-        # one n x n float64 array plus at most 8 n (p + d) values
-        assert peak <= 8 * (n * n + 8 * n * (p + d)), peak / (8 * n * n)
-
-
-def memory_instance(lag_kernel, grid, n=400, p=20):
-    """A periodic + ARD or periodic + SE model of ``n`` rows, and its window."""
-    rng = np.random.default_rng(7)
-    times = np.arange(n, dtype=float) if grid else np.sort(rng.uniform(0.0, 3.0 * n, n))
-    window = Dataset(times, rng.normal(size=(n, p)), rng.normal(size=n))
-    other = ArdKernel(rng.uniform(0.01, 0.1, p)) if lag_kernel == "ard" else SquaredExpKernel(0.05)
-    spec = CompositeKernel((PeriodicKernel(0.5, 24.0), other), np.array([0.5, 0.5]))
-    return HyperParams(spec, 0.3), window
+        # float64 values: one row block with ARD, one n x n array with SE,
+        # plus at most 8 n (p + d)
+        held = _CACHE_VALUES if lag_kernel == "ard" else n * n
+        assert peak <= 8 * (held + 8 * n * (p + d)), peak / (8 * n * n)
 
 
 class TestFitMemory:
     """On the time grid fit keeps the periodic Gram as its Toeplitz view and
-    mixes the kernel system in one buffer: it peaks at the lag Gram, the
-    system and the factor, and the model keeps the lag Gram and the factor."""
+    mixes the kernel system in one buffer, which it factors in place beyond
+    one row block: it peaks at the lag Gram and the system, which becomes the
+    factor, plus the residual's row block, and the model keeps the lag Gram
+    and the factor."""
 
     @pytest.mark.parametrize("lag_kernel", ["ard", "se"])
-    def test_peak_is_three_grams(self, lag_kernel):
-        n, p = 400, 20
-        hypers, window = memory_instance(lag_kernel, grid=True, n=n, p=p)
+    def test_peak_is_two_grams(self, lag_kernel):
+        n, p = 400, 5
+        hypers, window = split_instance(lag_kernel, grid=True, n=n, p=p)
         d = hypers.dim
         tracemalloc.start()
         try:
@@ -326,8 +353,9 @@ class TestFitMemory:
         finally:
             tracemalloc.stop()
         assert model.n == n
-        # float64 values: three (peak) and two (held) n x n arrays plus 8 n (p + d)
-        assert peak <= 8 * (3 * n * n + 8 * n * (p + d)), peak / (8 * n * n)
+        # float64 values: two n x n arrays plus 8 n (p + d), and at the peak
+        # the residual's row block and the temporary its mix adds in
+        assert peak <= 8 * (2 * n * n + 8 * n * (p + d) + 2 * _CACHE_VALUES), peak / (8 * n * n)
         assert held <= 8 * (2 * n * n + 8 * n * (p + d)), held / (8 * n * n)
 
 
@@ -338,7 +366,7 @@ class TestGradientMemory:
     @pytest.mark.parametrize("lag_kernel", ["ard", "se"])
     def test_peak_is_the_cross_matrix_and_a_few_blocks(self, lag_kernel):
         n, p, m = 400, 20, 336
-        hypers, window = memory_instance(lag_kernel, grid=True, n=n, p=p)
+        hypers, window = split_instance(lag_kernel, grid=True, n=n, p=p)
         model = fit(hypers, window)
         jac = theta_jacobian(model)
         rng = np.random.default_rng(8)
@@ -353,6 +381,30 @@ class TestGradientMemory:
         assert grads.shape == (m, hypers.dim)
         # the (m, n) cross matrix plus four blocks' worth of float64 values
         assert peak <= 8 * (m * n + 4 * _BLOCK_VALUES), peak / 1e6
+
+
+class TestPredictMemory:
+    """predict_batch evaluates its queries in blocks of at most _BLOCK_VALUES
+    cross values."""
+
+    @pytest.mark.parametrize("lag_kernel", ["ard", "se"])
+    def test_peak_is_a_few_query_blocks(self, lag_kernel):
+        n, p, m = 400, 20, 2000
+        hypers, window = split_instance(lag_kernel, grid=True, n=n, p=p)
+        model = fit(hypers, window)
+        rng = np.random.default_rng(9)
+        queries = Dataset(n + np.arange(m, dtype=float), rng.normal(size=(m, p)), rng.normal(size=m))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            yhat = predict_batch(model, queries)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert yhat.shape == (m,)
+        # each component's block, their mix and its temporary, not three (m, n)
+        # matrices: four blocks' worth of float64 values, plus 8 m
+        assert peak <= 8 * (4 * _BLOCK_VALUES + 8 * m), peak / 1e6
 
 
 def materialized_column(model, window, which):
@@ -408,10 +460,14 @@ class TestContractedJacobian:
 
     def test_other_columns_match_materialized_bitwise(self):
         # periodic, SE and weight columns are matrix-vector products of the
-        # same matrices the materialized path builds
+        # same matrices the materialized path builds, also a row block at a time
         rng = np.random.default_rng(11)
-        for case in ("random", "random_offset") * 25:
-            model, window = contracted_instance(rng, case)
+        cases = [contracted_instance(rng, case) for case in ("random", "random_offset") * 25]
+        for lag_kernel in ("ard", "se"):
+            for grid in (True, False):
+                hypers, window = split_instance(lag_kernel, grid)
+                cases.append((fit(hypers, window), window))
+        for model, window in cases:
             jac = theta_jacobian(model)
             for i, owner in enumerate(scalar_owners(model.hypers.kernel)):
                 if not isinstance(owner, ArdKernel):
@@ -639,6 +695,9 @@ class TestFusedPass:
 
     @settings(max_examples=100, deadline=None)
     @given(model=jacobian_model(), m=st.integers(1, 40), grid=st.booleans())
+    # several query blocks of a model of several row blocks
+    @example(model=fit(*split_instance("ard", grid=True)), m=400, grid=True)
+    @example(model=fit(*split_instance("se", grid=False)), m=400, grid=False)
     def test_equals_predict_batch_and_gradient_view_bitwise(self, model, m, grid):
         rng = np.random.default_rng(m)
         queries = random_window(rng, m, model.lags.shape[1])
