@@ -127,11 +127,11 @@ def _row_step(rows: int, cols: int, budget: int) -> int:
     values, else a multiple of 8 rows holding at most ``budget`` values (at
     least 8), grown by 8 while it would leave one row for the last block.
 
-    Every block's product then has the bits of the whole matrix's. OpenBLAS's
-    single-thread gemv takes a C-ordered matrix's rows in groups of 8, so
-    blocks that start on a multiple of 8 rows group them as the whole product
-    does; numpy computes a product of one row as a dot product, which rounds
-    differently.
+    Every block's product then has the bits of the whole matrix's on one BLAS
+    thread. OpenBLAS's single-thread gemv takes a C-ordered matrix's rows in
+    groups of 8, so blocks that start on a multiple of 8 rows group them as
+    the whole product does; numpy computes a product of one row as a dot
+    product, which rounds differently.
     """
     if rows * cols <= budget or rows == 1:
         return rows
