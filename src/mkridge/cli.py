@@ -196,6 +196,9 @@ _integer, _natural = _at_least(1), _at_least(0)
 _number = _checked(lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number",
                    float)
 _string = _checked(lambda v: isinstance(v, str), "a string")
+# only horizon 1 runs until the rolling protocol is causal at longer horizons
+_horizon = _checked(lambda v: v == 1 and type(v) is int,
+                    "1 (a longer horizon would train on targets after the forecast origin)")
 # a NUL character fails every file system call with a ValueError, not an OSError
 _path = _checked(lambda v: isinstance(v, str) and "\0" not in v, "a string without NUL characters")
 _object = _checked(lambda v: isinstance(v, dict), "a JSON object")
@@ -270,7 +273,7 @@ def _parse_keys(section, keys: dict, name: str, flags=None, known=()) -> dict:
 _RUN_KEYS = {
     "data": _Key(_optional(_object), default=None),
     "lag_order": _Key(_integer, default=20),
-    "horizon": _Key(_integer, default=1, flag=dict(type=int, help="forecast horizon in steps")),
+    "horizon": _Key(_horizon, default=1, flag=dict(type=int, help="forecast horizon in steps")),
     "seed": _Key(_natural, default=0, flag=dict(type=int, help="random seed")),
     "predict_steps": _Key(_optional(_integer), default=None),
     "schedule": _Key(_as_is, default={}),

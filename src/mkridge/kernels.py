@@ -21,10 +21,11 @@ All scalar kernel hyperparameters are addressable through one flat index
 layout has one home, :attr:`CompositeKernel.slices`; each component's
 ``param_kinds`` states its parameters' count and kinds.
 Every base kernel has four evaluators, and the composite mixes the same
-four:
+four. All but the oracle take a :class:`WindowPlan` of the window, which
+keeps what the evaluators derive from it, and the queries' as a plan too:
 
 * ``block(times, lags)``: the Gram matrix of a window;
-* ``block_contract(times, lags, gram, v, ..., rows)``: every Gram
+* ``block_contract(plan, gram, v, ..., rows)``: every Gram
   derivative applied to a vector, ``(dA/d lam_i) v``, from the Gram
   ``block`` already built for the same window. The composite lends every
   component a buffer of :func:`_row_step` rows: the periodic kernel writes
@@ -37,7 +38,7 @@ four:
 * ``iter_block_derivs(times, lags)``: the Gram derivatives themselves, in
   flat order; the materialized path, kept as the one oracle of the
   derivative code and the finite-difference tests;
-* ``cross_many(ts, xs, times, lags)``: cross values of a block of queries.
+* ``cross_many(plan, queries)``: cross values of a block of queries.
 
 The query side of the hyper-gradient is
 :meth:`CompositeKernel.cross_contract`: cross values and every cross
@@ -48,9 +49,10 @@ values with their derivatives), its ARD part from
 which builds no ``(queries, n, p)`` tensor.
 
 Its queries go in blocks whose ``(queries, rows, n)`` tensor holds at most
-``_BLOCK_VALUES`` values; the window side of the ARD part (the lag moments
-and :meth:`ArdKernel.window_terms`) is computed once per call, not once per
-block. ``CompositeKernel.cross`` and :func:`cross_vector`
+``_BLOCK_VALUES`` values. The ARD window side (the lag mean,
+:meth:`ArdKernel.window_terms`, the lag moments of the vector applied) is
+computed once per plan, however many blocks and calls read it.
+``CompositeKernel.cross`` and :func:`cross_vector`
 compute the values of a one-row ``cross_contract`` with its bits, and no
 derivative; :func:`gram_derivative` picks one item of
 ``iter_block_derivs``. ``CompositeKernel.cross_derivs_all``, the oracle of
@@ -71,11 +73,11 @@ Every periodic matrix but the oracle's is filled by :func:`_eval_dt`. On a
 uniform integer time grid (a synthetic stream, a binned CSV) the matrix is
 Toeplitz, and ``sin`` and ``exp`` run on the distinct differences only;
 off the grid it is filled a chunk of rows at a time. Each evaluator call
-decides once which of the two applies, unless its caller passes the
-decision as ``grid``: the model functions pass True for windows cut from a
-stream that :func:`grid_step` found on one grid (``Dataset.grid_step``,
-decided once per stream). The derivatives read their ``k`` factor from the
-values already built. Every path gives the bits of the dense evaluation.
+asks the window's plan once which applies (:meth:`WindowPlan.on_grid`),
+which knows it without a test for windows and queries cut from a stream
+that :func:`grid_step` found on one grid (``Dataset.grid_step``). The
+derivatives read their ``k`` factor from the values already built. Every
+path gives the bits of the dense evaluation.
 
 ``CompositeKernel.component_blocks``, the Grams a fitted model keeps, holds
 a periodic Gram on the grid as :meth:`PeriodicKernel.compact_block`'s
@@ -113,6 +115,7 @@ __all__ = [
     "gram_derivative",
     "grid_step",
     "window_arrays",
+    "WindowPlan",
 ]
 
 SIMPLEX_TOL = 1e-12
@@ -186,6 +189,68 @@ def window_arrays(window) -> tuple[np.ndarray, np.ndarray]:
     if lags.shape[0] != times.shape[0]:
         raise ValueError("times and lag rows must have equal length")
     return times, lags
+
+
+@dataclass(frozen=True, eq=False)
+class WindowPlan:
+    """A window's ``times``, ``lags`` and stream grid step (``Dataset.grid_step``,
+    or None), and what the evaluators derive from them, computed at the first
+    read and kept: the grid decision, the lag mean, each ARD component's
+    window terms and the lag moments of the vector contracted. ``fit`` builds
+    one per model (``TrainedModel.plan``); a block of queries is a plan too."""
+
+    times: np.ndarray
+    lags: np.ndarray
+    grid_step: float | None = None
+
+    @classmethod
+    def of(cls, window) -> "WindowPlan":
+        """The plan of anything :func:`window_arrays` accepts."""
+        return cls(*window_arrays(window), getattr(window, "grid_step", None))
+
+    def rows(self, lo: int, hi: int) -> "WindowPlan":
+        """The plan of rows ``lo:hi``, itself if that is every row."""
+        if lo == 0 and hi >= len(self.times):
+            return self
+        return WindowPlan(self.times[lo:hi], self.lags[lo:hi], self.grid_step)
+
+    @cached_property
+    def grid(self) -> bool:
+        """True if the times lie on one integer time grid: known from the
+        stream's grid step, else :func:`_on_one_grid` of the times."""
+        return self.grid_step is not None or _on_one_grid(self.times, self.times)
+
+    def on_grid(self, queries: "WindowPlan") -> bool:
+        """True if ``queries`` and the window lie on one integer time grid:
+        known for slices of streams of one grid step, else :func:`_on_one_grid`."""
+        if queries is self:
+            return self.grid
+        if queries.grid_step is not None and queries.grid_step == self.grid_step:
+            return True
+        return _on_one_grid(queries.times, self.times)
+
+    @cached_property
+    def mean(self) -> np.ndarray:
+        return self.lags.mean(axis=0)
+
+    @cached_property
+    def _kept(self) -> dict:
+        return {}  # ARD window terms by component, and "moments": the last (v, moments)
+
+    def window_terms(self, kernel: "ArdKernel") -> np.ndarray:
+        """``kernel.window_terms(lags, mean)``, computed once per component."""
+        if kernel not in self._kept:
+            self._kept[kernel] = kernel.window_terms(self.lags, self.mean)
+        return self._kept[kernel]
+
+    def moments(self, v: np.ndarray) -> np.ndarray:
+        """:func:`_lag_moments` with ``v``, the window side of every ARD
+        contraction with ``v``; kept for the last ``v``, since a model's plan
+        is asked for its read-only ``theta``'s only."""
+        kept = self._kept.get("moments")
+        if kept is None or kept[0] is not v:
+            kept = self._kept["moments"] = (v, _lag_moments(self.lags, self.mean, v))
+        return kept[1]
 
 
 @cache
@@ -270,19 +335,13 @@ def grid_step(times: np.ndarray) -> float | None:
     return float(times[1] - times[0])
 
 
-def _decide(grid: bool | None, ts: np.ndarray, times: np.ndarray) -> bool:
-    """``grid`` where the caller knows it (a stream's :func:`grid_step`),
-    else :func:`_on_one_grid` of ``(ts, times)``."""
-    return _on_one_grid(ts, times) if grid is None else grid
-
-
 def _eval_dt(f, ts: np.ndarray, times: np.ndarray, grid: bool, out=None, k=None) -> np.ndarray:
     """Fills ``out`` with ``f(|ts[:, None] - times[None, :]|, kv)`` and returns it.
 
     ``f`` is elementwise in the differences it receives and in ``kv``, the
     entries of ``k`` (a matrix of the same shape, already built) at the same
-    places, or None if ``k`` is not given. ``grid`` is :func:`_on_one_grid`
-    of ``(ts, times)``, which the caller decides once for every fill of one
+    places, or None if ``k`` is not given. ``grid`` is the window plan's
+    answer (:meth:`WindowPlan.on_grid`), asked once for every fill of one
     evaluation. On the grid ``f`` runs once, on the first column and first
     row (the ``len(ts) + len(times) - 1`` distinct differences), and the
     Toeplitz matrix is gathered from its values; without ``out`` it is
@@ -345,20 +404,21 @@ class PeriodicKernel:
         return np.exp(-self.scale * np.sin(np.pi * dt / self.period) ** 2)
 
     def block(self, times, lags) -> np.ndarray:
-        return self.cross_many(times, lags, times, lags)
+        plan = WindowPlan(times, lags)
+        return self.cross_many(plan, plan)
 
-    def compact_block(self, times, lags, grid=None) -> np.ndarray:
+    def compact_block(self, plan: WindowPlan) -> np.ndarray:
         """The Gram :meth:`block` returns, with its bits, but on the time grid
         a read-only strided view of its ``2n - 1`` distinct values: O(n)
         memory instead of ``n x n``. Off the grid it is ``block``'s array."""
-        return self._fill(times, times, _decide(grid, times, times))
+        return _eval_dt(self._values, plan.times, plan.times, plan.grid)
 
-    def cross_many(self, ts, xs, times, lags, grid=None) -> np.ndarray:
-        out = np.empty((len(ts), len(times)))
-        return self._fill(ts, times, _decide(grid, ts, times), out)
+    def cross_many(self, plan: WindowPlan, queries: WindowPlan) -> np.ndarray:
+        out = np.empty((len(queries.times), len(plan.times)))
+        return _eval_dt(self._values, queries.times, plan.times, plan.on_grid(queries), out)
 
-    def _fill(self, ts, times, grid, out=None) -> np.ndarray:
-        return _eval_dt(lambda dt, kv: self.from_dt(dt), ts, times, grid, out)
+    def _values(self, dt, kv):
+        return self.from_dt(dt)
 
     def _value_and_derivs(self, dt):
         """Kernel values at ``dt`` and their scale and period derivatives: the
@@ -381,7 +441,7 @@ class PeriodicKernel:
         yield d_scale
         yield d_period
 
-    def block_contract(self, times, lags, gram, v, w, out, rows, grid=None) -> np.ndarray:
+    def block_contract(self, plan: WindowPlan, gram, v, w, out, rows) -> np.ndarray:
         """Fills ``out[:, j]`` with ``(w * dB/d p_j) @ v`` and returns ``B @ v``,
         given ``gram``, :meth:`block` or :meth:`compact_block` of the window.
 
@@ -395,7 +455,7 @@ class PeriodicKernel:
         every element has the bits of ``w *`` the matrix
         :meth:`iter_block_derivs` yields.
         """
-        grid = _decide(grid, times, times)
+        times, grid = plan.times, plan.grid
         derivs = [lambda dt, kv, j=j: w * self._deriv(j, dt, kv) for j in range(2)]
         if grid:
             derivs = [_eval_dt(f, times, times, True, k=gram) for f in derivs]
@@ -414,13 +474,13 @@ class PeriodicKernel:
                 out[r, j] = block @ v
         return bv
 
-    def cross_derivs_many(self, ts, xs, times, lags, out, w=1.0, grid=None) -> np.ndarray:
+    def cross_derivs_many(self, plan: WindowPlan, queries: WindowPlan, out, w=1.0) -> np.ndarray:
         """Cross matrix of many queries; fills ``out[:, j]`` with ``w *`` its
         derivative w.r.t. parameter ``j``, reading ``k`` from the cross
         matrix. On the grid ``w`` multiplies the distinct values before the
         gather, as in :meth:`block_contract`."""
-        grid = _decide(grid, ts, times)
-        k = self._fill(ts, times, grid, np.empty((len(ts), len(times))))
+        ts, times, grid = queries.times, plan.times, plan.on_grid(queries)
+        k = _eval_dt(self._values, ts, times, grid, np.empty((len(ts), len(times))))
         for j in range(2):
             _eval_dt(lambda dt, kv: w * self._deriv(j, dt, kv), ts, times, grid, out[:, j], k)
         return k
@@ -449,8 +509,8 @@ class SquaredExpKernel:
     def block(self, times, lags) -> np.ndarray:
         return self._from_sq_dists(_sq_dists(lags))
 
-    def cross_many(self, ts, xs, times, lags) -> np.ndarray:
-        return self._from_sq_dists(_sq_dists(xs, lags))
+    def cross_many(self, plan: WindowPlan, queries: WindowPlan) -> np.ndarray:
+        return self._from_sq_dists(_sq_dists(queries.lags, plan.lags))
 
     def _from_sq_dists(self, d2) -> np.ndarray:
         """``exp(-scale * d2)``, computed in ``d2``'s own array: no second
@@ -462,27 +522,27 @@ class SquaredExpKernel:
         d2 = _sq_dists(lags)
         yield -d2 * np.exp(-self.scale * d2)
 
-    def block_contract(self, times, lags, gram, v, w, out, scratch) -> np.ndarray:
+    def block_contract(self, plan: WindowPlan, gram, v, w, out, scratch) -> np.ndarray:
         """Fills ``out[:, 0]`` with ``(w * dB/d scale) @ v`` and returns ``B @ v``,
-        given ``gram = block(times, lags)``.
+        given ``gram = block(plan.times, plan.lags)``.
 
         ``w * dB/d scale = w * (-d2 * B)`` is built in place in ``scratch``,
         an ``(n, n)`` array the caller owns, from the squared distances
         :func:`_sq_dists` mirrors there, with the bits :meth:`block` uses.
         """
-        d = _sq_dists(lags, out=scratch)
+        d = _sq_dists(plan.lags, out=scratch)
         np.negative(d, out=d)
         np.multiply(d, gram, out=d)
         np.multiply(w, d, out=d)
         out[:, 0] = d @ v
         return gram @ v
 
-    def cross_derivs_many(self, ts, xs, times, lags, out=None, w=1.0) -> np.ndarray:
+    def cross_derivs_many(self, plan: WindowPlan, queries: WindowPlan, out=None, w=1.0) -> np.ndarray:
         """Cross matrix of many queries from :func:`_query_sq_dists` (the
         hyper-gradient's values, which can differ in the last digit from
         :meth:`cross_many`'s ``cdist``); fills ``out[:, 0]``, if given, with
         ``w *`` its scale derivative."""
-        d2 = _query_sq_dists(xs, lags)
+        d2 = _query_sq_dists(queries.lags, plan.lags)
         k = np.exp(-self.scale * d2)
         if out is not None:
             d = np.multiply(-d2, k, out=out[:, 0])
@@ -565,9 +625,8 @@ class ArdKernel:
             np.exp(rows, out=rows)
         return out
 
-    def cross_many(self, ts, xs, times, lags) -> np.ndarray:
-        mean = lags.mean(axis=0)
-        return self._cross(xs, mean, self.window_terms(lags, mean))
+    def cross_many(self, plan: WindowPlan, queries: WindowPlan) -> np.ndarray:
+        return self._cross(queries.lags, plan.mean, plan.window_terms(self))
 
     def window_terms(self, lags, mean) -> np.ndarray:
         """The window side of the cross values, shape ``(p + 2, n)``: column
@@ -610,10 +669,10 @@ class ArdKernel:
             d = col[:, None] - col[None, :]
             yield -(d * d) * base
 
-    def block_contract(self, times, lags, gram, v, w, out, rows, moments=None) -> np.ndarray:
+    def block_contract(self, plan: WindowPlan, gram, v, w, out, rows) -> np.ndarray:
         """Fills ``out[:, j]`` with ``(w * dB/d s_j) @ v`` and returns ``B @ v``,
-        given ``gram = block(times, lags)``. ``moments``, if given, is a
-        function that returns the window's ``_lag_moments(lags, v)``.
+        given ``gram = block(plan.times, plan.lags)``, from the window's lag
+        moments with ``v`` (:meth:`WindowPlan.moments`).
 
         ``dB/d s_j = -(x_j - x_j')^2 * B`` expands to
         ``-(X_j^2 * (B v) - 2 X_j * (B (v * X_j)) + B (v * X_j^2))``, so every
@@ -628,23 +687,21 @@ class ArdKernel:
         product's bits at some shapes only (at n = 1344, p = 20 they do).
         """
         bv = gram @ v
-        mean, products = _lag_moments(lags, v) if moments is None else moments()
-        n, step = len(lags), len(rows)
+        products = plan.moments(v)
+        n, step = len(plan.lags), len(rows)
         kx = np.empty(products.shape)
         for lo in range(0, n, step):
             block = rows[: min(step, n - lo)]
             block[...] = gram[lo : lo + step]
             np.fill_diagonal(block[:, lo:], 0.0)
             np.matmul(block, products, out=kx[lo : lo + step])
-        _expand_contraction(lags - mean, kx, w, out)
+        _expand_contraction(plan.lags - plan.mean, kx, w, out)
         return bv
 
-    def cross_contract(self, xs, mean, terms, moments, w, out) -> np.ndarray:
+    def cross_contract(self, plan: WindowPlan, queries: WindowPlan, v, w, out) -> np.ndarray:
         """Fills ``out[q, j]`` with ``(w * dk_q/d s_j) @ v`` and returns the
-        cross matrix ``k`` of :meth:`cross_many`, given the window's
-        ``mean, moments = _lag_moments(lags, v)`` and its
-        ``terms = window_terms(lags, mean)``, which the caller computes once
-        for every block of queries.
+        cross matrix ``k`` of :meth:`cross_many`, from the window side the
+        plan keeps for every block of queries (:meth:`WindowPlan.moments`).
 
         The query-side twin of :meth:`block_contract`: with query and window
         lags centred by the window's lag mean, ``dk_q/d s_j`` applied to
@@ -653,17 +710,16 @@ class ArdKernel:
         not depend on the other queries of the block; one ``(m, n)`` product
         would round differently for different blocks.
         """
-        k = self._cross(xs, mean, terms)
-        _expand_contraction(xs - mean, (k[:, None, :] @ moments)[:, 0], w, out)
+        k = self.cross_many(plan, queries)
+        _expand_contraction(queries.lags - plan.mean, (k[:, None, :] @ plan.moments(v))[:, 0], w, out)
         return k
 
 
-def _lag_moments(lags: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The lags' column means and ``v[:, None] * [1, X, X^2]`` of the centred
-    lags ``X``, shape ``(n, 2p + 1)``."""
-    mean = lags.mean(axis=0)
+def _lag_moments(lags: np.ndarray, mean: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``v[:, None] * [1, X, X^2]`` of the lags ``X`` centred by ``mean``,
+    shape ``(n, 2p + 1)``."""
     x = lags - mean
-    return mean, v[:, None] * np.hstack([np.ones((len(v), 1)), x, x * x])
+    return v[:, None] * np.hstack([np.ones((len(v), 1)), x, x * x])
 
 
 def _expand_contraction(xq: np.ndarray, kx: np.ndarray, w: float, out: np.ndarray) -> None:
@@ -675,19 +731,6 @@ def _expand_contraction(xq: np.ndarray, kx: np.ndarray, w: float, out: np.ndarra
 
 
 KernelComponent = Union[PeriodicKernel, SquaredExpKernel, ArdKernel]
-
-
-def _facts(c: KernelComponent, grid: bool | None, moments=None) -> dict:
-    """The keywords that pass what a caller knows of a window to component
-    ``c``'s evaluators: a periodic kernel takes ``grid`` (True if the window
-    and the queries lie on one stream's grid, :func:`grid_step`; None to test
-    their times), ARD's ``block_contract`` a function ``moments`` that
-    returns the window's :func:`_lag_moments`, if the caller keeps them."""
-    if isinstance(c, PeriodicKernel):
-        return {"grid": grid}
-    if isinstance(c, ArdKernel) and moments is not None:
-        return {"moments": moments}
-    return {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -772,30 +815,28 @@ class CompositeKernel:
                 out[lo : lo + step] += w * b[lo : lo + step]
         return out
 
-    def component_blocks(self, times, lags, grid=None) -> list[np.ndarray]:
+    def component_blocks(self, plan: WindowPlan) -> list[np.ndarray]:
         """The component Grams of a window. A periodic one is
         :meth:`PeriodicKernel.compact_block`, on the time grid a read-only
         view of O(n) values; every other is a new C-ordered array."""
         return [
-            c.compact_block(times, lags, grid)
+            c.compact_block(plan)
             if isinstance(c, PeriodicKernel)
-            else c.block(times, lags)
+            else c.block(plan.times, plan.lags)
             for c in self.components
         ]
 
     def block(self, times, lags) -> np.ndarray:
-        return self.mix(self.component_blocks(times, lags))
+        return self.mix(self.component_blocks(WindowPlan(times, lags)))
 
-    def cross_many(self, ts, xs, times, lags, grid=None) -> np.ndarray:
+    def cross_many(self, plan: WindowPlan, queries: WindowPlan) -> np.ndarray:
         # The batch predictor. The gradient, OHL's predictions and cross()
         # take their values from the cross_contract path instead: the periodic
         # and ARD values are the same (cross_many's), but the SE values there
         # come from the einsum distances of cross_derivs_many, and OHL's
         # updates can amplify a last-digit change until it shows in the
         # forecasts. So OHL's predictions come from here when SE is present.
-        return self.mix(
-            [c.cross_many(ts, xs, times, lags, **_facts(c, grid)) for c in self.components]
-        )
+        return self.mix([c.cross_many(plan, queries) for c in self.components])
 
     # -- derivatives ------------------------------------------------------
 
@@ -807,18 +848,16 @@ class CompositeKernel:
         for c in self.components:
             yield c.block(times, lags)
 
-    def block_contract(self, times, lags, blocks, v, grid=None, moments=None) -> np.ndarray:
-        """Every Gram derivative applied to ``v``, shape ``(len(times), n_scalars)``.
+    def block_contract(self, plan: WindowPlan, blocks, v) -> np.ndarray:
+        """Every Gram derivative applied to ``v``, shape ``(len(plan.times), n_scalars)``.
 
         ``blocks`` are the component Grams of the window,
-        ``component_blocks(times, lags)``; no Gram is built here. ``grid`` and
-        ``moments`` pass what the caller knows of the window to the
-        components (:func:`_facts`). Column ``i`` is ``(dA/d lam_i) v`` in
-        flat scalar order. The periodic and SE columns are the matrix-vector
-        products of the matrices :meth:`iter_block_derivs` yields, and each
-        weight column is ``block @ v``, so all of these are bit-identical to
-        the materialized path; only the ARD columns are contracted
-        differently.
+        ``component_blocks(plan)``; no Gram is built here. Column ``i`` is
+        ``(dA/d lam_i) v`` in flat scalar order. The periodic and SE columns
+        are the matrix-vector products of the matrices
+        :meth:`iter_block_derivs` yields, and each weight column is
+        ``block @ v``, so all of these are bit-identical to the materialized
+        path; only the ARD columns are contracted differently.
 
         One buffer of :func:`_row_step` rows (about ``_CACHE_VALUES`` values)
         is lent to the periodic and ARD components in turn, which contract
@@ -828,7 +867,7 @@ class CompositeKernel:
         product sees the rows a fresh C-ordered array would hold, so the bits
         do not depend on the buffer.
         """
-        n = len(times)
+        n = len(plan.times)
         out = np.empty((n, self.n_scalars))
         step = _row_step(n, n, _CACHE_VALUES)
         se = any(isinstance(c, SquaredExpKernel) for c in self.components)
@@ -836,52 +875,30 @@ class CompositeKernel:
         *parts, weights = self.slices
         weight_cols = out[:, weights]
         for i, (w, c, b, s) in enumerate(zip(self.weights, self.components, blocks, parts)):
-            facts = _facts(c, grid, moments)
             rows = scratch if isinstance(c, SquaredExpKernel) else scratch[:step]
-            weight_cols[:, i] = c.block_contract(times, lags, b, v, w, out[:, s], rows, **facts)
+            weight_cols[:, i] = c.block_contract(plan, b, v, w, out[:, s], rows)
         return out
 
-    def cross_contract(
-        self, ts, xs, times, lags, v, grid=None, moments=None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def cross_contract(self, plan: WindowPlan, queries: WindowPlan, v) -> tuple[np.ndarray, np.ndarray]:
         """Cross vectors of many queries, and ``dkv[q, i] = (dk_q/d lam_i) @ v``.
 
         The ARD columns come from :meth:`ArdKernel.cross_contract`, without
-        the ``(queries, n, p)`` tensor; the window's lag moments
-        (:meth:`lag_moments`, or the caller's function ``moments`` that
-        returns them) and each ARD component's :meth:`ArdKernel.window_terms`
-        are computed once here for every block of queries. ``grid`` goes to
-        the periodic components (:func:`_facts`). Every other column (the
-        periodic and SE derivatives of ``cross_derivs_many``, then the
-        component cross values)
-        is one row of a ``(queries, rows, n)`` tensor, applied to ``v`` as
-        stacked one-query products, so row ``q`` does not depend on the other
+        the ``(queries, n, p)`` tensor, from the window side the plan keeps.
+        Every other column (the periodic and SE derivatives of
+        ``cross_derivs_many``, then the component cross values) is one row of
+        a ``(queries, rows, n)`` tensor, applied to ``v`` as stacked
+        one-query products, so row ``q`` does not depend on the other
         queries. The queries go in blocks whose tensor holds at most
         ``_BLOCK_VALUES`` values, which for the same reason changes no bits.
         """
-        lag_moments = self.lag_moments(lags, v) if moments is None else moments()
-        ard = {}
-        if lag_moments is not None:
-            mean, products = lag_moments
-            ard = {
-                i: (mean, c.window_terms(lags, mean), products)
-                for i, c in enumerate(self.components)
-                if isinstance(c, ArdKernel)
-            }
-        k = np.empty((len(ts), len(times)))
-        dkv = np.empty((len(ts), self.n_scalars))
-        step = max(1, _BLOCK_VALUES // (len(self._tensor_columns) * len(times)))
-        for lo in range(0, len(ts), step):
+        m, n = len(queries.times), len(plan.times)
+        k = np.empty((m, n))
+        dkv = np.empty((m, self.n_scalars))
+        step = max(1, _BLOCK_VALUES // (len(self._tensor_columns) * n))
+        for lo in range(0, m, step):
             q = slice(lo, lo + step)
-            self._contract_block(ts[q], xs[q], times, lags, v, ard, grid, k[q], dkv[q])
+            self._contract_block(plan, queries.rows(lo, lo + step), v, k[q], dkv[q])
         return k, dkv
-
-    def lag_moments(self, lags, v) -> tuple[np.ndarray, np.ndarray] | None:
-        """``_lag_moments(lags, v)``, the window side of every ARD contraction
-        with ``v``, or None if no component is ARD."""
-        if any(isinstance(c, ArdKernel) for c in self.components):
-            return _lag_moments(lags, v)
-        return None
 
     @cached_property
     def _tensor_columns(self) -> list[int]:
@@ -892,36 +909,34 @@ class CompositeKernel:
         kept = [s for c, s in zip(self.components, parts) if not isinstance(c, ArdKernel)]
         return [j for s in (*kept, weights) for j in range(s.start, s.stop)]
 
-    def _contract_block(self, ts, xs, times, lags, v, ard, grid, k, dkv) -> None:
-        """:meth:`cross_contract` of one block of queries, into ``k`` and
-        ``dkv``; ``ard`` maps each ARD component's index to its window-side
-        arguments of :meth:`ArdKernel.cross_contract`."""
+    def _contract_block(self, plan, queries, v, k, dkv) -> None:
+        """:meth:`cross_contract` of one block of queries, into ``k`` and ``dkv``."""
         columns = self._tensor_columns
-        dk = np.empty((len(ts), len(columns), len(times)))
+        dk = np.empty((len(queries.times), len(columns), len(plan.times)))
         ks = []
-        for i, (w, c, s) in enumerate(zip(self.weights, self.components, self.slices)):
-            if i in ard:
-                ks.append(c.cross_contract(xs, *ard[i], w, dkv[:, s]))
+        for w, c, s in zip(self.weights, self.components, self.slices):
+            if isinstance(c, ArdKernel):
+                ks.append(c.cross_contract(plan, queries, v, w, dkv[:, s]))
             else:
                 row = columns.index(s.start)
                 block = dk[:, row : row + s.stop - s.start]
-                ks.append(c.cross_derivs_many(ts, xs, times, lags, block, w, **_facts(c, grid)))
+                ks.append(c.cross_derivs_many(plan, queries, block, w))
         row = len(columns) - len(ks)  # the weights' rows come last
         for i, ki in enumerate(ks):
             dk[:, row + i] = ki
         dkv[:, columns] = dk @ v
         self.mix(ks, out=k)
 
-    def cross(self, t, x, times, lags) -> np.ndarray:
-        """Cross vector of one query, shape ``(len(times),)``, with the bits of
-        a one-row :meth:`cross_contract`'s values (the hyper-gradient's path),
-        from the components' values alone: SE's from its einsum distances."""
-        ts = np.array([t], dtype=float)
-        xs = np.asarray(x, dtype=float)[None, :]
+    def cross(self, plan: WindowPlan, t, x) -> np.ndarray:
+        """Cross vector of one query, shape ``(len(plan.times),)``, with the
+        bits of a one-row :meth:`cross_contract`'s values (the
+        hyper-gradient's path), from the components' values alone: SE's from
+        its einsum distances."""
+        query = WindowPlan(np.array([t], dtype=float), np.asarray(x, dtype=float)[None, :])
         ks = [
-            c.cross_derivs_many(ts, xs, times, lags)
+            c.cross_derivs_many(plan, query)
             if isinstance(c, SquaredExpKernel)
-            else c.cross_many(ts, xs, times, lags)
+            else c.cross_many(plan, query)
             for c in self.components
         ]
         return self.mix(ks)[0]
@@ -980,24 +995,22 @@ def gram(spec: CompositeKernel, window) -> np.ndarray:
 
 def cross_vector(spec: CompositeKernel, query: TimedPoint, window) -> np.ndarray:
     """Composite kernel values between one query point and every window point."""
-    times, lags = window_arrays(window)
-    if query.x.shape[0] != lags.shape[1]:
+    plan = WindowPlan.of(window)
+    if query.x.shape[0] != plan.lags.shape[1]:
         raise ValueError(
             f"query lag vector of length {query.x.shape[0]} does not match window "
-            f"lag order {lags.shape[1]}"
+            f"lag order {plan.lags.shape[1]}"
         )
-    return spec.cross(query.t, query.x, times, lags)
+    return spec.cross(plan, query.t, query.x)
 
 
 def cross_matrix(spec: CompositeKernel, queries, window) -> np.ndarray:
     """Cross kernel matrix between query points (rows) and window points (columns)."""
-    qt, qx = window_arrays(queries)
-    times, lags = window_arrays(window)
-    if qx.shape[1] != lags.shape[1]:
-        raise ValueError(
-            f"query lag order {qx.shape[1]} does not match window lag order {lags.shape[1]}"
-        )
-    return spec.cross_many(qt, qx, times, lags)
+    queries, plan = WindowPlan.of(queries), WindowPlan.of(window)
+    qp, p = queries.lags.shape[1], plan.lags.shape[1]
+    if qp != p:
+        raise ValueError(f"query lag order {qp} does not match window lag order {p}")
+    return spec.cross_many(plan, queries)
 
 
 def gram_derivative(spec: CompositeKernel, window, which: int) -> np.ndarray:

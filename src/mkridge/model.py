@@ -53,23 +53,22 @@ one-row ``cross_contract`` without its derivatives, so its value is the
 gradient's residual bit for bit. The materialized derivatives (``CompositeKernel.iter_block_derivs`` and
 ``cross_derivs_all``, its rows) are the tests' oracle; nothing here calls them.
 
-Two facts of a window are found once and handed to the kernel. Periodic
-evaluations of windows cut from a stream on one integer time grid
-(``Dataset.grid_step``) skip their test of the times, and a model keeps the
-window's ARD lag moments (``TrainedModel.lag_moments``), which its Jacobian
-and its hyper-gradients both contract.
+``fit`` builds one window plan per model (``TrainedModel.plan``), which
+every evaluation of the model reads. It decides once whether the window
+lies on one integer time grid (a stream's window by ``Dataset.grid_step``,
+without a test), and keeps the ARD window side (the lag mean, the window
+terms, the lag moments of ``theta``) from its first read on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from ._compiled import scipy_routines
 from .errors import NumericalError
-from .kernels import CompositeKernel, SquaredExpKernel, TimedPoint, _readonly, window_arrays
+from .kernels import CompositeKernel, SquaredExpKernel, TimedPoint, WindowPlan, _readonly, window_arrays
 from .kernels import _BLOCK_VALUES, _CACHE_VALUES, _row_step
 
 
@@ -156,30 +155,27 @@ class TrainedModel:
     Fortran-ordered and holds the Cholesky factor of ``K + ridge*I`` in its
     lower triangle (its upper triangle is not cleaned); beyond one row block
     it is the buffer ``fit`` mixed the system into, factored in place.
-    ``grid_step`` is the training window's ``Dataset.grid_step``
-    (None for a window without one).
+    ``plan`` is the training window's plan, with read-only times and lags.
     """
 
     hypers: HyperParams
-    times: np.ndarray
-    lags: np.ndarray
+    plan: WindowPlan
     targets: np.ndarray
     theta: np.ndarray
     blocks: tuple[np.ndarray, ...]
     factor: np.ndarray
-    grid_step: float | None = None
 
     @property
     def n(self) -> int:
         return self.theta.size
 
-    @cached_property
-    def lag_moments(self):
-        """The window side of the ARD contractions with ``theta``
-        (``CompositeKernel.lag_moments``), which the Jacobian and the
-        hyper-gradients both read: computed at the first read, None without
-        an ARD component."""
-        return self.hypers.kernel.lag_moments(self.lags, self.theta)
+    @property
+    def times(self) -> np.ndarray:
+        return self.plan.times
+
+    @property
+    def lags(self) -> np.ndarray:
+        return self.plan.lags
 
     @property
     def gram(self) -> np.ndarray:
@@ -207,7 +203,8 @@ def fit(hypers: HyperParams, window) -> TrainedModel:
     y = np.asarray(window.targets, dtype=float)
     if not np.isfinite(y).all():
         raise ValueError("training targets must be finite")
-    blocks = hypers.kernel.component_blocks(times, lags, _on_grid(window))
+    plan = WindowPlan(_readonly(times), _readonly(lags), getattr(window, "grid_step", None))
+    blocks = hypers.kernel.component_blocks(plan)
     a = hypers.kernel.mix(blocks)
     a.flat[:: y.size + 1] += hypers.ridge
     # a is exactly symmetric, so a.T is the same matrix already in Fortran
@@ -237,13 +234,11 @@ def fit(hypers: HyperParams, window) -> TrainedModel:
     theta.setflags(write=False)
     return TrainedModel(
         hypers=hypers,
-        times=_readonly(times),
-        lags=_readonly(lags),
+        plan=plan,
         targets=_readonly(y),
         theta=theta,
         blocks=tuple(blocks),
         factor=factor,
-        grid_step=getattr(window, "grid_step", None),
     )
 
 
@@ -263,15 +258,6 @@ def _system_product(hypers: HyperParams, blocks, v: np.ndarray, step: int) -> np
     return out
 
 
-def _on_grid(*windows) -> bool | None:
-    """True if every window carries the same stream grid step
-    (``Dataset.grid_step``, or a model's): the windows then lie on one
-    integer time grid, and the periodic evaluators need not test their
-    times. None lets them test."""
-    steps = {getattr(w, "grid_step", None) for w in windows}
-    return True if len(steps) == 1 and None not in steps else None
-
-
 def _check_query(model: TrainedModel, x: np.ndarray) -> None:
     if x.shape[-1] != model.lags.shape[1]:
         raise ValueError(
@@ -286,28 +272,28 @@ def predict(model: TrainedModel, query: TimedPoint) -> float:
     The same arithmetic as the residual inside :func:`loss_hyper_gradient`.
     """
     _check_query(model, query.x)
-    k = model.hypers.kernel.cross(query.t, query.x, model.times, model.lags)
+    k = model.hypers.kernel.cross(model.plan, query.t, query.x)
     return float(k @ model.theta)
 
 
 def predict_batch(model: TrainedModel, queries) -> np.ndarray:
     """Predictions for many query points at once: cross matrix times theta."""
-    qt, qx = window_arrays(queries)
-    _check_query(model, qx)
-    grid = _on_grid(model, queries)
-    kernel, yhat = model.hypers.kernel, np.empty(qt.size)
-    for q in _query_blocks(qt.size, model.n):
-        yhat[q] = kernel.cross_many(qt[q], qx[q], model.times, model.lags, grid) @ model.theta
+    queries = WindowPlan.of(queries)
+    _check_query(model, queries.lags)
+    kernel, yhat = model.hypers.kernel, np.empty(len(queries.times))
+    for q, block in _query_blocks(queries, model.n):
+        yhat[q] = kernel.cross_many(model.plan, block) @ model.theta
     return yhat
 
 
-def _query_blocks(m: int, n: int) -> list[slice]:
-    """Slices of ``m`` queries against ``n`` rows whose cross matrices hold at
-    most ``_BLOCK_VALUES`` values each (:func:`~mkridge.kernels._row_step`),
-    so each block's product with ``theta`` has the bits of one
-    ``(m, n) @ (n,)`` product."""
+def _query_blocks(queries: WindowPlan, n: int) -> list[tuple[slice, WindowPlan]]:
+    """The row slices and plans of the blocks of ``queries`` against ``n``
+    rows whose cross matrices hold at most ``_BLOCK_VALUES`` values each
+    (:func:`~mkridge.kernels._row_step`), so each block's product with
+    ``theta`` has the bits of one ``(m, n) @ (n,)`` product."""
+    m = len(queries.times)
     step = _row_step(m, n, _BLOCK_VALUES)
-    return [slice(lo, lo + step) for lo in range(0, m, step)]
+    return [(slice(lo, lo + step), queries.rows(lo, lo + step)) for lo in range(0, m, step)]
 
 
 def loss(y_true: float, y_pred: float) -> float:
@@ -325,10 +311,7 @@ def theta_jacobian(model: TrainedModel) -> np.ndarray:
     but an SE component's scratch, and all columns come from one solve. The
     result is C-contiguous.
     """
-    contracted = model.hypers.kernel.block_contract(
-        model.times, model.lags, model.blocks, model.theta, _on_grid(model),
-        lambda: model.lag_moments,
-    )
+    contracted = model.hypers.kernel.block_contract(model.plan, model.blocks, model.theta)
     ns = contracted.shape[1]
     rhs = np.empty((model.n, ns + 1), order="F")
     np.negative(contracted, out=rhs[:, :ns])
@@ -380,20 +363,17 @@ def predict_and_hyper_gradient_batch(
     # the forecasts: a jac of any layout is used row-major (no copy for
     # theta_jacobian's).
     jac = np.ascontiguousarray(jac)
-    qt, qx = window_arrays(queries)
-    _check_query(model, qx)
+    queries = WindowPlan.of(queries)
+    _check_query(model, queries.lags)
     y = np.asarray(targets, dtype=float)
-    if y.shape != qt.shape:
-        raise ValueError(f"got {y.size} targets for {qt.size} queries")
+    if y.shape != queries.times.shape:
+        raise ValueError(f"got {y.size} targets for {queries.times.size} queries")
     kernel, ns = model.hypers.kernel, model.hypers.kernel.n_scalars
-    grid = _on_grid(model, queries)
     se = any(isinstance(c, SquaredExpKernel) for c in kernel.components)
     grads = np.empty((y.size, d))
     yhat = np.empty(y.size) if predictions else None
-    for q in _query_blocks(y.size, model.n):
-        k, dk_theta = kernel.cross_contract(
-            qt[q], qx[q], model.times, model.lags, model.theta, grid, lambda: model.lag_moments
-        )
+    for q, block in _query_blocks(queries, model.n):
+        k, dk_theta = kernel.cross_contract(model.plan, block, model.theta)
         # Every product is a stack of one-query products (matmul loops over the
         # leading axis with the BLAS call a single query makes), so each row is
         # bit-identical to a one-query evaluation whatever the number of queries.
@@ -410,7 +390,7 @@ def predict_and_hyper_gradient_batch(
             # cdist, which round differently: the predictions take cross_many's.
             # This branch goes once SE evaluates as an ARD kernel with one tied scale.
             del k, rows  # one block's cross matrix at a time
-            k = kernel.cross_many(qt[q], qx[q], model.times, model.lags, grid)
+            k = kernel.cross_many(model.plan, block)
         # predict_batch's product on the same values and blocks: its bits,
         # which can differ in the last digit from the residual's stacked products
         yhat[q] = k @ model.theta

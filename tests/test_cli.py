@@ -285,6 +285,8 @@ def finite_csv(tmp_path, bad_value="1.01", **binning):
         pytest.param({"lag_order": "five"}, [], 2, "lag_order", id="lag-string"),
         pytest.param({"lag_order": None}, [], 2, "lag_order", id="lag-null"),
         pytest.param({"horizon": 0}, [], 2, "horizon", id="horizon-zero"),
+        pytest.param({"horizon": 2}, [], 2, "horizon", id="horizon-two"),
+        pytest.param({}, ["--horizon", "3"], 2, "horizon", id="horizon-flag-three"),
         pytest.param({"horizon": 1.5}, [], 2, "horizon", id="horizon-fraction"),
         pytest.param({"horizon": "1"}, [], 2, "horizon", id="horizon-string"),
         pytest.param({}, ["--horizon", "0"], 2, "horizon", id="horizon-flag-zero"),

@@ -15,8 +15,7 @@ from mkridge.data import (
     load_csv,
 )
 from mkridge.errors import DataError
-from mkridge.kernels import _on_one_grid
-from mkridge.model import _on_grid
+from mkridge.kernels import WindowPlan, _on_one_grid
 
 
 class TestTimeSeries:
@@ -235,7 +234,7 @@ class TestStreamGrid:
     def test_claims_only_what_the_test_accepts(self, data, first, second):
         a = data.draw(slice_of(first))
         for b in (a, data.draw(slice_of(first)), data.draw(slice_of(second))):
-            if _on_grid(a, b):
+            if WindowPlan.of(a).on_grid(WindowPlan.of(b)):
                 assert _on_one_grid(a.times, b.times)
         found = len(first) > 1 and _on_one_grid(first.times, first.times)
         assert (first.grid_step is not None) == found

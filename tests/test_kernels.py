@@ -16,6 +16,7 @@ from mkridge.kernels import (
     PeriodicKernel,
     SquaredExpKernel,
     TimedPoint,
+    WindowPlan,
     _distance_routines,
     _on_one_grid,
     _row_step,
@@ -28,7 +29,14 @@ from mkridge.kernels import (
     gram,
     gram_derivative,
 )
-from mkridge.model import HyperParams
+from mkridge.data import TimeSeries, build_features
+from mkridge.model import (
+    HyperParams,
+    fit,
+    predict_and_hyper_gradient_batch,
+    predict_batch,
+    theta_jacobian,
+)
 
 from helpers import fd_gram_derivative, fd_step, random_spec, random_window, run_isolated
 
@@ -430,7 +438,7 @@ class TestCrossDerivatives:
 
             def cross_at(values):
                 probe = spec.with_scalars(values, require_simplex=False)
-                return probe.cross(t, x, window.times, window.lags)
+                return probe.cross(WindowPlan(window.times, window.lags), t, x)
 
             for which in range(spec.n_scalars):
                 h = fd_step(scalars[which])
@@ -499,14 +507,14 @@ class TestPeriodicGrid:
         out = np.empty((n, 2))
         gram = kernel.block(times, None)
         scratch = np.empty((n, n))
-        assert np.array_equal(kernel.block_contract(times, None, gram, v, w, out, scratch), k @ v)
+        assert np.array_equal(kernel.block_contract(WindowPlan(times, None), gram, v, w, out, scratch), k @ v)
         assert np.array_equal(out[:, 0], (w * d_scale) @ v)
         assert np.array_equal(out[:, 1], (w * d_period) @ v)
 
         k, d_scale, d_period = dense_periodic(kernel, ts, times)
-        assert np.array_equal(kernel.cross_many(ts, None, times, None), k)
+        assert np.array_equal(kernel.cross_many(WindowPlan(times, None), WindowPlan(ts, None)), k)
         out = np.empty((m, 2, n))
-        assert np.array_equal(kernel.cross_derivs_many(ts, None, times, None, out), k)
+        assert np.array_equal(kernel.cross_derivs_many(WindowPlan(times, None), WindowPlan(ts, None), out), k)
         assert np.array_equal(out[:, 0], d_scale)
         assert np.array_equal(out[:, 1], d_period)
 
@@ -522,7 +530,7 @@ class TestPeriodicGridDecision:
         times = np.arange(n, dtype=float) if grid else np.sort(rng.uniform(0.0, 90.0, n))
         ts = times[-1] + 1.0 + np.arange(m, dtype=float)
         kernel = PeriodicKernel(0.6, 11.0)
-        gram = kernel.compact_block(times, None)
+        gram = kernel.compact_block(WindowPlan(times, None))
         decide = mkridge.kernels._on_one_grid
         calls = []
 
@@ -533,13 +541,13 @@ class TestPeriodicGridDecision:
         monkeypatch.setattr(mkridge.kernels, "_on_one_grid", counted)
         evaluations = {
             "block": lambda: kernel.block(times, None),
-            "compact_block": lambda: kernel.compact_block(times, None),
-            "cross_many": lambda: kernel.cross_many(ts, None, times, None),
+            "compact_block": lambda: kernel.compact_block(WindowPlan(times, None)),
+            "cross_many": lambda: kernel.cross_many(WindowPlan(times, None), WindowPlan(ts, None)),
             "block_contract": lambda: kernel.block_contract(
-                times, None, gram, np.ones(n), 0.5, np.empty((n, 2)), np.empty((n, n))
+                WindowPlan(times, None), gram, np.ones(n), 0.5, np.empty((n, 2)), np.empty((n, n))
             ),
             "cross_derivs_many": lambda: kernel.cross_derivs_many(
-                ts, None, times, None, np.empty((m, 2, n))
+                WindowPlan(times, None), WindowPlan(ts, None), np.empty((m, 2, n))
             ),
         }
         for name, evaluate in evaluations.items():
@@ -552,7 +560,7 @@ class TestPeriodicGridDecision:
     def test_compact_block_matches_block_bitwise(self, case, seed):
         kernel, _, times, _ = case
         n = len(times)
-        full, compact = kernel.block(times, None), kernel.compact_block(times, None)
+        full, compact = kernel.block(times, None), kernel.compact_block(WindowPlan(times, None))
         assert full.flags.c_contiguous and full.flags.writeable
         assert np.array_equal(compact, full)
         if _on_one_grid(times, times):
@@ -563,7 +571,7 @@ class TestPeriodicGridDecision:
         v, w = rng.normal(size=n), float(rng.uniform(0.0, 1.0))
         outs = [np.empty((n, 2)), np.empty((n, 2))]
         values = [
-            kernel.block_contract(times, None, g, v, w, out, np.full((n, n), np.nan))
+            kernel.block_contract(WindowPlan(times, None), g, v, w, out, np.full((n, n), np.nan))
             for g, out in zip((full, compact), outs)
         ]
         assert np.array_equal(values[0], values[1])
@@ -600,8 +608,9 @@ class TestCrossValues:
             times = np.sort(rng.uniform(0.0, 3.0 * n, n))
             t = float(rng.uniform(0.0, 3.0 * n))
         lags, x = rng.normal(size=(n, p)), rng.normal(size=p)
-        k, _ = spec.cross_contract(np.array([t]), x[None, :], times, lags, rng.normal(size=n))
-        assert np.array_equal(spec.cross(t, x, times, lags), k[0])
+        plan = WindowPlan(times, lags)
+        k, _ = spec.cross_contract(plan, WindowPlan(np.array([t]), x[None, :]), rng.normal(size=n))
+        assert np.array_equal(spec.cross(plan, t, x), k[0])
 
     def test_computes_no_derivatives(self, monkeypatch):
         rng = np.random.default_rng(4)
@@ -610,7 +619,7 @@ class TestCrossValues:
             [0.3, 0.3, 0.4],
         )
         window = random_window(rng, 20, 3)
-        expected = spec.cross(5.5, np.ones(3), window.times, window.lags)
+        expected = spec.cross(WindowPlan.of(window), 5.5, np.ones(3))
 
         def refuse(*args, **kwargs):
             raise AssertionError("cross must not evaluate derivatives")
@@ -619,7 +628,7 @@ class TestCrossValues:
         monkeypatch.setattr(PeriodicKernel, "_deriv", refuse)
         monkeypatch.setattr(ArdKernel, "cross_contract", refuse)
         monkeypatch.setattr(mkridge.kernels, "_lag_moments", refuse)
-        assert np.array_equal(spec.cross(5.5, np.ones(3), window.times, window.lags), expected)
+        assert np.array_equal(spec.cross(WindowPlan.of(window), 5.5, np.ones(3)), expected)
 
 
 class TestArdValues:
@@ -636,10 +645,11 @@ class TestArdValues:
     def test_rows_match_one_query_calls_bitwise(self, stream, m):
         lags, scales = stream
         kernel, window, xs = ArdKernel(scales), lags[:96], lags[96 : 96 + m]
-        k = kernel.cross_many(None, xs, None, window)
+        k = kernel.cross_many(WindowPlan(None, window), WindowPlan(None, xs))
         assert k.flags.c_contiguous
         for q in range(m):
-            assert np.array_equal(k[q], kernel.cross_many(None, xs[q : q + 1], None, window)[0])
+            one = kernel.cross_many(WindowPlan(None, window), WindowPlan(None, xs[q : q + 1]))
+            assert np.array_equal(k[q], one[0])
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -684,13 +694,28 @@ class TestArdValues:
         norm_w, norm_q = ((lags - mean) ** 2) @ scales, ((xs - mean) ** 2) @ scales
         eps = np.finfo(float).eps
         for got, rows, norm_rows in (
-            (kernel.cross_many(None, xs, None, lags), xs, norm_q),
+            (kernel.cross_many(WindowPlan(None, lags), WindowPlan(None, xs)), xs, norm_q),
             (kernel.block(None, lags), lags, norm_w),
         ):
             want = np.array([[eval_ard(a, b, kernel) for b in lags] for a in rows])
             bound = 2 * (p + 2) * eps * (norm_rows[:, None] + norm_w[None, :]) + 2 * eps
             assert (np.abs(got - want) <= bound).all()
             assert (got <= 1.0).all()
+
+
+def counting(monkeypatch, calls):
+    """Count every call of ``_lag_moments``, ``ArdKernel.window_terms`` and
+    ``ArdKernel.cross_contract`` in ``calls``."""
+
+    def counted(key, f):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(mkridge.kernels, "_lag_moments", counted("moments", mkridge.kernels._lag_moments))
+    monkeypatch.setattr(ArdKernel, "window_terms", counted("terms", ArdKernel.window_terms))
+    monkeypatch.setattr(ArdKernel, "cross_contract", counted("blocks", ArdKernel.cross_contract))
 
 
 class TestArdWindowTerms:
@@ -705,22 +730,39 @@ class TestArdWindowTerms:
         times, lags, v = np.arange(float(n)), rng.normal(size=(n, p)), rng.normal(size=n)
         ts, xs = np.arange(float(n), float(n + m)), rng.normal(size=(m, p))
         calls = {"moments": 0, "terms": 0, "blocks": 0}
-
-        def counted(key, f):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return f(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(mkridge.kernels, "_lag_moments", counted("moments", mkridge.kernels._lag_moments))
-        monkeypatch.setattr(ArdKernel, "window_terms", counted("terms", ArdKernel.window_terms))
-        monkeypatch.setattr(ArdKernel, "cross_contract", counted("blocks", ArdKernel.cross_contract))
-        k, dkv = spec.cross_contract(ts, xs, times, lags, v)
+        counting(monkeypatch, calls)
+        k, dkv = spec.cross_contract(WindowPlan(times, lags), WindowPlan(ts, xs), v)
         assert calls == {"moments": 1, "terms": 1, "blocks": 4}
         for q in (0, 23, 24, 95):  # the first and last query of a block
-            k1, dkv1 = spec.cross_contract(ts[q : q + 1], xs[q : q + 1], times, lags, v)
+            one = WindowPlan(ts[q : q + 1], xs[q : q + 1])
+            k1, dkv1 = spec.cross_contract(WindowPlan(times, lags), one, v)
             assert np.array_equal(k[q], k1[0])
             assert np.array_equal(dkv[q], dkv1[0])
+
+    def test_one_computation_per_fitted_model(self, monkeypatch):
+        # periodic + ARD-20 at n = 1344 with 336 queries: predict_batch takes
+        # them in four blocks and the hyper-gradients in four blocks of four;
+        # the model's plan computes the ARD window side once for all of them
+        rng = np.random.default_rng(31)
+        n, m, p = 1344, 336, 20
+        stream = build_features(TimeSeries(np.arange(n + m + p), rng.normal(size=n + m + p)), p)
+        window, queries = stream.slice(0, n), stream.slice(n, n + m)
+        spec = CompositeKernel(
+            (PeriodicKernel(1.5e-3, 96.0), ArdKernel(rng.uniform(1e-4, 1e-2, p))), [0.5, 0.5]
+        )
+        model = fit(HyperParams(spec, 0.3), window)
+        calls = {"moments": 0, "terms": 0, "blocks": 0}
+        counting(monkeypatch, calls)
+        jac = theta_jacobian(model)
+        yhat = predict_batch(model, queries)
+        fused, grads = predict_and_hyper_gradient_batch(model, jac, queries, queries.targets)
+        assert (calls["moments"], calls["terms"]) == (1, 1)
+        assert np.array_equal(fused, yhat)
+        for q in range(m):
+            one = queries.slice(q, q + 1)
+            _, row = predict_and_hyper_gradient_batch(model, jac, one, one.targets)
+            assert np.array_equal(grads[q], row[0])
+        assert (calls["moments"], calls["terms"]) == (1, 1)
 
 
 class TestScratchContraction:
@@ -747,7 +789,8 @@ class TestScratchContraction:
             gram = kernel.block(times, lags)
             out = np.empty((n, len(kernel.param_kinds)))
             scratch = np.full((n, n), np.nan)
-            assert np.array_equal(kernel.block_contract(times, lags, gram, v, w, out, scratch), gram @ v)
+            plan = WindowPlan(times, lags)
+            assert np.array_equal(kernel.block_contract(plan, gram, v, w, out, scratch), gram @ v)
             for j, d in enumerate(kernel.iter_block_derivs(times, lags)):
                 assert np.array_equal(out[:, j], (w * d) @ v)
 
@@ -763,7 +806,7 @@ class TestScratchContraction:
         out = np.empty((n, 2))
         gram = kernel.block(times, None)
         with patch("mkridge.kernels._CHUNK_VALUES", chunk):
-            kernel.block_contract(times, None, gram, v, w, out, np.full((n, n), np.nan))
+            kernel.block_contract(WindowPlan(times, None), gram, v, w, out, np.full((n, n), np.nan))
         assert np.array_equal(out[:, 0], (w * d_scale) @ v)
         assert np.array_equal(out[:, 1], (w * d_period) @ v)
 
@@ -784,15 +827,16 @@ class TestRowBlockContraction:
         periodic = PeriodicKernel(0.8, 23.7)
         k, d_scale, d_period = dense_periodic(periodic, times, times)
         out = np.empty((n, 2))
-        gram = periodic.compact_block(times, None)
-        assert np.array_equal(periodic.block_contract(times, None, gram, v, w, out, rows), k @ v)
+        plan = WindowPlan(times, None)
+        gram = periodic.compact_block(plan)
+        assert np.array_equal(periodic.block_contract(plan, gram, v, w, out, rows), k @ v)
         assert np.array_equal(out[:, 0], (w * d_scale) @ v)
         assert np.array_equal(out[:, 1], (w * d_period) @ v)
 
         ard = ArdKernel(rng.uniform(0.01, 0.1, 20))
         gram = ard.block(None, lags)
         out = np.empty((n, 20))
-        assert np.array_equal(ard.block_contract(None, lags, gram, v, w, out, rows), gram @ v)
+        assert np.array_equal(ard.block_contract(WindowPlan(None, lags), gram, v, w, out, rows), gram @ v)
         want = np.column_stack([(w * d) @ v for d in ard.iter_block_derivs(None, lags)])
         assert np.abs(out - want).max() <= 1e-10 * np.abs(want).max()
 
@@ -853,7 +897,7 @@ class TestSquaredExpCrossDerivs:
         xs, lags = rng.normal(size=(m, p)), rng.normal(size=(n, p)) * 2.0
         out = np.empty((m, 1, n))
         with patch("mkridge.kernels._BLOCK_VALUES", budget):
-            k = kernel.cross_derivs_many(None, xs, None, lags, out)
+            k = kernel.cross_derivs_many(WindowPlan(None, lags), WindowPlan(None, xs), out)
         k_ref, d_ref = se_cross_derivs_per_query(kernel, xs, lags)
         assert np.array_equal(k, k_ref)
         assert np.array_equal(out[:, 0], d_ref)
@@ -864,7 +908,7 @@ class TestSquaredExpCrossDerivs:
         kernel = SquaredExpKernel(0.05)
         xs, lags = rng.normal(size=(10, 20)), rng.normal(size=(1344, 20))
         out = np.empty((10, 1, 1344))
-        k = kernel.cross_derivs_many(None, xs, None, lags, out)
+        k = kernel.cross_derivs_many(WindowPlan(None, lags), WindowPlan(None, xs), out)
         k_ref, d_ref = se_cross_derivs_per_query(kernel, xs, lags)
         assert np.array_equal(k, k_ref)
         assert np.array_equal(out[:, 0], d_ref)
@@ -933,17 +977,18 @@ class TestDistanceRoutines:
         code = """
 import sys
 import numpy as np
-from mkridge.kernels import SquaredExpKernel, _sq_dists
+from mkridge.kernels import SquaredExpKernel, WindowPlan, _sq_dists
 rng = np.random.default_rng(0)
 times, lags, xs = np.arange(30.0), rng.normal(size=(30, 4)), rng.normal(size=(5, 4))
 kernel = SquaredExpKernel(0.1)
-before = kernel.block(times, lags), kernel.cross_many(None, xs, times, lags)
+plan, queries = WindowPlan(times, lags), WindowPlan(None, xs)
+before = kernel.block(times, lags), kernel.cross_many(plan, queries)
 assert 'scipy.spatial' not in sys.modules
 from scipy.spatial.distance import cdist, pdist, squareform
 print(sys.modules['scipy.spatial._distance_pybind'] is not sys.modules['mkridge._distance_pybind'],
       _sq_dists(lags).tobytes() == squareform(pdist(lags, 'sqeuclidean')).tobytes(),
       _sq_dists(xs, lags).tobytes() == cdist(xs, lags, 'sqeuclidean').tobytes(),
       kernel.block(times, lags).tobytes() == before[0].tobytes(),
-      kernel.cross_many(None, xs, times, lags).tobytes() == before[1].tobytes())
+      kernel.cross_many(plan, queries).tobytes() == before[1].tobytes())
 """
         assert run_isolated(code) == "True True True True True"

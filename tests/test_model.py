@@ -15,6 +15,7 @@ from mkridge.kernels import (
     PeriodicKernel,
     SquaredExpKernel,
     TimedPoint,
+    WindowPlan,
     _BLOCK_VALUES,
     _CACHE_VALUES,
     gram_derivative,
@@ -587,7 +588,7 @@ def dense_reference(hypers, window):
     residual = y - a @ theta
     if np.linalg.norm(residual) > 1e-10 * max(1.0, np.linalg.norm(y)):
         theta = theta + mkridge.model._potrs(factor, residual, lower=1)[0]
-    contracted = spec.block_contract(times, lags, blocks, theta)
+    contracted = spec.block_contract(WindowPlan(times, lags), blocks, theta)
     rhs = np.asfortranarray(np.column_stack([-contracted, -theta]))
     return theta, factor, mkridge.model._potrs(factor, rhs, lower=1)[0]
 
@@ -630,19 +631,20 @@ class TestGappedStream:
         for (lo, mid, hi) in ((10, 40, 50), (70, 100, 110), (40, 66, 76), (50, 80, 90)):
             window, queries = stream.slice(lo, mid), stream.slice(mid, hi)
             model = fit(hypers, window)
-            grid = mkridge.model._on_grid(model, queries)
-            assert grid is None and mkridge.model._on_grid(model) is None
+            plan, planned = WindowPlan.of(window), WindowPlan.of(queries)
+            grid = planned.grid_step
+            assert grid is None and model.plan.grid_step is None
             times, ts = window.times, queries.times
 
             k, d_scale, d_period = kernel._value_and_derivs(np.abs(times[:, None] - times))
             assert np.array_equal(model.blocks[0], k)
-            contracted = spec.block_contract(times, window.lags, model.blocks, model.theta, grid)
+            contracted = spec.block_contract(plan, model.blocks, model.theta)
             dense = np.column_stack([d @ model.theta for d in (d_scale, d_period, k)])
             assert np.array_equal(contracted, dense)
 
             k, d_scale, d_period = kernel._value_and_derivs(np.abs(ts[:, None] - times))
-            assert np.array_equal(spec.cross_many(ts, queries.lags, times, window.lags, grid), k)
-            kq, dkv = spec.cross_contract(ts, queries.lags, times, window.lags, model.theta, grid)
+            assert np.array_equal(spec.cross_many(plan, planned), k)
+            kq, dkv = spec.cross_contract(plan, planned, model.theta)
             assert np.array_equal(kq, k)
             assert np.array_equal(dkv, np.stack([d_scale, d_period, k], axis=1) @ model.theta)
 
@@ -666,9 +668,7 @@ class TestOneSolveJacobian:
     @settings(max_examples=150, deadline=None)
     @given(model=jacobian_model())
     def test_equals_single_column_solves_bitwise(self, model):
-        contracted = model.hypers.kernel.block_contract(
-            model.times, model.lags, model.blocks, model.theta
-        )
+        contracted = model.hypers.kernel.block_contract(model.plan, model.blocks, model.theta)
         cols = [model.solve(-c) for c in contracted.T] + [model.solve(-model.theta)]
         assert model.hypers.dim <= 25
         jac = theta_jacobian(model)
@@ -766,7 +766,7 @@ class TestLossHyperGradient:
 def one_query_gradient(model, jac, query, y_true):
     """The per-query gradient formula with one-query products throughout."""
     spec = model.hypers.kernel
-    k = spec.cross(query.t, query.x, model.times, model.lags)
+    k = spec.cross(model.plan, query.t, query.x)
     dk = spec.cross_derivs_all(query.t, query.x, model.times, model.lags)
     residual = y_true - float(k @ model.theta)
     ns = spec.n_scalars
